@@ -1,6 +1,6 @@
 """Cooperative per-trial wall-clock budgets.
 
-The experiment engine (:mod:`repro.feast.parallel`) enforces trial
+The experiment engine (:mod:`repro.feast.backends`) enforces trial
 timeouts in two layers. The outer layer is supervision: the parent kills
 a worker whose chunk overruns its budget. This module is the inner,
 cooperative layer: before each trial the worker publishes a deadline

@@ -612,7 +612,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if overrides:
         configs = [dataclasses.replace(c, **overrides) for c in configs]
 
-    from repro.feast.parallel import resolve_jobs
+    from repro.feast.backends import resolve_jobs
 
     jobs = resolve_jobs(args.jobs)
     if args.backend is not None:

@@ -70,9 +70,9 @@ class ExecutionRequest:
     jobs: int = 1
     #: Shard subprocesses (subprocess backend).
     shards: int = 2
-    #: Whether fault-tolerance supervision was explicitly requested
-    #: (checkpoint / retry override / trial timeout). The serial backend
-    #: uses the classic fail-fast sweep loop when unsupervised.
+    #: Whether failing chunks get retry/quarantine treatment. ``False``
+    #: (a plain ``jobs=1`` run) makes the serial backend fail-fast: the
+    #: first chunk exception propagates and no later chunk runs.
     supervised: bool = False
     #: Streaming hook; see module docstring.
     on_chunk: Optional[ChunkSink] = None
@@ -348,11 +348,12 @@ class ChunkDriver:
         )
 
     # -- the serial chunk loop -----------------------------------------
-    def run_in_process(self) -> None:
+    def run_in_process(self, fail_fast: bool = False) -> None:
         """Run the remaining chunks in this process, one at a time.
 
         Exceptions get the same retry/quarantine treatment as in pool
-        mode; crash/hang protection requires worker processes and is
+        mode, unless ``fail_fast`` re-raises the first one unchanged;
+        crash/hang protection requires worker processes and is
         unavailable here (injected crashes are parent-safe by design —
         see :mod:`repro.feast.faultinject`).
         """
@@ -370,6 +371,8 @@ class ChunkDriver:
                     self.trace,
                 )
             except Exception as exc:
+                if fail_fast:
+                    raise
                 self.fail(key, "exception", exc)
             else:
                 self.complete(key, chunk)

@@ -94,11 +94,24 @@ from repro.feast.backends.base import (
     SupervisionStats,
 )
 from repro.feast.backends.work import ChunkKey, is_parallelizable
-from repro.feast.backends.shardworker import shard_keys
 from repro.obs import live as obs_live
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.resources import ResourceSample
 from repro.obs.spans import Span
+
+
+def shard_keys(config, shard: int, n_shards: int):
+    """The chunk keys shard ``shard`` of ``n_shards`` owns.
+
+    Round-robin over the canonical chunk ordering: ordinals congruent
+    to ``shard`` mod ``n_shards``. Pure arithmetic on
+    ``config.chunk_keys()``, so every process — parent, worker,
+    relaunched worker — computes identical disjoint partitions. Lives
+    here, not in :mod:`.shardworker`, so importing the package never
+    loads the module ``python -m`` is about to run as ``__main__``.
+    """
+    return list(config.chunk_keys())[shard::n_shards]
+
 
 #: Seconds between child-process liveness polls.
 _POLL_INTERVAL = 0.05

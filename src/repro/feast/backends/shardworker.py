@@ -63,21 +63,11 @@ def _kill_after(shard: int) -> Optional[int]:
     return int(raw)
 
 
-def shard_keys(config, shard: int, n_shards: int):
-    """The chunk keys shard ``shard`` of ``n_shards`` owns.
-
-    Round-robin over the canonical chunk ordering: ordinals congruent
-    to ``shard`` mod ``n_shards``. Pure arithmetic on
-    ``config.chunk_keys()``, so every process — parent, worker,
-    relaunched worker — computes identical disjoint partitions.
-    """
-    return list(config.chunk_keys())[shard::n_shards]
-
-
 def run_shard(payload: dict) -> int:
     """Execute one shard per ``payload``; returns the exit code."""
     from repro.feast import faultinject
     from repro.feast.backends.base import ChunkDriver
+    from repro.feast.backends.shards import shard_keys
     from repro.feast.persistence import CheckpointJournal
 
     config = payload["config"]

@@ -8,11 +8,8 @@ locally from the (seed, scenario, index) contract
 (:func:`repro.feast.runner.trial_seed`), so no task graph ever crosses a
 process or host boundary. :func:`run_chunk` executes one spec and
 returns a :class:`ChunkResult`; backends differ only in *where* and
-*how many at a time* they call it.
-
-This module used to live inside :mod:`repro.feast.parallel`; it was
-lifted out so that serial, process-pool, and subprocess-shard backends
-(:mod:`repro.feast.backends`) consume one definition of the contract.
+*how many at a time* they call it. :func:`run_chunk` is the only trial
+body in the engine.
 """
 
 from __future__ import annotations
@@ -217,14 +214,14 @@ def run_chunk(
     attempt: int = 0,
     trace: bool = False,
 ) -> ChunkResult:
-    """Execute one chunk (runs inside a worker process).
+    """Execute one chunk: every (size × method) trial of one graph.
 
-    Mirrors the serial loop's per-graph work exactly: same seeds, same
-    distribution reuse, same metrics — only the loop nesting differs,
-    which the parent undoes when reassembling. ``config.batch`` prefetches
-    the chunk's distributions through the batch kernel first, exactly as
-    the serial loop does per scenario (bit-identical records either way). Each (size × method)
-    trial runs under a cooperative wall-clock budget of
+    Generates the graph from its seed, distributes deadlines (reusing
+    size-independent distributions across the size sweep) and schedules
+    each trial; the parent reorders chunks into the canonical record
+    order. ``config.batch`` prefetches the chunk's distributions through
+    the batch kernel first (bit-identical records either way). Each
+    (size × method) trial runs under a cooperative wall-clock budget of
     ``trial_timeout`` seconds (default: the config's); a trial that
     completes past its budget is kept but flagged with a ``slow-trial``
     failure event.

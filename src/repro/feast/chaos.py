@@ -302,12 +302,8 @@ def run_chaos(
             )
 
     actual = [r.as_dict() for r in result.records]
-    supervision = (
-        result.supervision if result.supervision is not None
-        else SupervisionStats()
-    )
     expectations = plan_expectations(plan, backend)
-    counters = supervision.as_dict()
+    counters = result.supervision.as_dict()
     for expectation in expectations:
         expectation.actual = counters.get(expectation.counter, 0)
 
@@ -319,7 +315,7 @@ def run_chaos(
         n_records=len(actual),
         identical=actual == expected,
         quarantined=list(result.quarantined),
-        supervision=supervision,
+        supervision=result.supervision,
         expectations=expectations,
         warnings_observed=[
             str(w.message) for w in caught

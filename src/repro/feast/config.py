@@ -230,7 +230,7 @@ class ExperimentConfig:
     @property
     def trials_per_graph(self) -> int:
         """Scheduling runs each generated graph participates in — the
-        size of one parallel work chunk (see :mod:`repro.feast.parallel`)."""
+        size of one work chunk (see :mod:`repro.feast.backends.work`)."""
         return len(self.system_sizes) * len(self.methods)
 
     def chunk_keys(self) -> Tuple[Tuple[str, int], ...]:

@@ -25,16 +25,16 @@ else. This module replaces that with a small, pluggable layer:
   attached the span hooks are no-ops and the records produced are
   byte-identical either way.
 
-Progress from worker processes
-------------------------------
-Workers never call user callbacks directly (the callback lives in the
-parent and usually is not picklable anyway). Instead each worker times
-its own chunk, returns a :class:`PhaseTimings` alongside its records
-through the executor's results queue, and the parent calls
-:meth:`Instrumentation.absorb` as each chunk arrives — which merges the
-timings and fires the progress callbacks with the updated trial count.
-Progress granularity in parallel mode is therefore one chunk (all trials
-of one (scenario, graph) pair) rather than one trial.
+Progress
+--------
+Chunks never call user callbacks directly (a worker's callback lives in
+the parent and usually is not picklable anyway). Instead each chunk
+times itself and returns a :class:`PhaseTimings` alongside its records,
+and the parent calls :meth:`Instrumentation.absorb` as each chunk
+arrives — which merges the timings and fires the progress callbacks with
+the updated trial count. Progress granularity is therefore one chunk
+(all trials of one (scenario, graph) pair) on every backend, serial
+included.
 
 Progress callbacks are exception-safe: a callback that raises an
 :class:`Exception` is detached and reported as an
@@ -141,9 +141,9 @@ class Instrumentation:
 
     One instance instruments one :func:`~repro.feast.runner.run_experiment`
     call. Register any number of ``(done, total)`` callbacks with
-    :meth:`add_progress`; they fire after every completed trial (serial)
-    or completed chunk (parallel). A raising callback is detached with an
-    :class:`ExperimentWarning` rather than aborting the run.
+    :meth:`add_progress`; they fire after every completed chunk. A
+    raising callback is detached with an :class:`ExperimentWarning`
+    rather than aborting the run.
 
     Pass ``telemetry`` (a :class:`repro.obs.Telemetry`) to additionally
     record the run as structured spans and metrics; the engine activates
@@ -227,9 +227,8 @@ class Instrumentation:
         """Time a block of work against the named phase.
 
         Also records the block as a span (and a latency histogram
-        observation) when a telemetry session is active — in workers
-        that is the chunk's local session, in the serial runner the
-        run's own.
+        observation) when a telemetry session is active — the chunk's
+        local session inside :func:`repro.feast.backends.work.run_chunk`.
         """
         began = time.perf_counter()
         try:

@@ -224,7 +224,7 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 class ReplayedChunk:
     """One completed chunk read back from a checkpoint journal.
 
-    Duck-compatible with :class:`repro.feast.parallel.ChunkResult` where
+    Duck-compatible with :class:`repro.feast.backends.work.ChunkResult` where
     the engine needs it (``records``, ``timings``, ``failures``,
     ``n_trials``).
     """

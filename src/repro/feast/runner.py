@@ -2,9 +2,10 @@
 
 :func:`run_experiment` executes an :class:`~repro.feast.config.ExperimentConfig`
 and returns an :class:`ExperimentResult` holding one :class:`TrialRecord`
-per (scenario, system size, method, graph). ``jobs > 1`` fans the trials
-out over worker processes (:mod:`repro.feast.parallel`) and produces
-records identical to a serial run.
+per (scenario, system size, method, graph). Trials run in chunks on a
+pluggable execution backend (:mod:`repro.feast.backends`: in-process,
+a process pool, or shard subprocesses), and every backend produces the
+same records in the same order.
 
 Seeding / pairing contract
 --------------------------
@@ -35,9 +36,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only import
     from repro.feast.backends.base import SupervisionStats
@@ -58,12 +60,18 @@ from repro.feast.instrumentation import (
 from repro.graph.generator import RandomGraphConfig, generate_task_graph
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
+from repro.obs import live as obs_live
+from repro.obs import runtime as obs
+from repro.obs.resources import sample_resources
 from repro.sched.analysis import ScheduleMetrics, schedule_metrics
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.policies import make_policy
 
 #: Seed-spreading multiplier (same prime the graph generator uses).
 SEED_STRIDE = 1_000_003
+
+#: Streaming record hook: called once per record, as chunks complete.
+RecordSink = Callable[["TrialRecord"], None]
 
 
 def scenario_seed(seed: int, scenario: str) -> int:
@@ -196,7 +204,8 @@ class ExperimentResult:
     #: Liveness/failover accounting from the execution backend
     #: (:class:`repro.feast.backends.SupervisionStats`): stalls detected,
     #: kill escalations, relaunches, failovers, reassigned and replayed
-    #: chunks. ``None`` on the classic unsupervised serial path.
+    #: chunks. All zero on a clean run; ``None`` only on results loaded
+    #: from disk, which do not persist it.
     supervision: Optional["SupervisionStats"] = None
 
     @property
@@ -271,7 +280,7 @@ def distribute_for_trial(
     """The deadline assignment of ``method`` on ``graph`` at one size.
 
     Size-dependent methods (ADAPT) are computed fresh for every platform,
-    unless ``prefetched`` (the batch engine's per-scenario prefetch, see
+    unless ``prefetched`` (the batch engine's per-chunk prefetch, see
     :func:`prefetch_distributions`) already holds the result under
     ``(cache_key, n_processors)``.
     Size-independent methods are computed once *without* platform
@@ -309,9 +318,9 @@ def prefetch_distributions(
     config: ExperimentConfig,
     graphs: List[TaskGraph],
     reusable: Dict[object, DeadlineAssignment],
-    indices: Optional[List[int]] = None,
+    indices: List[int],
 ) -> Dict[object, DeadlineAssignment]:
-    """Batch-evaluate one scenario's distributions (the ``--batch`` path).
+    """Batch-evaluate one chunk's distributions (the ``--batch`` path).
 
     Packs every (method, graph) — and, for size-dependent methods, every
     (method, size, graph) — distribution the trial loop is about to need
@@ -328,14 +337,11 @@ def prefetch_distributions(
     request per system size; those results are returned keyed
     ``((label, index), n_processors)`` for the ``prefetched`` lookup.
 
-    ``indices`` supplies the graphs' trial indices (default
-    ``0..len(graphs)-1``); the parallel engine passes the single chunk
-    index so worker cache keys line up with the serial ones.
+    ``indices`` supplies the graphs' trial indices, so the cache keys
+    are the ones the trial loop looks up.
     """
     from repro.core.batch import DistributeRequest, distribute_many
 
-    if indices is None:
-        indices = list(range(len(graphs)))
     requests: List[DistributeRequest] = []
     targets: List[Tuple[Dict[object, DeadlineAssignment], object]] = []
     prefetched: Dict[object, DeadlineAssignment] = {}
@@ -375,7 +381,7 @@ def make_record(
     assignment: DeadlineAssignment,
     metrics: ScheduleMetrics,
 ) -> TrialRecord:
-    """Package one trial's measurements (shared by serial and workers)."""
+    """Package one trial's measurements."""
     return TrialRecord(
         experiment=config.name,
         scenario=scenario,
@@ -401,16 +407,16 @@ def run_experiment(
     retry=None,
     backend: Optional[str] = None,
     shards: int = 2,
-    record_sink=None,
+    record_sink: Optional[RecordSink] = None,
 ) -> ExperimentResult:
-    """Execute every trial of ``config``.
+    """Execute every trial of ``config``, one chunk (all size × method
+    trials of one (scenario, graph) pair) at a time per worker.
 
-    ``jobs`` selects the execution engine: ``1`` (default) runs the
-    serial loop in-process; ``> 1`` fans trials out over that many worker
-    processes; ``0`` or ``None`` uses all CPU cores. Parallel runs
-    produce records identical to serial runs, in identical order. A
-    config whose ``graph_factory`` cannot be pickled falls back to
-    in-process execution regardless of ``jobs``, with an
+    ``jobs`` selects the backend: ``1`` (default) runs the chunks in
+    this process (``"serial"``); ``> 1`` fans them out over that many
+    worker processes (``"pool"``); ``0`` or ``None`` uses all CPU
+    cores. A config whose ``graph_factory`` cannot be pickled falls
+    back to in-process execution regardless of ``jobs``, with an
     :class:`ExperimentWarning` and the reason recorded on
     ``result.fallback_reason``.
 
@@ -421,32 +427,55 @@ def run_experiment(
     count. Every backend produces byte-identical canonical records.
 
     ``checkpoint`` names a journal file (for the subprocess backend: a
-    journal *directory*): completed work units are appended as they
-    finish, and a rerun with the same config and path resumes where the
-    previous run stopped — the resumed result is byte-identical to an
+    journal *directory*): completed chunks are appended as they finish,
+    and a rerun with the same config and path resumes where the previous
+    run stopped — the resumed result is byte-identical to an
     uninterrupted run. ``retry`` overrides the
     :class:`~repro.feast.backends.RetryPolicy` derived from the config.
-    Requesting any fault-tolerance feature (``checkpoint``, ``retry``,
-    ``config.trial_timeout``), an explicit ``backend``, or streaming
-    routes even a ``jobs=1`` run through the supervised engine; a plain
-    ``jobs=1`` run keeps the classic serial loop, which raises on the
-    first trial error.
 
-    ``record_sink`` streams records (e.g. into a
-    :class:`repro.feast.aggregate.StreamingAggregator`) instead of
-    collecting them on the result — see
-    :func:`repro.feast.parallel.run_parallel_experiment`.
+    Failure semantics: a plain ``jobs=1`` run (none of ``checkpoint``,
+    ``retry``, ``config.trial_timeout``, ``backend`` or ``record_sink``)
+    is fail-fast — it raises the first trial error and runs no later
+    chunk. Every other run is supervised: a failing chunk is retried per
+    the retry policy, then quarantined and listed on
+    ``result.quarantined`` while the sweep goes on.
 
-    ``progress`` is a ``(done, total)`` callback; ``instrumentation``
-    optionally supplies a preconfigured :class:`Instrumentation` (extra
-    callbacks, shared timing accumulation). Both may be given.
+    ``record_sink`` switches to streaming: every completed chunk's
+    records (including chunks replayed from a checkpoint) are passed to
+    the sink one by one, in canonical size → method order within the
+    chunk, and then dropped, so peak resident records are bounded by the
+    chunk size. Chunk arrival order is backend-dependent, so the sink
+    must be order-independent across chunks (e.g.
+    :class:`repro.feast.aggregate.StreamingAggregator`). The result then
+    carries no records; ``streamed_trials`` counts what flowed through.
+
+    ``progress`` is a ``(done, total)`` callback fired once per completed
+    chunk; ``instrumentation`` optionally supplies a preconfigured
+    :class:`Instrumentation` (extra callbacks, telemetry). Both may be
+    given.
     """
-    from repro.feast.parallel import is_parallelizable, resolve_jobs
+    from repro.feast.backends import (
+        ExecutionRequest,
+        RetryPolicy,
+        assemble_records,
+        is_parallelizable,
+        make_backend,
+        resolve_jobs,
+    )
 
+    started = time.perf_counter()
     inst = instrumentation if instrumentation is not None else Instrumentation()
     if progress is not None:
         inst.add_progress(progress)
     n_jobs = resolve_jobs(jobs)
+    supervised = (
+        n_jobs > 1
+        or checkpoint is not None
+        or retry is not None
+        or config.trial_timeout is not None
+        or backend is not None
+        or record_sink is not None
+    )
     fallback_reason = None
     if n_jobs > 1 and backend is None and not is_parallelizable(config):
         fallback_reason = (
@@ -455,27 +484,90 @@ def run_experiment(
         )
         warnings.warn(fallback_reason, ExperimentWarning, stacklevel=2)
         n_jobs = 1
-    supervised = (
-        checkpoint is not None
-        or retry is not None
-        or config.trial_timeout is not None
-        or backend is not None
-        or record_sink is not None
+    backend_name = backend if backend is not None else (
+        "serial" if n_jobs == 1 else "pool"
     )
-    if n_jobs > 1 or supervised or fallback_reason is not None:
-        from repro.feast.parallel import run_parallel_experiment
+    engine = make_backend(backend_name)
 
-        return run_parallel_experiment(
-            config,
-            jobs=n_jobs,
-            instrumentation=inst,
-            checkpoint=checkpoint,
-            retry=retry,
-            fallback_reason=fallback_reason,
-            backend=backend,
-            shards=shards,
-            record_sink=record_sink,
+    on_chunk = None
+    if record_sink is not None:
+
+        def on_chunk(key, chunk) -> None:
+            for n_processors in config.system_sizes:
+                for method in config.methods:
+                    record_sink(chunk.records[(n_processors, method.label)])
+
+    request = ExecutionRequest(
+        config=config,
+        instrumentation=inst,
+        policy=retry if retry is not None else RetryPolicy.from_config(config),
+        checkpoint=checkpoint,
+        jobs=n_jobs,
+        shards=shards,
+        supervised=supervised,
+        on_chunk=on_chunk,
+        keep_records=record_sink is None,
+    )
+    engine.prepare(request)
+    inst.start(config.n_trials)
+
+    parent_sample = (
+        sample_resources() if inst.telemetry is not None else None
+    )
+    with obs.activate(inst.telemetry):
+        with obs.toplevel_span(
+            "run", experiment=config.name, jobs=n_jobs,
+            engine=backend_name,
+        ):
+            outcome = engine.run(request)
+        # Supervision outcomes become counters exactly once, here in
+        # the parent (never inside drivers/workers, whose metrics are
+        # adopted into this session and would double-count).
+        supervision = outcome.supervision.as_dict()
+        for name, value in supervision.items():
+            if value:
+                obs.count(f"supervision.{name}", value)
+        if outcome.supervision.any():
+            # One terminal supervision summary on the live stream, so a
+            # watcher that missed the transitions still sees the totals.
+            obs_live.publish(
+                "supervision", event="summary", ident="run",
+                detail=", ".join(
+                    f"{name}={value}"
+                    for name, value in supervision.items() if value
+                ),
+            )
+        if parent_sample is not None:
+            used = sample_resources().delta(parent_sample)
+            obs.gauge("parent.rss_max_kb", used.rss_max_kb)
+            inst.telemetry.resources.append(used)
+    inst.finish()
+
+    quarantined = sorted(
+        outcome.quarantined,
+        key=lambda k: (config.scenarios.index(k[0]), k[1]),
+    )
+    expected = config.n_trials - config.trials_per_graph * len(quarantined)
+    records: List[TrialRecord] = []
+    if record_sink is None:
+        records = assemble_records(config, outcome.chunks, outcome.quarantined)
+        produced = len(records)
+    else:
+        produced = outcome.streamed_trials
+    if produced != expected:
+        raise ExperimentError(
+            f"experiment {config.name!r} produced {produced} records "
+            f"but planned {expected}"
         )
-    from repro.feast.backends.serial import run_classic_serial
-
-    return run_classic_serial(config, inst)
+    return ExperimentResult(
+        config=config,
+        records=records,
+        elapsed_seconds=time.perf_counter() - started,
+        timings=inst.timings,
+        jobs=n_jobs,
+        failures=list(outcome.failures),
+        quarantined=quarantined,
+        fallback_reason=fallback_reason or outcome.degraded_reason,
+        streamed_trials=outcome.streamed_trials,
+        supervision=outcome.supervision,
+    )

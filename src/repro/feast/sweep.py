@@ -10,7 +10,7 @@ this module is for everything else one wants to ask the harness:
   worker processes: either one config per worker (``processes``; configs
   with in-process ``graph_factory`` closures are not picklable and force
   serial mode) or one config at a time with its trials fanned out
-  (``jobs``, via :mod:`repro.feast.parallel`).
+  (``jobs``, via :func:`repro.feast.runner.run_experiment`).
 """
 
 from __future__ import annotations
@@ -150,14 +150,9 @@ def registry_record(
         retries=inst.retries,
         quarantined=inst.quarantined,
         phase_seconds=inst.timings.as_dict(),
-        supervision=(
-            {}
-            if result.supervision is None  # classic serial path
-            else {
-                k: float(v)
-                for k, v in result.supervision.as_dict().items()
-            }
-        ),
+        supervision={
+            k: float(v) for k, v in result.supervision.as_dict().items()
+        },
         records_digest=records_digest(result.records),
         trace_path=trace,
     )
@@ -245,7 +240,7 @@ def run_experiments(
     coordinated from this process, so it is incompatible with
     ``processes > 1``.
 
-    ``progress`` is called with (completed configs, total) — per-trial
+    ``progress`` is called with (completed configs, total) — per-chunk
     progress is only available through
     :func:`repro.feast.runner.run_experiment` directly.
     """

@@ -141,9 +141,9 @@ def span(name: str, **attrs: Any):
 def toplevel_span(name: str, **attrs: Any):
     """Like :func:`span`, but only when no span is open yet.
 
-    Engine entry points use this for the root ``run`` span so that
-    delegation (``run_experiment`` → ``run_parallel_experiment``) does
-    not nest a second root.
+    The engine uses this for the root ``run`` span so that a
+    ``run_experiment`` call made inside an already-open span (a caller's
+    own span in the same session) does not nest a second root.
     """
     session = getattr(_state, "session", None)
     if session is None or session.spans.depth > 0:

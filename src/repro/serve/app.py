@@ -73,6 +73,9 @@ _ROUTES: Tuple[Tuple[str, "re.Pattern", str], ...] = tuple(
 )
 #: Routes reachable without credentials: probes and scrapers.
 _OPEN_ROUTES = ("healthz", "metrics")
+#: Bounds on discarding a rejected request's unread bytes before close.
+_DRAIN_BYTES = 8 * 1024 * 1024
+_DRAIN_SECONDS = 2.0
 
 
 @dataclass
@@ -94,6 +97,34 @@ class ServiceConfig:
     rate_burst: Optional[float] = None
     #: Upper bound on one ``?follow=1`` events stream, seconds.
     follow_timeout: float = 300.0
+
+
+async def _drain_unread(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then discard what the client is still sending.
+
+    An error response can leave request bytes unread (a 413 never reads
+    the body). Closing a socket with unread input sends an RST, which
+    can reach the client before it has read the response; waiting for
+    the client's EOF, within :data:`_DRAIN_BYTES` and
+    :data:`_DRAIN_SECONDS`, lets the response arrive intact.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+    deadline = time.monotonic() + _DRAIN_SECONDS
+    drained = 0
+    while drained < _DRAIN_BYTES:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return
+        try:
+            chunk = await asyncio.wait_for(reader.read(65536), remaining)
+        except asyncio.TimeoutError:
+            return
+        if not chunk:
+            return
+        drained += len(chunk)
 
 
 class ReproService:
@@ -181,6 +212,8 @@ class ReproService:
                 ).to_response()
             status = response.status
             await http.write_response(writer, response)
+            if status >= 400:
+                await _drain_unread(reader, writer)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:

@@ -2,6 +2,9 @@
 kill-and-resume fault tolerance, streaming aggregation, journal repair."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +18,9 @@ from repro.feast.backends import (
     register_backend,
 )
 from repro.feast.backends.serial import SerialBackend
-from repro.feast.backends.shardworker import shard_keys
+from repro.feast.backends.shards import shard_keys
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.instrumentation import Instrumentation
-from repro.feast.parallel import run_parallel_experiment
 from repro.feast.persistence import (
     compact_journals,
     inspect_journal,
@@ -99,6 +101,22 @@ class TestShardPartition:
             assert len(merged) == len(set(merged))
 
 
+class TestShardWorkerEntry:
+    def test_module_runs_once_under_python_m(self):
+        """The package never imports the worker module, so ``python -m``
+        does not re-execute an already-loaded module (runpy would warn)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.feast.backends.shardworker"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("usage:"), proc.stderr
+
+
 class TestCrossBackendParity:
     """Every backend must reproduce the serial records byte-for-byte."""
 
@@ -136,7 +154,7 @@ class TestCrossBackendParity:
             methods=(MethodSpec(label="PURE", metric="PURE"),),
         )
         with pytest.raises(ExperimentError, match="unpicklable"):
-            run_parallel_experiment(cfg, jobs=2, backend="pool")
+            run_experiment(cfg, jobs=2, backend="pool")
 
     def test_subprocess_backend_rejects_unpicklable(self):
         cfg = tiny_config(
@@ -144,7 +162,7 @@ class TestCrossBackendParity:
             methods=(MethodSpec(label="PURE", metric="PURE"),),
         )
         with pytest.raises(ExperimentError, match="unpicklable"):
-            run_parallel_experiment(cfg, backend="subprocess")
+            run_experiment(cfg, backend="subprocess")
 
     def test_subprocess_rejects_file_checkpoint(self, tmp_path):
         path = tmp_path / "journal.ckpt"

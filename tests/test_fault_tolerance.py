@@ -23,7 +23,7 @@ from repro.feast import faultinject
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.faultinject import FaultPlan, FaultSpec, InjectedFaultError
 from repro.feast.instrumentation import Instrumentation
-from repro.feast.parallel import RetryPolicy, run_parallel_experiment
+from repro.feast.backends import RetryPolicy
 from repro.feast.persistence import CheckpointJournal, config_fingerprint
 from repro.feast.runner import run_experiment
 from repro.graph.generator import RandomGraphConfig
@@ -118,7 +118,7 @@ class TestTransientFaults:
         ))
         inst = Instrumentation()
         with faultinject.active(plan):
-            result = run_parallel_experiment(
+            result = run_experiment(
                 cfg, jobs=1, retry=FAST, instrumentation=inst
             )
         assert record_dicts(result) == record_dicts(clean)
@@ -137,7 +137,7 @@ class TestTransientFaults:
         ))
         inst = Instrumentation()
         with faultinject.active(plan):
-            result = run_parallel_experiment(
+            result = run_experiment(
                 cfg, jobs=2, retry=FAST, instrumentation=inst
             )
         assert record_dicts(result) == record_dicts(clean)
@@ -158,7 +158,7 @@ class TestTransientFaults:
         )
         inst = Instrumentation()
         with faultinject.active(plan):
-            result = run_parallel_experiment(
+            result = run_experiment(
                 cfg, jobs=2, retry=policy, instrumentation=inst
             )
         # trial_timeout does not affect records, only survival.
@@ -178,7 +178,7 @@ class TestQuarantine:
         ))
         inst = Instrumentation()
         with faultinject.active(plan):
-            result = run_parallel_experiment(
+            result = run_experiment(
                 cfg, jobs=1,
                 retry=RetryPolicy(max_attempts=6, backoff_base=0.01,
                                   backoff_max=0.02),
@@ -208,7 +208,7 @@ class TestQuarantine:
         policy = RetryPolicy(max_attempts=2, backoff_base=0.01,
                              backoff_max=0.02)
         with faultinject.active(plan):
-            result = run_parallel_experiment(cfg, jobs=2, retry=policy)
+            result = run_experiment(cfg, jobs=2, retry=policy)
         assert result.quarantined == [("MDET", 0)]
         assert len(result.records) == cfg.n_trials - cfg.trials_per_graph
         quarantine_events = [
@@ -228,7 +228,7 @@ class TestQuarantine:
                       attempts=(0,)),
         ))
         with faultinject.active(plan):
-            result = run_parallel_experiment(cfg, jobs=1, retry=FAST)
+            result = run_experiment(cfg, jobs=1, retry=FAST)
         assert result.quarantined == [("MDET", 0)]
         assert [r.graph_index for r in result.records] == [1, 2, 3]
 
@@ -247,7 +247,7 @@ class TestDegradation:
         )
         with faultinject.active(plan):
             with pytest.warns(ExperimentWarning, match="degraded"):
-                result = run_parallel_experiment(
+                result = run_experiment(
                     cfg, jobs=2, retry=policy
                 )
         # In-process, the crash spec is parent-safe, so the sweep

@@ -10,9 +10,9 @@ asserts exact equality (``==`` on floats — no tolerances) ever after.
 Coverage: all four paper metrics (plus the capacity-aware ADAPT variant),
 several graph sizes, pinned and unpinned workloads, homogeneous and
 heterogeneous platforms, and full experiment records through the runner at
-worker counts 1 and 2 (the parallel engine guarantees any worker count
-produces the jobs=1 records, which is separately tested at larger counts
-by ``bench_parallel_runner``).
+worker counts 1 and 2 (every backend and worker count produces the jobs=1
+records, which ``tests/test_backends.py`` and ``tests/test_parallel.py``
+test separately).
 
 Regenerate (only when an *intentional* output change lands) with::
 

@@ -5,13 +5,12 @@ import pytest
 from repro.errors import ExperimentError, ExperimentWarning
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.instrumentation import Instrumentation, PhaseTimings
-from repro.feast.parallel import (
+from repro.feast.backends import (
     TrialSpec,
     default_jobs,
     is_parallelizable,
     resolve_jobs,
     run_chunk,
-    run_parallel_experiment,
 )
 from repro.feast.runner import run_experiment
 from repro.graph.generator import RandomGraphConfig
@@ -115,12 +114,13 @@ class TestDispatch:
         assert dicts(result) == dicts(run_experiment(cfg, jobs=1))
 
     def test_run_parallel_rejects_unpicklable(self):
+        """An explicitly named pool backend never falls back."""
         cfg = tiny_config(
             graph_factory=lambda gc, rng: pipeline_factory(gc, rng),
             methods=(MethodSpec(label="PURE", metric="PURE"),),
         )
         with pytest.raises(ExperimentError, match="unpicklable"):
-            run_parallel_experiment(cfg, jobs=2)
+            run_experiment(cfg, jobs=2, backend="pool")
 
     def test_plain_config_is_parallelizable(self):
         assert is_parallelizable(tiny_config())
@@ -196,6 +196,10 @@ class TestInstrumentation:
         first, second = [], []
         inst = Instrumentation(progress=lambda d, t: first.append(d))
         inst.add_progress(lambda d, t: second.append(d))
-        cfg = tiny_config(n_graphs=1)
+        cfg = tiny_config(n_graphs=2)
         run_experiment(cfg, instrumentation=inst)
-        assert first == second == list(range(1, cfg.n_trials + 1))
+        # One event per chunk, serial runs included.
+        per_chunk = cfg.trials_per_graph
+        assert first == second == list(
+            range(per_chunk, cfg.n_trials + 1, per_chunk)
+        )

@@ -67,8 +67,34 @@ class TestRunExperiment:
     def test_progress_hook(self):
         calls = []
         run_experiment(tiny_config(), progress=lambda d, t: calls.append((d, t)))
-        assert calls[0] == (1, 12)
+        # One event per chunk: the 2 sizes x 2 methods of one graph.
+        assert calls[0] == (4, 12)
         assert calls[-1] == (12, 12)
+
+    def test_plain_run_fails_fast(self):
+        """Without fault-tolerance features the first trial error
+        propagates unchanged and no later chunk runs."""
+        seen = []
+
+        def factory(gc, rng):
+            seen.append(len(seen))
+            if len(seen) == 2:
+                raise ExperimentError("graph 1 is broken")
+            return generate_task_graph(gc, rng=rng)
+
+        cfg = tiny_config(
+            graph_factory=factory,
+            methods=(MethodSpec(label="PURE", metric="PURE"),),
+        )
+        with pytest.raises(ExperimentError, match="graph 1 is broken"):
+            run_experiment(cfg)
+        assert seen == [0, 1]
+
+    def test_clean_serial_run_reports_zero_supervision(self):
+        result = run_experiment(tiny_config(n_graphs=1))
+        assert result.supervision is not None
+        assert not result.supervision.any()
+        assert result.failures == [] and result.quarantined == []
 
     def test_graph_factory(self):
         from repro.graph.structured import generate_pipeline

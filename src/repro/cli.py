@@ -1054,7 +1054,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     try:
         events_path = _resolve_events_path(args.events)
-        events = read_events(events_path, allow_partial=True)
+        events = read_events(events_path)
     except SerializationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1074,7 +1074,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             if base.endswith(".events.jsonl"):
                 base = base[: -len(".events.jsonl")]
             output = base + ".trace.json"
-        events = read_events(events_path, allow_partial=True)
+        events = read_events(events_path)
         write_chrome_trace(output, events)
     except SerializationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,9 +40,9 @@ import pickle
 import sys
 from typing import Optional
 
+from repro.applog import atomic_write_text
 from repro.feast.instrumentation import Instrumentation
 from repro.obs import runtime as obs
-from repro.obs.export import atomic_write_text
 
 #: Exit code of a deliberately injected kill (see module docstring).
 KILL_EXIT_CODE = 86

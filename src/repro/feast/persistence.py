@@ -16,11 +16,12 @@ Two crash-safety layers live here as well:
   leave a truncated or half-written JSON behind;
 * :class:`CheckpointJournal` is the append-only journal behind
   ``run_experiment(..., checkpoint=path)``: the engine appends one line
-  per completed trial chunk (flushed and fsynced), and a resumed run
-  replays the journal and re-runs only the missing chunks. The header
-  pins a fingerprint of the record-determining config fields, so
-  resuming with a changed experiment raises :class:`CheckpointError`
-  instead of silently mixing incompatible records.
+  per completed trial chunk (an :mod:`repro.applog` log, fsynced), and
+  a resumed run replays the journal and re-runs only the missing
+  chunks. The header pins a fingerprint of the record-determining
+  config fields, so resuming with a changed experiment raises
+  :class:`CheckpointError` instead of silently mixing incompatible
+  records.
 """
 
 from __future__ import annotations
@@ -32,17 +33,12 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro import applog
 from repro.errors import CheckpointError, ExperimentWarning, SerializationError
 from repro.feast.aggregate import mean_max_lateness
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.instrumentation import PhaseTimings, TrialFailure
 from repro.feast.runner import ExperimentResult, TrialRecord
-from repro.obs.export import atomic_write_text, fsync_directory
-
-#: Backward-compatible alias — the implementation moved to
-#: :func:`repro.obs.export.atomic_write_text` so the event log and the
-#: result store share one crash-safe writer.
-_atomic_write_text = atomic_write_text
 
 FORMAT = "repro-experiment-result"
 VERSION = 1
@@ -166,7 +162,7 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
 
 def save_result(result: ExperimentResult, path: str) -> None:
     """Write a result to ``path`` as JSON, atomically."""
-    _atomic_write_text(path, json.dumps(result_to_dict(result)))
+    applog.atomic_write_text(path, json.dumps(result_to_dict(result)))
 
 
 def load_result(path: str) -> ExperimentResult:
@@ -270,20 +266,70 @@ def _decode_chunk_line(
         ) from exc
 
 
+def _journal_lines(path: str) -> Iterator[Tuple[int, Any]]:
+    """A journal's complete lines, with read errors worded as
+    :class:`CheckpointError`."""
+    try:
+        yield from applog.iter_lines(path)
+    except applog.CorruptLine as exc:
+        if exc.lineno == 1:
+            raise CheckpointError(
+                f"{path!r} is not a checkpoint journal: bad header"
+            ) from exc
+        raise CheckpointError(
+            f"corrupt checkpoint line {exc.lineno} in {path!r}"
+        ) from None
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path!r}: {exc}"
+        ) from exc
+
+
+def _open_journal(
+    path: str, fingerprint: Optional[str] = None
+) -> Tuple[Optional[Dict[str, Any]], Iterator[Tuple[int, Any]]]:
+    """Validate a journal's header: ``(header, remaining lines)``.
+
+    A journal without a complete header line — a zero-byte file, or a
+    crash inside the header's append — is empty: ``header`` is None.
+    When ``fingerprint`` is given, a journal written by a different
+    config is rejected.
+    """
+    lines = _journal_lines(path)
+    first = next(lines, None)
+    if first is None:
+        return None, lines
+    header = first[1]
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path!r} is not a {CHECKPOINT_FORMAT} journal")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {header.get('version')!r} "
+            f"in {path!r}"
+        )
+    if fingerprint is not None and header.get("fingerprint") != fingerprint:
+        raise CheckpointError(
+            f"checkpoint {path!r} was written by a different experiment "
+            f"configuration (journal fingerprint "
+            f"{header.get('fingerprint')!r}, expected {fingerprint!r}); "
+            "refusing to mix their records — delete the file or use a "
+            "fresh checkpoint path"
+        )
+    return header, lines
+
+
 class CheckpointJournal:
     """Append-only journal of completed trial chunks.
 
     Line 1 is a header (format, version, config fingerprint); every
     further line is one completed chunk's records, timings, and non-fatal
-    failure events. Each append is **one** ``write(2)`` on an
-    ``O_APPEND`` descriptor followed by an ``fsync``: the kernel serializes
-    O_APPEND writes, so concurrent shard workers appending to *separate*
-    journals (or a crashed-and-relaunched worker reopening its own) can
-    never interleave partial records, and after a crash the journal holds
-    every chunk whose append returned — at worst plus one torn trailing
-    line (a write cut short mid-syscall by the kill), which
-    :meth:`_open_existing` repairs (the interrupted chunk is simply
-    re-run).
+    failure events. The journal is an :mod:`repro.applog` log: each
+    append is one whole line followed by an ``fsync``, so shard
+    workers appending to *separate* journals (or a crashed-and-relaunched
+    worker reopening its own) never interleave partial records, and
+    after a crash the journal holds every chunk whose append returned —
+    at worst plus one torn tail, which reopening truncates away (the
+    interrupted chunk is simply re-run).
     """
 
     def __init__(self, path: str, config: ExperimentConfig) -> None:
@@ -294,148 +340,52 @@ class CheckpointJournal:
         #: (scenario, graph index).
         self.replayed: Dict[Tuple[str, int], ReplayedChunk] = {}
         self._fd: Optional[int] = None
-        try:
-            exists = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot stat checkpoint {self.path!r}: {exc}"
-            ) from exc
-        if exists:
-            self._fd = self._open_existing()
-        else:
-            self._fd = self._create()
-
-    # ------------------------------------------------------------------
-    def _header_line(self) -> str:
-        return json.dumps(
-            {
-                "format": CHECKPOINT_FORMAT,
-                "version": CHECKPOINT_VERSION,
-                "fingerprint": self.fingerprint,
-                "experiment": self.experiment,
-            },
-            sort_keys=True,
-        )
-
-    def _create(self) -> int:
-        directory = os.path.dirname(self.path) or "."
+        directory = os.path.dirname(self.path)
         if not os.path.isdir(directory):
             raise CheckpointError(
                 f"checkpoint directory does not exist: {directory!r}"
             )
         try:
-            fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
+            has_header = os.path.exists(self.path) and self._replay()
+            self._fd = applog.open_append(self.path)
+            if not has_header:
+                applog.append_line(self._fd, {
+                    "format": CHECKPOINT_FORMAT,
+                    "version": CHECKPOINT_VERSION,
+                    "fingerprint": self.fingerprint,
+                    "experiment": self.experiment,
+                })
+                os.fsync(self._fd)
+                # Appends fsync the file; creation must also fsync the
+                # parent directory, or a crash right after shard spawn
+                # could lose the journal's directory entry despite the
+                # synced header.
+                applog.fsync_directory(directory)
         except OSError as exc:
+            self.close()
             raise CheckpointError(
-                f"cannot create checkpoint {self.path!r}: {exc}"
+                f"cannot open checkpoint {self.path!r}: {exc}"
             ) from exc
-        self._write_line(fd, self._header_line())
-        # Appends fsync the file; creation must also fsync the parent
-        # directory, or a crash right after shard spawn could lose the
-        # journal's directory entry despite the synced header.
-        fsync_directory(directory)
-        return fd
 
-    def _open_existing(self) -> int:
-        try:
-            with open(self.path) as fp:
-                text = fp.read()
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot read checkpoint {self.path!r}: {exc}"
-            ) from exc
-        lines = text.splitlines()
-        try:
-            header = json.loads(lines[0])
-        except (json.JSONDecodeError, IndexError) as exc:
-            raise CheckpointError(
-                f"{self.path!r} is not a checkpoint journal: bad header"
-            ) from exc
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != CHECKPOINT_FORMAT
-        ):
-            raise CheckpointError(
-                f"{self.path!r} is not a {CHECKPOINT_FORMAT} journal"
-            )
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version "
-                f"{header.get('version')!r} in {self.path!r}"
-            )
-        if header.get("fingerprint") != self.fingerprint:
-            raise CheckpointError(
-                f"checkpoint {self.path!r} was written by a different "
-                f"experiment configuration (journal fingerprint "
-                f"{header.get('fingerprint')!r}, this config "
-                f"{self.fingerprint!r}); refusing to resume — delete the "
-                "file or use a fresh checkpoint path"
-            )
-        truncated = False
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            last = lineno == len(lines)
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                if last and not text.endswith("\n"):
-                    # A crash mid-append left a partial trailing line;
-                    # drop it and re-run that chunk.
-                    truncated = True
-                    break
-                raise CheckpointError(
-                    f"corrupt checkpoint line {lineno} in {self.path!r}"
-                ) from None
-            self._replay_line(data, lineno)
-        if truncated or (len(lines) > 0 and not text.endswith("\n")):
+    def _replay(self) -> bool:
+        """Load an existing journal's chunks and cut its torn tail.
+
+        Returns whether the journal has a header; one without is empty
+        and gets a fresh header.
+        """
+        header, lines = _open_journal(self.path, self.fingerprint)
+        for lineno, data in lines:
+            chunk = _decode_chunk_line(data, self.path, lineno)
+            self.replayed[(chunk.scenario, chunk.index)] = chunk
+        if applog.repair(self.path):
             warnings.warn(
                 f"checkpoint {self.path!r} ends in a partial line "
                 "(interrupted append); dropping it and re-running that "
                 "chunk",
                 ExperimentWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-            sane = "\n".join(
-                [lines[0]]
-                + [ln for ln in lines[1:] if self._is_complete_line(ln)]
-            ) + "\n"
-            _atomic_write_text(self.path, sane)
-        return os.open(self.path, os.O_WRONLY | os.O_APPEND)
-
-    @staticmethod
-    def _is_complete_line(line: str) -> bool:
-        if not line.strip():
-            return False
-        try:
-            json.loads(line)
-        except json.JSONDecodeError:
-            return False
-        return True
-
-    def _replay_line(self, data: Dict[str, Any], lineno: int) -> None:
-        chunk = _decode_chunk_line(data, self.path, lineno)
-        self.replayed[(chunk.scenario, chunk.index)] = chunk
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _write_line(fd: int, line: str) -> None:
-        """One complete journal line: a single write(2), then fsync.
-
-        ``os.write`` may legally write fewer bytes than asked; the loop
-        covers that, and since the descriptor is O_APPEND, each raw
-        write lands contiguously at end-of-file even so. A crash can
-        therefore truncate at most the final record, never corrupt an
-        earlier one.
-        """
-        payload = (line + "\n").encode("utf-8")
-        view = memoryview(payload)
-        while view:
-            written = os.write(fd, view)
-            view = view[written:]
-        os.fsync(fd)
+        return header is not None
 
     def append(self, chunk) -> None:
         """Journal one completed chunk (single atomic append + fsync)."""
@@ -443,7 +393,7 @@ class CheckpointJournal:
             raise CheckpointError(
                 f"checkpoint {self.path!r} is closed"
             )
-        data = {
+        applog.append_line(self._fd, {
             "kind": "chunk",
             "scenario": chunk.scenario,
             "index": chunk.index,
@@ -453,8 +403,8 @@ class CheckpointJournal:
             ],
             "timings": chunk.timings.as_dict(),
             "failures": [f.as_dict() for f in chunk.failures],
-        }
-        self._write_line(self._fd, json.dumps(data, sort_keys=True))
+        })
+        os.fsync(self._fd)
 
     def close(self) -> None:
         if self._fd is not None:
@@ -474,25 +424,10 @@ class CheckpointJournal:
 # ----------------------------------------------------------------------
 def read_journal_header(path: str) -> Dict[str, Any]:
     """The validated header (format/version/fingerprint/experiment)."""
-    try:
-        with open(path) as fp:
-            first = fp.readline()
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {path!r}: {exc}"
-        ) from exc
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
+    header, _ = _open_journal(path)
+    if header is None:
         raise CheckpointError(
             f"{path!r} is not a checkpoint journal: bad header"
-        ) from exc
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path!r} is not a {CHECKPOINT_FORMAT} journal")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {header.get('version')!r} "
-            f"in {path!r}"
         )
     return header
 
@@ -506,39 +441,15 @@ def iter_journal(
     every replayed chunk, and opens the file for appending), this holds
     exactly one chunk in memory at a time — what the shard merge and
     streaming aggregation need to keep peak resident records bounded by
-    chunk size. A torn trailing line (interrupted append) is silently
-    skipped, mirroring the journal's own recovery; corruption anywhere
-    else raises :class:`CheckpointError`. When ``fingerprint`` is given,
-    a journal written by a different config is rejected up front.
+    chunk size. Torn tails and corruption follow the :mod:`repro.applog`
+    rule, and a journal without a complete header yields nothing. When
+    ``fingerprint`` is given, a journal written by a different config is
+    rejected up front.
     """
-    header = read_journal_header(path)
-    if fingerprint is not None and header.get("fingerprint") != fingerprint:
-        raise CheckpointError(
-            f"checkpoint {path!r} was written by a different experiment "
-            f"configuration (journal fingerprint "
-            f"{header.get('fingerprint')!r}, expected {fingerprint!r})"
-        )
-    with open(path) as fp:
-        fp.readline()  # header, validated above
-        lineno = 1
-        while True:
-            line = fp.readline()
-            if not line:
-                break
-            lineno += 1
-            if not line.strip():
-                continue
-            torn = not line.endswith("\n")
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                if torn:
-                    break  # interrupted append; the chunk re-runs
-                raise CheckpointError(
-                    f"corrupt checkpoint line {lineno} in {path!r}"
-                ) from None
-            chunk = _decode_chunk_line(data, path, lineno)
-            yield (chunk.scenario, chunk.index), chunk
+    _, lines = _open_journal(path, fingerprint)
+    for lineno, data in lines:
+        chunk = _decode_chunk_line(data, path, lineno)
+        yield (chunk.scenario, chunk.index), chunk
 
 
 @dataclass
@@ -564,7 +475,7 @@ def inspect_journal(path: str) -> JournalInfo:
     """Summarize one journal: identity, chunk coverage, anomalies.
 
     Read-only and line-streamed; malformed *complete* lines raise, a
-    torn trailing line is reported on :attr:`JournalInfo.torn_tail`.
+    torn tail is reported on :attr:`JournalInfo.torn_tail`.
     """
     header = read_journal_header(path)
     info = JournalInfo(
@@ -579,9 +490,7 @@ def inspect_journal(path: str) -> JournalInfo:
             continue
         seen.add(key)
         info.chunks.append(key)
-    with open(path) as fp:
-        text = fp.read()
-    info.torn_tail = bool(text) and not text.endswith("\n")
+    info.torn_tail = applog.is_torn(path)
     return info
 
 
@@ -617,47 +526,34 @@ def compact_journals(directory: str) -> str:
             f"no checkpoint journals (*.ckpt) in {directory!r}"
         )
     fingerprint: Optional[str] = None
-    header_line: Optional[str] = None
     lines: List[str] = []
     seen: Dict[Tuple[str, int], str] = {}
     for path in paths:
-        header = read_journal_header(path)
+        header, chunk_lines = _open_journal(path, fingerprint)
+        if header is None:
+            continue  # no complete header: an empty journal
         if fingerprint is None:
             fingerprint = header.get("fingerprint")
-            header_line = json.dumps(header, sort_keys=True)
-        elif header.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                f"journal {path!r} has fingerprint "
-                f"{header.get('fingerprint')!r} but {paths[0]!r} has "
-                f"{fingerprint!r}; refusing to compact a mixed directory"
-            )
-        with open(path) as fp:
-            fp.readline()
-            for raw in fp:
-                if not raw.strip() or not raw.endswith("\n"):
-                    continue
-                try:
-                    data = json.loads(raw)
-                except json.JSONDecodeError:
+            lines.append(applog.line(header))
+        for _, data in chunk_lines:
+            key = (str(data.get("scenario")), int(data.get("index", -1)))
+            canon = applog.line(data)
+            if key in seen:
+                if seen[key] != canon:
                     raise CheckpointError(
-                        f"corrupt checkpoint line in {path!r}"
-                    ) from None
-                key = (str(data.get("scenario")), int(data.get("index", -1)))
-                canon = json.dumps(data, sort_keys=True)
-                if key in seen:
-                    if seen[key] != canon:
-                        raise CheckpointError(
-                            f"conflicting duplicate chunk (scenario="
-                            f"{key[0]}, graph={key[1]}) across journals in "
-                            f"{directory!r}; refusing to compact"
-                        )
-                    continue
-                seen[key] = canon
-                lines.append(canon)
+                        f"conflicting duplicate chunk (scenario="
+                        f"{key[0]}, graph={key[1]}) across journals in "
+                        f"{directory!r}; refusing to compact"
+                    )
+                continue
+            seen[key] = canon
+            lines.append(canon)
+    if not lines:
+        raise CheckpointError(
+            f"no checkpoint journal in {directory!r} has a header"
+        )
     merged = os.path.join(directory, "shard-0-of-1.ckpt")
-    _atomic_write_text(
-        merged, "\n".join([header_line] + lines) + "\n"
-    )
+    applog.atomic_write_text(merged, "".join(lines))
     for path in paths:
         if os.path.abspath(path) != os.path.abspath(merged):
             os.remove(path)

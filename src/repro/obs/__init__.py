@@ -14,8 +14,9 @@ sampling, and trace export, threaded through the whole pipeline:
   :func:`span`, ...) instrumented components call unconditionally; all
   are no-ops when tracing is off.
 * :mod:`repro.obs.resources` — RSS/CPU sampling via ``resource``/``os``.
-* :mod:`repro.obs.export` — the append-only JSONL event log, schema
-  validation, and Chrome-trace/Perfetto conversion.
+* :mod:`repro.obs.export` — the JSONL event log (an
+  :mod:`repro.applog` file), schema validation, and Chrome-trace/Perfetto
+  conversion.
 * :mod:`repro.obs.report` — human-readable run reports.
 * :mod:`repro.obs.live` — the *streaming* side: a ``status.jsonl``
   stream that grows during the run (:class:`StatusStream`), the
@@ -53,7 +54,6 @@ from repro.obs.runtime import (
 )
 from repro.obs.spans import Span, SpanRecorder
 from repro.obs.export import (
-    EventLog,
     TRACE_FORMAT,
     TRACE_VERSION,
     chrome_trace,
@@ -103,7 +103,6 @@ __all__ = [
     "observe",
     "span",
     "toplevel_span",
-    "EventLog",
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "events_from_telemetry",

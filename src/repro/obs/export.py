@@ -1,11 +1,13 @@
 """Trace export: the JSONL event log and the Chrome-trace converter.
 
-The **event log** is one run's telemetry serialized as append-only JSON
-Lines — the same shape as the checkpoint journal it sits next to: a
-header line pinning format and version, then one self-describing event
-object per line (``span``, ``metrics``, ``resource``, ``failure``,
-``summary``). Spans are flattened parent-before-child with integer ids,
-so a consumer can stream the file without reassembling trees, and
+The **event log** is one run's telemetry serialized as JSON Lines — an
+:mod:`repro.applog` file, the same shape as the checkpoint journal it
+sits next to: a header line pinning format and version, then one
+self-describing event object per line (``span``, ``metrics``,
+``resource``, ``failure``, ``summary``). The run is finished when the
+log is written, so :func:`write_events` writes it in one atomic
+replace. Spans are flattened parent-before-child with integer ids, so a
+consumer can stream the file without reassembling trees, and
 :func:`read_events` validates every line against the schema on the way
 in.
 
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
+from repro import applog
 from repro.errors import SerializationError
 from repro.obs.runtime import Telemetry
 from repro.obs.spans import Span
@@ -34,57 +36,6 @@ TRACE_VERSION = 1
 
 #: Event kinds a log line may carry.
 EVENT_KINDS = ("header", "span", "metrics", "resource", "failure", "summary")
-
-
-def fsync_directory(directory: str) -> None:
-    """Flush a directory's entries to disk, best-effort.
-
-    ``fsync`` on a *file* persists its contents, not the directory entry
-    naming it: after a crash, a freshly created (or renamed-into-place)
-    file can vanish even though its bytes were synced. Syncing the
-    parent directory closes that window. Platforms or filesystems that
-    refuse ``open``/``fsync`` on directories are silently tolerated —
-    this only ever *adds* durability.
-    """
-    try:
-        fd = os.open(directory or ".", os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + fsync + replace).
-
-    Either the old content or the complete new content exists at ``path``
-    at every instant; a crash mid-write leaves the destination untouched
-    and no partial temp file behind; the parent directory is synced
-    after the rename so the *name* survives a crash too. (Shared with
-    :mod:`repro.feast.persistence`, which re-exports it.)
-    """
-    path = os.path.abspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fp:
-            fp.write(text)
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
-        fsync_directory(directory)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def make_run_id() -> str:
@@ -143,64 +94,6 @@ def events_from_telemetry(
     return events
 
 
-class EventLog:
-    """Append-only JSONL event log writer (one run per file).
-
-    Mirrors the checkpoint journal's durability contract: the header is
-    written on open, every :meth:`emit` is flushed, and :meth:`close`
-    fsyncs, so a crashed run leaves at worst one truncated trailing line
-    — which :func:`read_events` tolerates with ``allow_partial=True``.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        experiment: str,
-        run_id: Optional[str] = None,
-        created: Optional[float] = None,
-    ) -> None:
-        self.path = os.path.abspath(path)
-        self.run_id = run_id if run_id is not None else make_run_id()
-        directory = os.path.dirname(self.path) or "."
-        if not os.path.isdir(directory):
-            raise SerializationError(
-                f"event-log directory does not exist: {directory!r}"
-            )
-        self._fp: Optional[IO[str]] = open(self.path, "w")
-        self.emit({
-            "kind": "header",
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION,
-            "experiment": experiment,
-            "run_id": self.run_id,
-            "created": created if created is not None else time.time(),
-        })
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        """Append one event line (flushed)."""
-        if self._fp is None:
-            raise SerializationError(f"event log {self.path!r} is closed")
-        self._fp.write(json.dumps(event, sort_keys=True) + "\n")
-        self._fp.flush()
-
-    def emit_all(self, events: List[Dict[str, Any]]) -> None:
-        for event in events:
-            self.emit(event)
-
-    def close(self) -> None:
-        if self._fp is not None:
-            self._fp.flush()
-            os.fsync(self._fp.fileno())
-            self._fp.close()
-            self._fp = None
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def write_events(
     path: str,
     telemetry: Telemetry,
@@ -214,12 +107,7 @@ def write_events(
         telemetry, experiment,
         summary=summary, failures=failures, run_id=run_id,
     )
-    header = events[0]
-    with EventLog(
-        path, experiment,
-        run_id=header["run_id"], created=header["created"],
-    ) as log:
-        log.emit_all(events[1:])
+    applog.atomic_write_text(path, "".join(map(applog.line, events)))
     return events
 
 
@@ -340,42 +228,18 @@ def validate_events(events: List[Dict[str, Any]]) -> None:
         validate_event(event, lineno, seen_span_ids)
 
 
-def read_events(
-    path: str, allow_partial: bool = False
-) -> List[Dict[str, Any]]:
+def read_events(path: str) -> List[Dict[str, Any]]:
     """Read and validate an event log; returns the event dicts.
 
-    ``allow_partial=True`` tolerates one truncated trailing line (a run
-    that crashed mid-append); anything else malformed raises
-    :class:`SerializationError`.
+    A torn tail (a run that crashed mid-write) is dropped; anything
+    else malformed raises :class:`SerializationError`.
     """
     try:
-        with open(path) as fp:
-            text = fp.read()
-    except (OSError, UnicodeDecodeError, ValueError) as exc:
-        # UnicodeDecodeError covers binary garbage handed to `repro
-        # report` (a .ckpt journal, a truncated pickle); surface it as
-        # the same clean one-line error as an unreadable file.
+        events = [event for _, event in applog.iter_lines(path)]
+    except OSError as exc:
         raise SerializationError(
             f"cannot read event log {path!r}: {exc}"
         ) from exc
-    events: List[Dict[str, Any]] = []
-    lines = text.splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if (
-                allow_partial
-                and lineno == len(lines)
-                and not text.endswith("\n")
-            ):
-                break
-            raise SerializationError(
-                f"invalid JSON on line {lineno} of {path!r}: {exc}"
-            ) from exc
     validate_events(events)
     return events
 
@@ -467,4 +331,4 @@ def chrome_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 def write_chrome_trace(path: str, events: List[Dict[str, Any]]) -> None:
     """Convert ``events`` and write the Chrome trace JSON atomically."""
-    atomic_write_text(path, json.dumps(chrome_trace(events)))
+    applog.atomic_write_text(path, json.dumps(chrome_trace(events)))

@@ -34,14 +34,14 @@ no-op when no stream is active — one module attribute read and an
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 import warnings
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, IO, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro import applog
 from repro.errors import ExperimentWarning, SerializationError
 from repro.obs.resources import sample_resources
 
@@ -64,12 +64,15 @@ ProbeFn = Callable[[], Dict[str, Any]]
 class StatusStream:
     """Append-only JSONL status stream of one run (thread-safe).
 
-    The writer mirrors the event log's shape — a header line pinning
-    format/version, then one event object per line — but is built for
-    concurrent producers: every :meth:`emit` takes a lock, stamps a
-    monotonic ``seq`` and wall-clock ``ts``, and flushes, so a tailing
-    reader sees whole lines in a total order. A failing write poisons
-    the stream (one warning, then silence) rather than the run.
+    The stream is an :mod:`repro.applog` log with the event log's shape
+    — a header line pinning format/version, then one event object per
+    line — built for concurrent producers: every :meth:`emit` takes a
+    lock, stamps a monotonic ``seq`` and wall-clock ``ts``, and appends
+    one whole line, so a tailing reader sees whole lines in a total
+    order. It is not fsynced: the stream observes a run, it does not
+    make it durable. Creating a stream empties an existing file, so a
+    restarted run starts its stream over. A failing write poisons the
+    stream (one warning, then silence) rather than the run.
     """
 
     def __init__(
@@ -85,7 +88,7 @@ class StatusStream:
         self._lock = threading.Lock()
         self._seq = 0
         self._probes: Dict[str, ProbeFn] = {}
-        self._fp: Optional[IO[str]] = open(self.path, "w")
+        self._fd: Optional[int] = applog.open_append(self.path, truncate=True)
         self.emit(
             "header",
             format=STATUS_FORMAT,
@@ -105,19 +108,14 @@ class StatusStream:
         closes the stream, later emits are no-ops.
         """
         with self._lock:
-            if self._fp is None:
+            if self._fd is None:
                 return
             event = {"kind": kind, "seq": self._seq, "ts": time.time()}
             event.update(fields)
             try:
-                self._fp.write(json.dumps(event, sort_keys=True) + "\n")
-                self._fp.flush()
+                applog.append_line(self._fd, event)
             except Exception as exc:
-                try:
-                    self._fp.close()
-                except Exception:
-                    pass
-                self._fp = None
+                self._close_fd()
                 warnings.warn(
                     f"status stream {self.path!r} failed "
                     f"({type(exc).__name__}: {exc}); live telemetry "
@@ -132,13 +130,15 @@ class StatusStream:
         """Emit the terminal ``final`` line and close the file."""
         self.emit("final", **final_fields)
         with self._lock:
-            if self._fp is not None:
-                try:
-                    self._fp.flush()
-                    self._fp.close()
-                except Exception:
-                    pass
-                self._fp = None
+            self._close_fd()
+
+    def _close_fd(self) -> None:
+        if self._fd is not None:
+            try:
+                os.close(self._fd)
+            except OSError:
+                pass
+            self._fd = None
 
     def __enter__(self) -> "StatusStream":
         return self
@@ -395,39 +395,25 @@ class StatusSampler:
 # Reading
 # ----------------------------------------------------------------------
 def read_status(path: str) -> List[Dict[str, Any]]:
-    """Read a status stream, tolerating a torn tail (it is live).
+    """Read a status stream, which may be mid-append (it is live).
 
-    Unlike the event log, a status file is *expected* to be mid-append
-    when read, so any trailing malformed line is dropped silently; a
-    malformed line in the middle, a missing header, or a format
-    mismatch raises :class:`~repro.errors.SerializationError`.
+    A torn tail is dropped under the :mod:`repro.applog` rule; a
+    malformed complete line, a missing header, or a format mismatch
+    raises :class:`~repro.errors.SerializationError`.
     """
+    events: List[Dict[str, Any]] = []
     try:
-        with open(path) as fp:
-            text = fp.read()
-    except (OSError, UnicodeDecodeError, ValueError) as exc:
+        for lineno, event in applog.iter_lines(path):
+            if not isinstance(event, dict) or event.get("kind") not in STATUS_KINDS:
+                raise SerializationError(
+                    f"invalid status line {lineno} of {path!r}: "
+                    f"unknown kind {event.get('kind') if isinstance(event, dict) else event!r}"
+                )
+            events.append(event)
+    except OSError as exc:
         raise SerializationError(
             f"cannot read status stream {path!r}: {exc}"
         ) from exc
-    events: List[Dict[str, Any]] = []
-    lines = text.splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                break  # live torn tail
-            raise SerializationError(
-                f"invalid JSON on line {lineno} of {path!r}: {exc}"
-            ) from exc
-        if not isinstance(event, dict) or event.get("kind") not in STATUS_KINDS:
-            raise SerializationError(
-                f"invalid status line {lineno} of {path!r}: "
-                f"unknown kind {event.get('kind') if isinstance(event, dict) else event!r}"
-            )
-        events.append(event)
     if not events:
         raise SerializationError(f"empty status stream: {path!r}")
     header = events[0]

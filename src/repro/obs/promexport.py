@@ -6,7 +6,7 @@ exposition format: the node-exporter *textfile collector* (and most
 other agents) can pick it up with zero integration work, which is how
 the future HTTP service and external dashboards get metrics for free.
 
-Each rewrite goes through :func:`~repro.obs.export.atomic_write_text`,
+Each rewrite goes through :func:`~repro.applog.atomic_write_text`,
 so a scraper racing the sampler always reads either the previous or the
 complete new snapshot — never a torn file.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.export import atomic_write_text
+from repro.applog import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")

@@ -4,11 +4,11 @@ Every traced run appends one JSON line describing itself — run id,
 experiment, config fingerprint, backend/jobs/shards, wall-clock,
 per-phase timings, throughput, supervision counters, and a digest of
 the records it produced — to ``runs.jsonl`` under the registry
-directory (default :data:`DEFAULT_REGISTRY_DIR`). The file uses the
-checkpoint journal's durability idiom: one ``O_APPEND`` write per
-record, fsync, so concurrent runs on one machine interleave whole
-lines and a crash can at worst tear the final line (which
-:meth:`RunRegistry.load` tolerates).
+directory (default :data:`DEFAULT_REGISTRY_DIR`). The file is an
+:mod:`repro.applog` log, fsynced per record like the checkpoint
+journal, so concurrent runs on one machine interleave whole lines and
+a crash can at worst tear the final line, which
+:meth:`RunRegistry.load` drops.
 
 On top of the log sit the comparison tools behind ``repro runs``:
 :func:`diff_runs` compares two registered runs phase by phase, and
@@ -27,8 +27,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import applog
 from repro.errors import SerializationError
-from repro.obs.export import fsync_directory
 
 #: Default registry location, relative to the working directory.
 DEFAULT_REGISTRY_DIR = os.path.join(".repro", "registry")
@@ -159,55 +159,38 @@ class RunRegistry:
         self.path = os.path.join(self.directory, "runs.jsonl")
 
     def append(self, record: RunRecord) -> None:
-        """Durably append one run record (single O_APPEND write + fsync)."""
+        """Durably append one run record (one whole line + fsync)."""
         os.makedirs(self.directory, exist_ok=True)
-        line = json.dumps(record.as_dict(), sort_keys=True) + "\n"
-        fd = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
+        fd = applog.open_append(self.path)
         try:
-            os.write(fd, line.encode())
+            applog.append_line(fd, record.as_dict())
             os.fsync(fd)
         finally:
             os.close(fd)
-        fsync_directory(self.directory)
+        applog.fsync_directory(self.directory)
 
     def load(self) -> List[RunRecord]:
-        """All registered runs, oldest first; tolerates a torn tail.
+        """All registered runs, oldest first.
 
-        A missing registry is an empty one. A malformed line *anywhere
-        but the tail* raises :class:`~repro.errors.SerializationError`
-        — the tail can legitimately be torn by a crash mid-append, the
-        middle cannot.
+        A missing registry is an empty one. A torn tail (a crash
+        mid-append) is dropped; a malformed complete line raises
+        :class:`~repro.errors.SerializationError`.
         """
+        records: List[RunRecord] = []
         try:
-            with open(self.path) as fp:
-                text = fp.read()
+            for lineno, data in applog.iter_lines(self.path):
+                if not isinstance(data, dict):
+                    raise SerializationError(
+                        f"registry line {lineno} of {self.path!r} is not "
+                        "an object"
+                    )
+                records.append(RunRecord.from_dict(data))
         except FileNotFoundError:
             return []
-        except (OSError, UnicodeDecodeError, ValueError) as exc:
+        except OSError as exc:
             raise SerializationError(
                 f"cannot read run registry {self.path!r}: {exc}"
             ) from exc
-        records: List[RunRecord] = []
-        lines = text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if lineno == len(lines):
-                    break  # torn tail from a crash mid-append
-                raise SerializationError(
-                    f"invalid JSON on line {lineno} of {self.path!r}: {exc}"
-                ) from exc
-            if not isinstance(data, dict):
-                raise SerializationError(
-                    f"registry line {lineno} of {self.path!r} is not an "
-                    "object"
-                )
-            records.append(RunRecord.from_dict(data))
         return records
 
     def get(self, run_ref: str) -> RunRecord:

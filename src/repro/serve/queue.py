@@ -31,8 +31,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
+from repro.applog import atomic_write_text
 from repro.feast.runner import run_experiment
-from repro.obs.export import atomic_write_text
 from repro.obs.live import StatusStream
 from repro.serve.jobs import JobCancelled, JobState, compile_job
 from repro.serve.metrics import ServiceMetrics

@@ -374,15 +374,13 @@ class TestExport:
         with pytest.raises(SerializationError, match="histogram"):
             validate_events([events[0], bad])
 
-    def test_read_tolerates_truncated_tail_when_allowed(self, tmp_path):
+    def test_read_tolerates_truncated_tail(self, tmp_path):
         session = _recorded_session()
         path = str(tmp_path / "events.jsonl")
         write_events(path, session, "t")
         with open(path, "a") as fp:
             fp.write('{"kind": "resour')  # crash mid-append
-        with pytest.raises(SerializationError):
-            read_events(path)
-        events = read_events(path, allow_partial=True)
+        events = read_events(path)
         assert events[0]["kind"] == "header"
 
     def test_chrome_trace_shape(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -76,7 +77,7 @@ class TestStatusStream:
 
     def test_write_failure_disables_stream_with_warning(self, tmp_path):
         stream = make_stream(tmp_path)
-        stream._fp.close()  # simulate the disk going away
+        os.close(stream._fd)  # simulate the disk going away
         with pytest.warns(ExperimentWarning, match="live telemetry"):
             stream.emit("progress", index=0)
         # Later emits are silent no-ops, not repeated warnings.
@@ -90,6 +91,14 @@ class TestStatusStream:
             fp.write('{"kind": "progress", "trunca')
         events = read_status(stream.path)
         assert [e["kind"] for e in events] == ["header", "progress"]
+        # A final line without its newline is torn even if it parses.
+        whole = tmp_path / "whole.status.jsonl"
+        whole.write_text(
+            Path(stream.path).read_text().rsplit("\n", 1)[0] + "\n"
+            + json.dumps({"kind": "final", "seq": 2, "ts": 0.0})
+        )
+        events = read_status(str(whole))
+        assert [e["kind"] for e in events] == ["header", "progress"]
 
     def test_midfile_garbage_raises(self, tmp_path):
         stream = make_stream(tmp_path)
@@ -99,6 +108,13 @@ class TestStatusStream:
             fp.write(json.dumps({"kind": "final", "seq": 9, "ts": 0.0}) + "\n")
         with pytest.raises(SerializationError, match="invalid JSON"):
             read_status(stream.path)
+        # Garbage that ends in a newline is corruption even as the tail.
+        tail = tmp_path / "tail.status.jsonl"
+        tail.write_text(
+            Path(stream.path).read_text().split("not json")[0] + "garbage\n"
+        )
+        with pytest.raises(SerializationError, match="invalid JSON"):
+            read_status(str(tail))
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bogus.status.jsonl"

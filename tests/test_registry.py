@@ -100,6 +100,14 @@ class TestRunRegistry:
             fp.write('\n' + json.dumps(make_record("run-b").as_dict()) + "\n")
         with pytest.raises(SerializationError, match="invalid JSON"):
             registry.load()
+        # A malformed final line that ends in a newline is not torn: it
+        # is corruption, and raises like mid-file garbage.
+        other = RunRegistry(str(tmp_path / "other"))
+        other.append(make_record("run-a"))
+        with open(other.path, "a") as fp:
+            fp.write("garbage\n")
+        with pytest.raises(SerializationError, match="invalid JSON"):
+            other.load()
 
     def test_get_by_id_prefix_and_last(self, tmp_path):
         registry = RunRegistry(str(tmp_path / "reg"))

@@ -662,16 +662,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         progress = None if args.quiet else _progress_printer(args.no_color)
 
-        instrumentation = None
-        if args.profile or args.trace or args.metrics_out or args.registry:
-            from repro.feast.instrumentation import Instrumentation
+        from repro.feast.instrumentation import Instrumentation
 
-            telemetry = None
-            if args.trace or args.metrics_out:
-                from repro.obs import Telemetry
+        telemetry = None
+        if args.trace or args.metrics_out:
+            from repro.obs import Telemetry
 
-                telemetry = Telemetry()
-            instrumentation = Instrumentation(telemetry=telemetry)
+            telemetry = Telemetry()
+        instrumentation = Instrumentation(telemetry=telemetry)
         retry = None
         if args.stall_timeout is not None:
             from repro.feast.backends.work import RetryPolicy
@@ -751,7 +749,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         summary = _fault_summary(result)
         if summary is not None:
             print(summary, file=sys.stderr)
-        if instrumentation is not None and args.profile:
+        if args.profile:
             print(
                 _phase_profile(config.name, instrumentation, jobs=jobs),
                 file=sys.stderr,

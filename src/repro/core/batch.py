@@ -69,6 +69,7 @@ from repro.errors import DistributionError
 from repro.graph.taskgraph import TaskGraph
 from repro.obs import runtime as obs
 from repro.obs.metrics import COUNT_BUCKETS
+from repro.types import TIME_EPS
 
 #: Cap on ``total nodes × (max level + 1)`` cells per pack; packs beyond
 #: it are split so the DP tables stay comfortably in memory (~130 MB of
@@ -580,7 +581,7 @@ class _Pack:
             nxt = clock + d
             raw.append((j, clock, nxt))
             clock = nxt
-        if not math.isclose(clock, deadline, rel_tol=1e-9, abs_tol=1e-6):
+        if not math.isclose(clock, deadline, rel_tol=1e-9, abs_tol=TIME_EPS):
             raise DistributionError(
                 f"metric {problem.metric_name} broke the telescoping "
                 f"property: path ends at {clock}, expected {deadline}"

@@ -40,10 +40,7 @@ from repro.graph.transform import scale_workload
 from repro.machine.system import System
 from repro.sched.analysis import max_lateness
 from repro.sched.list_scheduler import ListScheduler
-from repro.types import NodeId, Time
-
-#: Numerical slack for float comparisons.
-EPS = 1e-9
+from repro.types import TIME_EPS, NodeId, Time
 
 
 def window_scaling_factor(assignment: DeadlineAssignment) -> float:
@@ -144,7 +141,7 @@ def critical_scaling_factor(
                 n_processors=base_assignment.n_processors,
             )
         schedule = ListScheduler(system).schedule(scaled, assignment)
-        return max_lateness(schedule, assignment) <= EPS
+        return max_lateness(schedule, assignment) <= TIME_EPS
 
     if not feasible(lower):
         raise ValidationError(

@@ -38,7 +38,7 @@ from repro.errors import DistributionError
 from repro.graph.taskgraph import TaskGraph
 from repro.obs import runtime as obs
 from repro.obs.metrics import COUNT_BUCKETS
-from repro.types import Time
+from repro.types import TIME_EPS, Time
 
 
 class DeadlineDistributor:
@@ -185,7 +185,9 @@ class DeadlineDistributor:
             clock += d
         # The metric's telescoping property lands the last deadline on the
         # path's end-to-end deadline (up to float error).
-        if not math.isclose(clock, path.deadline, rel_tol=1e-9, abs_tol=1e-6):
+        if not math.isclose(
+            clock, path.deadline, rel_tol=1e-9, abs_tol=TIME_EPS
+        ):
             raise DistributionError(
                 f"metric {self.metric.name} broke the telescoping property: "
                 f"path ends at {clock}, expected {path.deadline}"

@@ -24,9 +24,6 @@ from repro.graph import paths as graph_paths
 from repro.graph.taskgraph import TaskGraph
 from repro.types import TIME_EPS
 
-#: Numerical slack for float comparisons (the shared cross-layer tolerance).
-EPS = TIME_EPS
-
 
 @dataclass
 class ValidationReport:
@@ -107,14 +104,14 @@ def _check_precedence(
         upstream = assignment.window(src).absolute_deadline
         comm = assignment.message_window(src, dst)
         if comm is not None:
-            if comm.release < upstream - EPS:
+            if comm.release < upstream - TIME_EPS:
                 report.precedence_violations.append(
                     f"comm window of {src!r}->{dst!r} releases at {comm.release} "
                     f"before producer deadline {upstream}"
                 )
             upstream = comm.absolute_deadline
         downstream = assignment.window(dst).release
-        if downstream < upstream - EPS:
+        if downstream < upstream - TIME_EPS:
             report.precedence_violations.append(
                 f"arc {src!r}->{dst!r}: successor releases at {downstream} "
                 f"before upstream deadline {upstream}"
@@ -129,7 +126,7 @@ def _check_anchors(
         if anchor is None:
             continue
         release = assignment.window(node_id).release
-        if release < anchor - EPS:
+        if release < anchor - TIME_EPS:
             report.anchor_violations.append(
                 f"input {node_id!r} released at {release}, before anchor {anchor}"
             )
@@ -138,7 +135,7 @@ def _check_anchors(
         if anchor is None:
             continue
         deadline = assignment.window(node_id).absolute_deadline
-        if deadline > anchor + EPS:
+        if deadline > anchor + TIME_EPS:
             report.anchor_violations.append(
                 f"output {node_id!r} deadline {deadline} exceeds "
                 f"end-to-end anchor {anchor}"
@@ -170,7 +167,7 @@ def _check_paths(
                     for w in (assignment.message_window(a, b),)
                     if w is not None
                 )
-                if total > budget + EPS:
+                if total > budget + TIME_EPS:
                     report.path_violations.append(
                         f"path {'->'.join(path)}: relative deadlines sum to "
                         f"{total}, budget is {budget}"

@@ -242,7 +242,7 @@ class ChunkDriver:
             if journal is not None and key in journal.replayed:
                 replayed = journal.replayed[key]
                 self.failures.extend(replayed.failures)
-                inst.replayed(replayed.timings, replayed.n_trials)
+                inst.replayed(replayed.n_trials)
                 self.supervision.chunks_replayed += 1
                 self._store(key, replayed, journaled=True)
                 continue
@@ -275,16 +275,11 @@ class ChunkDriver:
         """Record one successfully executed chunk."""
         self.states[key].suspect = False
         self.failures.extend(chunk.failures)
-        for failure in chunk.failures:
-            self.inst.record_failure(failure)
         if self.inst.telemetry is not None:
-            # Graft the worker's span tree under the run span and fold
-            # its metrics/resource samples into the run's registry.
-            self.inst.telemetry.adopt_chunk(
-                chunk.spans, chunk.metrics, chunk.resources
-            )
+            # Graft the worker's span tree under the run span.
+            self.inst.telemetry.adopt_chunk(chunk.spans, chunk.resources)
         self._store(key, chunk, journaled=False)
-        self.inst.absorb(chunk.timings, chunk.n_trials)
+        self.inst.absorb(chunk.metrics, chunk.n_trials, chunk.failures)
 
     def fail(self, key: ChunkKey, kind: str, exc: BaseException) -> None:
         """Consume one attempt of ``key``; requeue or quarantine it."""

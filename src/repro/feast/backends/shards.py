@@ -570,10 +570,9 @@ class SubprocessBackend(ExecutionBackend):
         else:
             os.makedirs(directory, exist_ok=True)
 
-        # Chunks already journaled before this run started count as
-        # replayed, not completed, in the progress accounting; the
-        # per-journal breakdown also calibrates each worker's own
-        # replay count (see _merge_summary).
+        # Chunks already journaled before this run started are what the
+        # supervision stats call replayed; the per-journal breakdown
+        # calibrates each worker's own replay count (see _merge_summary).
         pre_by_journal: Dict[str, Set[ChunkKey]] = {}
         pre_existing: Set[ChunkKey] = set()
         for path in journal_paths(directory):
@@ -615,21 +614,25 @@ class SubprocessBackend(ExecutionBackend):
             outcome.chunks[key] = chunk if request.keep_records else None
             if key in pre_existing:
                 outcome.supervision.chunks_replayed += 1
-                inst.replayed(chunk.timings, chunk.n_trials)
-            else:
-                inst.absorb(chunk.timings, chunk.n_trials)
 
         # Merge every journal in the directory: this run's shards and
         # failover workers, the parent sweep journal, and any files
-        # from a previous partitioning of the same experiment.
+        # from a previous partitioning of the same experiment. Journals
+        # carry records only; measurements come from worker summaries.
         for path in journal_paths(directory):
             for key, chunk in iter_journal(path, fingerprint=fingerprint):
                 merge_chunk(key, chunk)
+        counted: Set[ChunkKey] = set()
         for slot in fleet.slots:
             if slot.done:
-                self._merge_summary(
+                counted |= self._merge_summary(
                     request, slot, pre_by_journal, outcome
                 )
+        # Journaled chunks no reporting worker counted (a failed shard's,
+        # an earlier partitioning's) were read back, not measured.
+        for key in seen:
+            if key not in counted:
+                inst.replayed(config.trials_per_graph)
 
         gave_up = sorted(
             slot.ident for slot in fleet.slots if slot.gave_up
@@ -705,8 +708,10 @@ class SubprocessBackend(ExecutionBackend):
         slot: _Slot,
         pre_by_journal: Dict[str, Set[ChunkKey]],
         outcome: BackendOutcome,
-    ) -> None:
-        """Fold one worker's summary: faults, telemetry, replay count."""
+    ) -> Set[ChunkKey]:
+        """Fold one worker's summary — faults, its metrics registry,
+        telemetry, replay count — and return the chunk keys its
+        registry already counts."""
         from repro.feast.instrumentation import TrialFailure
 
         try:
@@ -717,31 +722,30 @@ class SubprocessBackend(ExecutionBackend):
                 f"shard summary {slot.summary!r} is missing or corrupt "
                 f"({exc}) although its worker exited cleanly"
             ) from exc
-        outcome.failures.extend(
-            TrialFailure(**f) for f in summary.get("failures", [])
-        )
+        failures = [TrialFailure(**f) for f in summary.get("failures", [])]
+        outcome.failures.extend(failures)
         for scenario, index, reason in summary.get("quarantined", []):
             outcome.quarantined[(str(scenario), int(index))] = str(reason)
+        metrics = MetricsRegistry.from_dict(summary.get("metrics", {}))
         # Chunks the worker's final launch replayed from its own journal
         # beyond what predates this run = chunks recovered across
         # crash/relaunch boundaries *within* this run.
-        replayed_chunks = (
-            int(summary.get("replayed_trials", 0))
-            // max(1, request.config.trials_per_graph)
-        )
+        replayed_chunks = int(
+            metrics.counters.get("engine.trials_replayed", 0)
+        ) // max(1, request.config.trials_per_graph)
         pre_owned = len(pre_by_journal.get(slot.journal, ()))
         outcome.supervision.chunks_replayed += max(
             0, replayed_chunks - pre_owned
         )
+        inst = request.instrumentation
         telemetry = summary.get("telemetry")
-        if telemetry is not None and request.instrumentation.telemetry is not None:
-            request.instrumentation.telemetry.adopt_chunk(
+        if telemetry is not None and inst.telemetry is not None:
+            inst.telemetry.adopt_chunk(
                 spans=[Span.from_dict(s) for s in telemetry.get("spans", [])],
-                metrics=MetricsRegistry.from_dict(
-                    telemetry.get("metrics", {})
-                ),
                 resources=[
                     ResourceSample.from_dict(r)
                     for r in telemetry.get("resources", [])
                 ],
             )
+        inst.absorb(metrics, failures=failures)
+        return {(str(s), int(i)) for s, i in summary.get("completed", [])}

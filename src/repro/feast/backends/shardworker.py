@@ -14,9 +14,11 @@ coordinates, journal/summary paths, retry policy, trace flag). A
 *failover* worker — spawned when another shard exhausted its launch cap
 — instead receives an explicit ``keys`` list (the dead shard's
 un-journaled chunks) and ``shard == -1``; everything else is identical.
-On success the worker atomically writes a JSON summary: fault accounting plus — when
-tracing — its serialized span trees, metrics registry, and resource
-samples, which the parent grafts under the run span
+On success the worker atomically writes a JSON summary: fault
+accounting, its metrics registry (phase seconds and ``engine.*``
+counters — the parent's only source for this shard's measurements),
+and — when tracing — its serialized span trees and resource samples,
+which the parent grafts under the run span
 (:meth:`repro.obs.Telemetry.adopt_chunk`).
 
 Exit codes: 0 = shard complete (summary written); ``86`` = injected
@@ -129,14 +131,11 @@ def run_shard(payload: dict) -> int:
             for (s, i), reason in sorted(driver.quarantined.items())
         ],
         "failures": [f.as_dict() for f in driver.failures],
-        "trials_completed": inst.trials_completed,
-        "replayed_trials": inst.replayed_trials,
-        "timings": inst.timings.as_dict(),
+        "metrics": inst.metrics.as_dict(),
     }
     if telemetry is not None:
         summary["telemetry"] = {
             "spans": [s.as_dict() for s in telemetry.spans.finished()],
-            "metrics": telemetry.metrics.as_dict(),
             "resources": [r.as_dict() for r in telemetry.resources],
         }
     atomic_write_text(payload["summary"], json.dumps(summary))

@@ -18,7 +18,6 @@ import hashlib
 import os
 import pickle
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -29,11 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.resources import ResourceSample, sample_resources
 from repro.obs.spans import Span
 from repro.feast.config import ExperimentConfig, speeds_for
-from repro.feast.instrumentation import (
-    Instrumentation,
-    PhaseTimings,
-    TrialFailure,
-)
+from repro.feast.instrumentation import Instrumentation, TrialFailure
 from repro.feast.runner import (
     TrialRecord,
     distribute_for_trial,
@@ -193,14 +188,14 @@ class ChunkResult:
     index: int
     #: (n_processors, method label) → record, for canonical reordering.
     records: Dict[Tuple[int, str], TrialRecord] = field(default_factory=dict)
-    timings: PhaseTimings = field(default_factory=PhaseTimings)
+    #: Everything the chunk measured: its phase-second histograms and
+    #: counters (slow-trial faults included). Always shipped.
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Non-fatal fault events observed inside the worker (slow trials).
     failures: List[TrialFailure] = field(default_factory=list)
-    #: Telemetry recorded inside the worker when tracing is on: the
-    #: chunk's finished span tree, its local metrics registry, and its
-    #: resource-use delta. All empty/None on untraced runs.
+    #: Recorded inside the worker when tracing is on: the chunk's
+    #: finished span tree and its resource-use delta. Empty otherwise.
     spans: List[Span] = field(default_factory=list)
-    metrics: Optional[MetricsRegistry] = None
     resources: List[ResourceSample] = field(default_factory=list)
 
     @property
@@ -226,20 +221,22 @@ def run_chunk(
     completes past its budget is kept but flagged with a ``slow-trial``
     failure event.
 
-    With ``trace=True`` the worker records a local telemetry session —
-    a ``chunk`` span holding one ``trial`` span per (size × method),
-    each with ``generate``/``distribute``/``schedule`` children plus
-    whatever deeper components report (B&B search spans, cache
-    counters) — samples its own RSS/CPU around the chunk, and ships
-    everything back on the :class:`ChunkResult`. Tracing never changes
-    the records: the measured pipeline is identical either way.
+    The chunk always records its phase seconds and fault counters into
+    its own registry and ships it on the :class:`ChunkResult`. With
+    ``trace=True`` that registry belongs to a local telemetry session,
+    which also records a ``chunk`` span holding one ``trial`` span per
+    (size × method), each with ``generate``/``distribute``/``schedule``
+    children plus whatever deeper components report (B&B search spans,
+    cache counters), and samples the worker's RSS/CPU around the chunk.
+    Tracing never changes the records: the measured pipeline is
+    identical either way.
     """
     config = spec.config
     timeout = trial_timeout if trial_timeout is not None else config.trial_timeout
-    inst = Instrumentation()
-    chunk = ChunkResult(scenario=spec.scenario, index=spec.index,
-                        timings=inst.timings)
     telemetry = obs.Telemetry() if trace else None
+    inst = Instrumentation(telemetry=telemetry)
+    chunk = ChunkResult(scenario=spec.scenario, index=spec.index,
+                        metrics=inst.metrics, failures=inst.failures)
     before = sample_resources() if trace else None
     with obs.activate(telemetry):
         with obs.span("chunk", scenario=spec.scenario, index=spec.index,
@@ -273,7 +270,6 @@ def run_chunk(
                     with obs.span("trial", n_processors=n_processors,
                                   method=method.label), \
                          budget.trial_deadline(timeout):
-                        began = time.perf_counter()
                         with inst.phase("distribute"):
                             assignment = distribute_for_trial(
                                 method,
@@ -285,10 +281,6 @@ def run_chunk(
                                 (method.label, spec.index),
                                 prefetched,
                             )
-                        obs.observe(
-                            f"distribute.seconds.n{graph.n_subtasks}",
-                            time.perf_counter() - began,
-                        )
                         with inst.phase("schedule"):
                             metrics = run_trial(
                                 graph,
@@ -300,8 +292,7 @@ def run_chunk(
                                 ),
                             )
                         if budget.expired():
-                            obs.count("engine.faults.slow-trial")
-                            chunk.failures.append(TrialFailure(
+                            inst.record_failure(TrialFailure(
                                 scenario=spec.scenario,
                                 index=spec.index,
                                 kind="slow-trial",
@@ -315,8 +306,8 @@ def run_chunk(
                         config, spec.scenario, n_processors, method,
                         spec.index, assignment, metrics,
                     )
-            obs.count("engine.chunks_completed")
-            obs.count("engine.trials_measured", len(chunk.records))
+            inst.metrics.count("engine.chunks_completed")
+            inst.metrics.count("engine.trials_measured", len(chunk.records))
             if chunk_span is not None and before is not None:
                 used = sample_resources().delta(before)
                 chunk_span.annotate(
@@ -328,7 +319,6 @@ def run_chunk(
                 chunk.resources.append(used)
     if telemetry is not None:
         chunk.spans = telemetry.spans.finished()
-        chunk.metrics = telemetry.metrics
     return chunk
 
 

@@ -1,40 +1,41 @@
 """Instrumentation of experiment execution: phase timers, progress,
 and the bridge into the telemetry subsystem.
 
-The runner used to accept a bare ``(done, total)`` callback and nothing
-else. This module replaces that with a small, pluggable layer:
+One run has one store for its numbers: the :class:`Instrumentation`'s
+:class:`~repro.obs.metrics.MetricsRegistry` (the attached
+:class:`~repro.obs.runtime.Telemetry`'s registry, or a private one when
+none is attached). Every number is recorded once, in the process that
+did the work, and merged upward once:
 
-* :class:`PhaseTimings` — summed CPU-side seconds spent in each of the
-  three trial phases (``generate`` the workload, ``distribute``
-  deadlines, ``schedule`` and measure). Plain picklable data, so worker
-  processes can measure locally and ship their timings back to the
-  parent. Note the unit: each worker's phases are wall-clock to *it*,
-  but the parent sums them across workers, so the merged totals behave
-  like CPU time and can exceed the experiment's wall-clock elapsed time
-  in parallel mode — compare against :attr:`Instrumentation.wall_elapsed`
-  and :meth:`Instrumentation.parallel_efficiency`.
-* :class:`TrialFailure` — one fault event (crash, timeout, exception,
-  quarantine) observed by the fault-tolerant engine; plain picklable
-  data shared by workers, results, and the checkpoint journal.
-* :class:`Instrumentation` — the parent-side collector: accumulates
-  timings, counts completed trials and fault events, and fans progress
-  events out to any number of registered callbacks. Built on top of the
-  span layer: attach a :class:`~repro.obs.runtime.Telemetry` and every
-  :meth:`phase` block, fault event, and engine counter is additionally
-  recorded as spans and metrics (:mod:`repro.obs`) — with no telemetry
-  attached the span hooks are no-ops and the records produced are
-  byte-identical either way.
+* :meth:`Instrumentation.phase` times a block of trial work and records
+  it as one ``phase.<name>.seconds`` histogram observation — on traced
+  and untraced runs alike.
+* :class:`PhaseTimings` is a read-only view of those histograms' sums.
+  The phases are wall-clock to the process that ran them, but the parent
+  sums them across workers, so the totals behave like CPU time and can
+  exceed the run's wall-clock elapsed time — compare against
+  :attr:`Instrumentation.wall_elapsed` and
+  :meth:`Instrumentation.parallel_efficiency`.
+* Engine bookkeeping (trials completed and replayed, fault events,
+  retries, quarantines, pool respawns) lives in ``engine.*`` counters;
+  the attributes of the same names are views of them.
+* A chunk replayed from a checkpoint journal counts as replayed trials
+  but adds no phase seconds: nothing was measured for it in this run.
+
+:class:`TrialFailure` is one fault event (crash, timeout, exception,
+quarantine) observed by the fault-tolerant engine; plain picklable data
+shared by workers, results, and the checkpoint journal.
 
 Progress
 --------
 Chunks never call user callbacks directly (a worker's callback lives in
 the parent and usually is not picklable anyway). Instead each chunk
-times itself and returns a :class:`PhaseTimings` alongside its records,
-and the parent calls :meth:`Instrumentation.absorb` as each chunk
-arrives — which merges the timings and fires the progress callbacks with
-the updated trial count. Progress granularity is therefore one chunk
-(all trials of one (scenario, graph) pair) on every backend, serial
-included.
+records into its own registry and ships it back with its records, and
+the parent calls :meth:`Instrumentation.absorb` as each chunk arrives —
+which merges the registry and fires the progress callbacks with the
+updated trial count. Progress granularity is therefore one chunk (all
+trials of one (scenario, graph) pair) on the serial and pool backends,
+and one shard worker on the subprocess backend.
 
 Progress callbacks are exception-safe: a callback that raises an
 :class:`Exception` is detached and reported as an
@@ -50,19 +51,20 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.errors import ExperimentError, ExperimentWarning
 from repro.obs import runtime as obs
-
-#: Interned histogram names per phase (``phase.<name>.seconds``).
-_PHASE_METRICS: Dict[str, str] = {}
+from repro.obs.metrics import MetricsRegistry
 
 #: Progress hook: called with (done_trials, total_trials).
 ProgressFn = Callable[[int, int], None]
 
 #: The trial phases, in pipeline order.
 PHASES = ("generate", "distribute", "schedule")
+
+#: The histogram each phase records into (``phase.<name>.seconds``).
+PHASE_METRICS: Dict[str, str] = {p: f"phase.{p}.seconds" for p in PHASES}
 
 #: Fault-event kinds the engine records.
 FAILURE_KINDS = (
@@ -106,38 +108,70 @@ class TrialFailure:
         }
 
 
-@dataclass
 class PhaseTimings:
-    """Summed seconds spent per trial phase (picklable)."""
+    """Summed seconds per trial phase: a read-only view of a registry.
 
-    generate: float = 0.0
-    distribute: float = 0.0
-    schedule: float = 0.0
+    Each value is the sum of the registry's ``phase.<name>.seconds``
+    histogram, less its value in ``base`` (what the registry held before
+    the run began). Values are read by key, never by iterating the
+    registry, so the status sampler can read them from its own thread
+    while the engine records.
+    """
 
-    def add(self, phase: str, seconds: float) -> None:
-        if phase not in PHASES:
-            raise ExperimentError(
-                f"unknown phase {phase!r}; expected one of {PHASES}"
-            )
-        setattr(self, phase, getattr(self, phase) + seconds)
+    __slots__ = ("_metrics", "_base")
 
-    def merge(self, other: "PhaseTimings") -> None:
-        """Accumulate another timing set (e.g. one worker chunk) into this
-        one. Parallel timings are summed CPU-side seconds, so the merged
-        total can exceed the experiment's wall-clock elapsed time."""
+    def __init__(
+        self,
+        metrics: Optional[MetricsRegistry] = None,
+        base: Optional[Mapping[str, float]] = None,
+    ) -> None:
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        self._base = base if base is not None else {}
+
+    @classmethod
+    def of(cls, seconds: Mapping[str, float]) -> "PhaseTimings":
+        """A view of per-phase totals known only as numbers (a result
+        loaded from disk)."""
+        metrics = MetricsRegistry()
         for phase in PHASES:
-            setattr(self, phase, getattr(self, phase) + getattr(other, phase))
+            metrics.observe(PHASE_METRICS[phase], float(seconds.get(phase, 0)))
+        return cls(metrics)
+
+    def _sum(self, phase: str) -> float:
+        name = PHASE_METRICS[phase]
+        hist = self._metrics.histograms.get(name)
+        if hist is None:
+            return 0.0
+        return hist.total - self._base.get(name, 0.0)
+
+    generate = property(lambda self: self._sum("generate"))
+    distribute = property(lambda self: self._sum("distribute"))
+    schedule = property(lambda self: self._sum("schedule"))
 
     @property
     def total(self) -> float:
         return self.generate + self.distribute + self.schedule
 
     def as_dict(self) -> Dict[str, float]:
-        return {phase: getattr(self, phase) for phase in PHASES}
+        return {phase: self._sum(phase) for phase in PHASES}
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
+        return f"PhaseTimings({inner})"
+
+
+def _counter_view(name: str, doc: str) -> property:
+    """A read-only attribute: what the run added to counter ``name``."""
+    return property(
+        lambda self: int(
+            self.metrics.counters.get(name, 0) - self._base.get(name, 0)
+        ),
+        doc=doc,
+    )
 
 
 class Instrumentation:
-    """Collects per-phase timings and trial counts; relays progress.
+    """Collects one run's numbers in one registry; relays progress.
 
     One instance instruments one :func:`~repro.feast.runner.run_experiment`
     call. Register any number of ``(done, total)`` callbacks with
@@ -146,9 +180,9 @@ class Instrumentation:
     rather than aborting the run.
 
     Pass ``telemetry`` (a :class:`repro.obs.Telemetry`) to additionally
-    record the run as structured spans and metrics; the engine activates
-    it for the duration of the run and worker chunks ship their span
-    trees back through it.
+    record the run as structured spans; its registry then *is* the
+    run's registry. The engine activates it for the duration of the run
+    and worker chunks ship their span trees back through it.
     """
 
     def __init__(
@@ -156,20 +190,20 @@ class Instrumentation:
         progress: Optional[ProgressFn] = None,
         telemetry: Optional["obs.Telemetry"] = None,
     ) -> None:
-        self.timings = PhaseTimings()
         self.telemetry = telemetry
-        self.trials_completed = 0
+        #: The run's only store of numbers: phase histograms and
+        #: ``engine.*`` counters.
+        self.metrics = (
+            telemetry.metrics if telemetry is not None else MetricsRegistry()
+        )
+        #: Counter values and histogram sums at :meth:`start`: a
+        #: telemetry session may span several runs (one event log for a
+        #: whole workload), and this run's numbers are what it adds.
+        self._base: Dict[str, float] = {}
+        self.timings = PhaseTimings(self.metrics, self._base)
         self.total_trials = 0
         #: Fault events observed so far, in the order they happened.
         self.failures: List[TrialFailure] = []
-        #: Chunk attempts resubmitted after a failure.
-        self.retries = 0
-        #: Chunks given up on after repeated failures.
-        self.quarantined = 0
-        #: Times the worker pool died and was respawned.
-        self.pool_respawns = 0
-        #: Trials replayed from a checkpoint journal instead of re-run.
-        self.replayed_trials = 0
         #: Progress callbacks detached after raising (callback, error).
         self.callback_errors: List[str] = []
         #: Wall-clock seconds from :meth:`start` to :meth:`finish` (or to
@@ -180,14 +214,38 @@ class Instrumentation:
         if progress is not None:
             self.add_progress(progress)
 
+    # Engine bookkeeping: read-only views of the ``engine.*`` counters.
+    trials_completed = _counter_view(
+        "engine.trials_completed", "Trials done so far, measured or replayed."
+    )
+    replayed_trials = _counter_view(
+        "engine.trials_replayed",
+        "Trials replayed from a checkpoint journal instead of re-run.",
+    )
+    retries = _counter_view(
+        "engine.retries", "Chunk attempts resubmitted after a failure."
+    )
+    quarantined = _counter_view(
+        "engine.quarantined", "Chunks given up on after repeated failures."
+    )
+    pool_respawns = _counter_view(
+        "engine.pool_respawns", "Times the worker pool died and was respawned."
+    )
+
+    # ------------------------------------------------------------------
     def add_progress(self, callback: ProgressFn) -> None:
         """Register a ``(done, total)`` progress callback."""
         self._callbacks.append(callback)
 
     def start(self, total_trials: int) -> None:
-        """Begin (or restart) a run of ``total_trials`` trials."""
+        """Begin a run of ``total_trials`` trials."""
         self.total_trials = total_trials
-        self.trials_completed = 0
+        self._base.clear()
+        self._base.update(self.metrics.counters)
+        self._base.update(
+            (name, hist.total)
+            for name, hist in self.metrics.histograms.items()
+        )
         self._wall_started = time.perf_counter()
         self._wall_elapsed = None
 
@@ -226,39 +284,86 @@ class Instrumentation:
     def phase(self, name: str) -> Iterator[None]:
         """Time a block of work against the named phase.
 
-        Also records the block as a span (and a latency histogram
-        observation) when a telemetry session is active — the chunk's
-        local session inside :func:`repro.feast.backends.work.run_chunk`.
+        Records the block once, as a ``phase.<name>.seconds`` histogram
+        observation, and also as a span when a telemetry session is
+        active — the chunk's local session inside
+        :func:`repro.feast.backends.work.run_chunk`.
         """
+        metric = PHASE_METRICS.get(name)
+        if metric is None:
+            raise ExperimentError(
+                f"unknown phase {name!r}; expected one of {PHASES}"
+            )
         began = time.perf_counter()
         try:
             with obs.span(name):
                 yield
         finally:
-            elapsed = time.perf_counter() - began
-            self.timings.add(name, elapsed)
-            metric = _PHASE_METRICS.get(name)
-            if metric is None:  # cache: phase() runs twice per trial
-                metric = _PHASE_METRICS[name] = f"phase.{name}.seconds"
-            obs.observe(metric, elapsed)
+            self.metrics.observe(metric, time.perf_counter() - began)
 
     def completed(self, n_trials: int = 1) -> None:
-        """Count ``n_trials`` more trials done and fire progress.
+        """Count ``n_trials`` more trials done and fire progress."""
+        self.metrics.count("engine.trials_completed", n_trials)
+        self._progress()
+
+    def absorb(
+        self,
+        metrics: MetricsRegistry,
+        n_trials: int = 0,
+        failures: Iterable[TrialFailure] = (),
+    ) -> None:
+        """Merge a registry shipped by the process that did the work.
+
+        A chunk's registry holds its phase seconds and fault counters;
+        its ``n_trials`` are counted here. A shard worker's registry
+        already counts its own trials (pass none). ``failures`` are that
+        process's fault events, already counted in its registry.
+        """
+        self.metrics.merge(metrics)
+        self.failures.extend(failures)
+        self.completed(n_trials)
+
+    def replayed(self, n_trials: int) -> None:
+        """Count a chunk replayed from a checkpoint journal: its trials
+        are done, but no phase seconds were spent on them in this run."""
+        self.metrics.count("engine.trials_replayed", n_trials)
+        self.completed(n_trials)
+
+    def record_failure(self, failure: TrialFailure) -> None:
+        """Log one fault event (the engine calls this as faults happen)."""
+        self.failures.append(failure)
+        self.metrics.count(f"engine.faults.{failure.kind}")
+
+    def retried(self) -> None:
+        """Count one chunk resubmission after a failure."""
+        self.metrics.count("engine.retries")
+
+    def quarantine(self) -> None:
+        """Count one chunk quarantined after repeated failures."""
+        self.metrics.count("engine.quarantined")
+
+    def pool_respawned(self) -> None:
+        """Count one worker-pool death + respawn."""
+        self.metrics.count("engine.pool_respawns")
+
+    # ------------------------------------------------------------------
+    def _progress(self) -> None:
+        """Fire the progress callbacks with the current trial count.
 
         A callback raising an :class:`Exception` is detached and
         surfaced as an :class:`ExperimentWarning`; ``BaseException``
         (``KeyboardInterrupt``) propagates and still aborts the run.
         """
-        self.trials_completed += n_trials
-        if self.trials_completed > self.total_trials:
+        done = self.trials_completed
+        if done > self.total_trials:
             raise ExperimentError(
-                f"completed {self.trials_completed} trials but only "
+                f"completed {done} trials but only "
                 f"{self.total_trials} were planned — the workload source "
                 "produced more graphs than ExperimentConfig.n_trials expects"
             )
         for callback in list(self._callbacks):
             try:
-                callback(self.trials_completed, self.total_trials)
+                callback(done, self.total_trials)
             except Exception as exc:
                 self._callbacks.remove(callback)
                 message = (
@@ -267,48 +372,5 @@ class Instrumentation:
                     "continues without it"
                 )
                 self.callback_errors.append(message)
-                self._count("engine.callback_errors")
-                warnings.warn(message, ExperimentWarning, stacklevel=2)
-
-    def absorb(self, timings: PhaseTimings, n_trials: int) -> None:
-        """Merge one worker chunk's timings and count its trials."""
-        self.timings.merge(timings)
-        self._count("engine.trials_completed", n_trials)
-        self.completed(n_trials)
-
-    def replayed(self, timings: PhaseTimings, n_trials: int) -> None:
-        """Absorb a chunk replayed from a checkpoint journal."""
-        self.replayed_trials += n_trials
-        self._count("engine.trials_replayed", n_trials)
-        self.absorb(timings, n_trials)
-
-    def record_failure(self, failure: TrialFailure) -> None:
-        """Log one fault event (the engine calls this as faults happen)."""
-        self.failures.append(failure)
-        self._count(f"engine.faults.{failure.kind}")
-
-    def retried(self) -> None:
-        """Count one chunk resubmission after a failure."""
-        self.retries += 1
-        self._count("engine.retries")
-
-    def quarantine(self) -> None:
-        """Count one chunk quarantined after repeated failures."""
-        self.quarantined += 1
-        self._count("engine.quarantined")
-
-    def pool_respawned(self) -> None:
-        """Count one worker-pool death + respawn."""
-        self.pool_respawns += 1
-        self._count("engine.pool_respawns")
-
-    # ------------------------------------------------------------------
-    def _count(self, name: str, n: float = 1) -> None:
-        """Fold an engine counter into the attached telemetry, if any.
-
-        Goes through the instance, not the ambient session: parent-side
-        bookkeeping (retries, respawns) must land in the run's registry
-        even when called outside the engine's ``activate`` window.
-        """
-        if self.telemetry is not None:
-            self.telemetry.metrics.count(name, n)
+                self.metrics.count("engine.callback_errors")
+                warnings.warn(message, ExperimentWarning, stacklevel=3)

@@ -37,7 +37,7 @@ from repro import applog
 from repro.errors import CheckpointError, ExperimentWarning, SerializationError
 from repro.feast.aggregate import mean_max_lateness
 from repro.feast.config import ExperimentConfig, MethodSpec
-from repro.feast.instrumentation import PhaseTimings, TrialFailure
+from repro.feast.instrumentation import PHASES, PhaseTimings, TrialFailure
 from repro.feast.runner import ExperimentResult, TrialRecord
 
 FORMAT = "repro-experiment-result"
@@ -45,6 +45,11 @@ VERSION = 1
 
 CHECKPOINT_FORMAT = "repro-sweep-checkpoint"
 CHECKPOINT_VERSION = 1
+
+#: The ``timings`` value of every journaled chunk. Journal lines carry
+#: records, not measurements (those travel in the run's metrics
+#: registry); the key stays so the on-disk format is unchanged.
+_JOURNAL_TIMINGS = dict.fromkeys(PHASES, 0.0)
 
 
 def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
@@ -154,9 +159,7 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     result.fallback_reason = data.get("fallback_reason")
     timings = data.get("timings")
     if timings is not None:
-        result.timings = PhaseTimings(
-            **{k: float(v) for k, v in timings.items()}
-        )
+        result.timings = PhaseTimings.of(timings)
     return result
 
 
@@ -221,14 +224,12 @@ class ReplayedChunk:
     """One completed chunk read back from a checkpoint journal.
 
     Duck-compatible with :class:`repro.feast.backends.work.ChunkResult` where
-    the engine needs it (``records``, ``timings``, ``failures``,
-    ``n_trials``).
+    the engine needs it (``records``, ``failures``, ``n_trials``).
     """
 
     scenario: str
     index: int
     records: Dict[Tuple[int, str], TrialRecord]
-    timings: PhaseTimings = field(default_factory=PhaseTimings)
     failures: List[TrialFailure] = field(default_factory=list)
 
     @property
@@ -252,9 +253,6 @@ def _decode_chunk_line(
                 )
                 for e in data["records"]
             },
-            timings=PhaseTimings(
-                **{k: float(v) for k, v in data["timings"].items()}
-            ),
             failures=[
                 TrialFailure(**f) for f in data.get("failures", [])
             ],
@@ -322,8 +320,8 @@ class CheckpointJournal:
     """Append-only journal of completed trial chunks.
 
     Line 1 is a header (format, version, config fingerprint); every
-    further line is one completed chunk's records, timings, and non-fatal
-    failure events. The journal is an :mod:`repro.applog` log: each
+    further line is one completed chunk's records and non-fatal failure
+    events. The journal is an :mod:`repro.applog` log: each
     append is one whole line followed by an ``fsync``, so shard
     workers appending to *separate* journals (or a crashed-and-relaunched
     worker reopening its own) never interleave partial records, and
@@ -401,7 +399,7 @@ class CheckpointJournal:
                 {"size": size, "method": method, "record": record.as_dict()}
                 for (size, method), record in chunk.records.items()
             ],
-            "timings": chunk.timings.as_dict(),
+            "timings": _JOURNAL_TIMINGS,
             "failures": [f.as_dict() for f in chunk.failures],
         })
         os.fsync(self._fd)

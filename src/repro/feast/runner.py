@@ -183,7 +183,9 @@ class ExperimentResult:
     config: ExperimentConfig
     records: List[TrialRecord] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: Per-phase wall-clock totals (summed across workers when parallel).
+    #: Per-phase seconds (summed across workers when parallel): a view
+    #: of the run's ``phase.<name>.seconds`` histograms. Replayed
+    #: chunks add none.
     timings: Optional[PhaseTimings] = None
     #: Worker processes the run used (1 = serial).
     jobs: int = 1

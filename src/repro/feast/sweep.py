@@ -6,11 +6,9 @@ this module is for everything else one wants to ask the harness:
 * :func:`sweep_field` / :func:`sweep_grid` — derive families of
   experiment configs by varying one field or a cartesian grid of fields
   (both on the experiment config and on its nested graph config);
-* :func:`run_experiments` — execute a list of configs, optionally across
-  worker processes: either one config per worker (``processes``; configs
-  with in-process ``graph_factory`` closures are not picklable and force
-  serial mode) or one config at a time with its trials fanned out
-  (``jobs``, via :func:`repro.feast.runner.run_experiment`).
+* :func:`run_experiments` — execute a list of configs one at a time,
+  each with its trials fanned out over ``jobs`` workers or a named
+  ``backend`` (via :func:`repro.feast.runner.run_experiment`).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import fields, replace
-from multiprocessing import Pool
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import ExperimentError
@@ -201,7 +198,6 @@ def write_run_events(
 
 def run_experiments(
     configs: Sequence[ExperimentConfig],
-    processes: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
     jobs: int = 1,
     checkpoint_dir: Optional[str] = None,
@@ -209,63 +205,30 @@ def run_experiments(
     backend: Optional[str] = None,
     shards: int = 2,
 ) -> List[ExperimentResult]:
-    """Run many experiments, optionally in parallel worker processes.
+    """Run many experiments, one after another, in input order.
 
-    Two parallelism axes, mutually exclusive:
-
-    * ``processes > 1`` distributes whole configs over a process pool
-      (best for many small configs); results come back in input order.
-      Configs carrying a ``graph_factory`` (arbitrary closures) are not
-      picklable, so their presence falls back to serial execution.
-    * ``jobs > 1`` runs configs one after another but fans each config's
-      *trials* out over worker processes (best for few large configs);
-      see :func:`repro.feast.runner.run_experiment`.
+    ``jobs > 1`` fans each config's *trials* out over worker processes;
+    see :func:`repro.feast.runner.run_experiment`.
 
     ``checkpoint_dir`` makes the batch resumable: each config journals
     its completed chunks to ``<dir>/<config name>.ckpt``, so re-running
     the same call after an interruption re-runs only the missing work
     (config names must therefore be unique, which
-    :func:`sweep_field`/:func:`sweep_grid` guarantee). Incompatible with
-    ``processes > 1``.
+    :func:`sweep_field`/:func:`sweep_grid` guarantee).
 
     ``trace_dir`` enables telemetry: each config records spans, metrics,
     and resource samples and writes them to ``<dir>/<config
     name>.events.jsonl`` (inspect with ``repro report`` / ``repro
-    trace``). Like checkpointing it needs the run to happen in this
-    process, so it is incompatible with ``processes > 1``.
+    trace``).
 
     ``backend`` routes every config through a named execution backend
     (:mod:`repro.feast.backends`; e.g. ``"subprocess"`` with ``shards``
-    worker processes per config). Like checkpointing it needs the runs
-    coordinated from this process, so it is incompatible with
-    ``processes > 1``.
+    worker processes per config).
 
     ``progress`` is called with (completed configs, total) — per-chunk
     progress is only available through
     :func:`repro.feast.runner.run_experiment` directly.
     """
-    if processes < 1:
-        raise ExperimentError(f"processes must be >= 1, got {processes}")
-    if backend is not None and processes > 1:
-        raise ExperimentError(
-            "backend selection coordinates runs from this process; it "
-            "cannot be combined with processes>1"
-        )
-    if processes > 1 and jobs != 1:
-        raise ExperimentError(
-            "choose one parallelism axis: processes>1 (configs across "
-            "workers) or jobs!=1 (trials across workers), not both"
-        )
-    if checkpoint_dir is not None and processes > 1:
-        raise ExperimentError(
-            "checkpoint_dir requires the jobs axis (trial-level "
-            "checkpointing); it cannot be combined with processes>1"
-        )
-    if trace_dir is not None and processes > 1:
-        raise ExperimentError(
-            "trace_dir records telemetry in the parent process; it cannot "
-            "be combined with processes>1 (use the jobs axis instead)"
-        )
     configs = list(configs)
     if not configs:
         return []
@@ -281,19 +244,7 @@ def run_experiments(
         os.makedirs(checkpoint_dir, exist_ok=True)
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-    parallel = processes > 1 and all(
-        c.graph_factory is None for c in configs
-    )
     results: List[ExperimentResult] = []
-    if parallel:
-        with Pool(processes=min(processes, len(configs))) as pool:
-            for index, result in enumerate(
-                pool.imap(run_experiment, configs)
-            ):
-                results.append(result)
-                if progress is not None:
-                    progress(index + 1, len(configs))
-        return results
     for index, config in enumerate(configs):
         checkpoint = (
             _checkpoint_path(checkpoint_dir, config, backend)

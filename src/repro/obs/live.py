@@ -235,8 +235,10 @@ class StatusSampler:
     is set — atomically rewrites the OpenMetrics textfile so external
     scrapers always see a complete snapshot.
 
-    The sampler only ever *reads* engine state (plain attribute reads,
-    safe under the GIL) and never blocks the run: it is a daemon thread
+    The sampler only ever *reads* engine state — the run registry's
+    counters and phase histograms, each looked up by key, which is safe
+    under the GIL while the engine records (it never iterates the
+    registry) — and never blocks the run: it is a daemon thread
     and :meth:`stop` joins it with a bounded timeout.
     """
 

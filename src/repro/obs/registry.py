@@ -85,10 +85,14 @@ class RunRecord:
 
     @property
     def throughput(self) -> float:
-        """Trials per wall-clock second (0 when unmeasured)."""
+        """Measured trials per wall-clock second (0 when unmeasured).
+
+        Trials replayed from a checkpoint journal cost no computation,
+        so they are left out: a fully resumed run measures nothing.
+        """
         if self.wall_seconds <= 0:
             return 0.0
-        return self.n_trials / self.wall_seconds
+        return (self.n_trials - self.replayed_trials) / self.wall_seconds
 
     def as_dict(self) -> Dict[str, Any]:
         return {

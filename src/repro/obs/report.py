@@ -1,7 +1,9 @@
 """Human-readable run reports from a telemetry event log.
 
 ``repro report <events.jsonl>`` renders what a run did: wall-clock vs.
-summed CPU-side phase time (and the parallel efficiency between them),
+summed CPU-side phase time (and the parallel efficiency between them;
+phase time is read from the run's ``phase.<name>.seconds`` histograms,
+the same numbers as ``result.timings``),
 the slowest chunks, metric counters, histogram summaries, and per-worker
 resource use. Pure text — the machine-readable views are the event log
 itself and the Chrome-trace export.
@@ -31,8 +33,8 @@ def _histogram_line(name: str, hist: Dict[str, Any]) -> str:
         return f"  {name:<36} (empty)"
     mean = hist["sum"] / n
     # Histograms carry no unit; by convention duration-valued metrics put
-    # "seconds" in their name (phase.*.seconds, distribute.seconds.nNN).
-    # Everything else is a plain number (node counts, slice counts, ...).
+    # "seconds" in their name (phase.<name>.seconds). Everything else is
+    # a plain number (node counts, slice counts, ...).
     if "seconds" in name:
         fmt = _fmt_seconds
     else:
@@ -63,12 +65,12 @@ def render_run_report(events: List[Dict[str, Any]]) -> str:
 
     roots = [e for e in spans if e.get("parent") is None]
     wall = sum(e["dur"] for e in roots)
-    phase_totals: Dict[str, float] = {}
-    for e in spans:
-        if e["name"] in ("generate", "distribute", "schedule"):
-            phase_totals[e["name"]] = (
-                phase_totals.get(e["name"], 0.0) + e["dur"]
-            )
+    histograms = (metrics or {}).get("histograms") or {}
+    phase_totals: Dict[str, float] = {
+        phase: histograms[f"phase.{phase}.seconds"]["sum"]
+        for phase in ("generate", "distribute", "schedule")
+        if f"phase.{phase}.seconds" in histograms
+    }
     busy = sum(phase_totals.values())
     jobs = (summary or {}).get("jobs")
     lines.append(f"  wall-clock elapsed      {_fmt_seconds(wall):>10}")

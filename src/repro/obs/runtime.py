@@ -41,14 +41,13 @@ class Telemetry:
     def adopt_chunk(
         self,
         spans: Optional[List[Span]] = None,
-        metrics: Optional[MetricsRegistry] = None,
         resources: Optional[List[ResourceSample]] = None,
     ) -> None:
-        """Fold one worker chunk's shipped telemetry into this session."""
+        """Graft one worker chunk's span tree and resource samples into
+        this session. Its metrics registry is merged by the run's
+        :class:`~repro.feast.instrumentation.Instrumentation`, once."""
         if spans:
             self.spans.adopt(spans)
-        if metrics is not None:
-            self.metrics.merge(metrics)
         if resources:
             self.resources.extend(resources)
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 from repro.core.annotations import DeadlineAssignment
 from repro.errors import ValidationError
 from repro.sched.schedule import Schedule
-from repro.types import NodeId, Time
+from repro.types import TIME_EPS, NodeId, Time
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def schedule_metrics(
     return ScheduleMetrics(
         max_lateness=max(values),
         mean_lateness=sum(values) / len(values),
-        n_late=sum(1 for v in values if v > 1e-9),
+        n_late=sum(1 for v in values if v > TIME_EPS),
         n_subtasks=len(values),
         makespan=schedule.makespan(),
         mean_utilization=sum(utilization.values()) / len(utilization),

@@ -23,10 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.errors import SchedulingError
 from repro.machine.topology import Interconnect
 from repro.sched.schedule import HopReservation
-from repro.types import Time
-
-#: Numerical slack for float comparisons.
-EPS = 1e-9
+from repro.types import TIME_EPS, Time
 
 
 class LinkTimeline:
@@ -43,7 +40,7 @@ class LinkTimeline:
             return ready
         t = ready
         for start, finish in self._busy:
-            if t + duration <= start + EPS:
+            if t + duration <= start + TIME_EPS:
                 return t
             if finish > t:
                 t = finish
@@ -55,7 +52,7 @@ class LinkTimeline:
             return
         finish = start + duration
         for s, f in self._busy:
-            if start < f - EPS and s < finish - EPS:
+            if start < f - TIME_EPS and s < finish - TIME_EPS:
                 raise SchedulingError(
                     f"link reservation [{start}, {finish}) overlaps [{s}, {f})"
                 )

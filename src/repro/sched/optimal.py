@@ -53,10 +53,7 @@ from repro.sched.schedule import (
     ScheduledMessage,
     ScheduledTask,
 )
-from repro.types import NodeId, ProcessorId, Time
-
-#: Numerical slack for float comparisons.
-EPS = 1e-9
+from repro.types import TIME_EPS, NodeId, ProcessorId, Time
 
 
 @dataclass
@@ -269,16 +266,16 @@ class BranchAndBoundScheduler:
             self._timed_out = True
             return
         if not ready:
-            if current_lateness < self._best_lateness - EPS:
+            if current_lateness < self._best_lateness - TIME_EPS:
                 self._best_lateness = current_lateness
                 self._best_choices = list(choices)
             return
-        if current_lateness >= self._best_lateness - EPS:
+        if current_lateness >= self._best_lateness - TIME_EPS:
             self._pruned += 1
             return
         if (
             max(current_lateness, self._completion_bound(placed, finish))
-            >= self._best_lateness - EPS
+            >= self._best_lateness - TIME_EPS
         ):
             self._pruned += 1
             return
@@ -298,7 +295,7 @@ class BranchAndBoundScheduler:
                 start = self._start_time(j, proc, finish, placement, proc_avail)
                 end = start + self.system.execution_time(proc, node.wcet)
                 lateness = max(current_lateness, end - deadline[j])
-                if lateness >= self._best_lateness - EPS:
+                if lateness >= self._best_lateness - TIME_EPS:
                     self._pruned += 1
                     continue
                 # Apply.

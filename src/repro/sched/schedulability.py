@@ -39,9 +39,6 @@ from repro.errors import ValidationError
 from repro.sched.schedule import Schedule
 from repro.types import TIME_EPS, NodeId, ProcessorId, Time
 
-#: Numerical slack for float comparisons (the shared cross-layer tolerance).
-EPS = TIME_EPS
-
 
 @dataclass(frozen=True)
 class DemandViolation:
@@ -109,7 +106,8 @@ def _interval_demand(
         sorted(
             node_id
             for node_id, w in windows.items()
-            if w.release >= start - EPS and w.absolute_deadline <= end + EPS
+            if w.release >= start - TIME_EPS
+            and w.absolute_deadline <= end + TIME_EPS
         )
     )
     demand = sum(windows[n].cost for n in contained)
@@ -128,7 +126,7 @@ def _critical_intervals(
     releases = sorted({w.release for w in windows.values()})
     deadlines = sorted({w.absolute_deadline for w in windows.values()})
     return [
-        (a, b) for a in releases for b in deadlines if b > a + EPS
+        (a, b) for a in releases for b in deadlines if b > a + TIME_EPS
     ]
 
 
@@ -161,10 +159,10 @@ def analyze_platform(
         if not contained:
             continue
         length = end - start
-        needed = math.ceil(demand / length - EPS)
+        needed = math.ceil(demand / length - TIME_EPS)
         min_needed = max(min_needed, needed)
         capacity = n_processors * length
-        if demand > capacity + EPS:
+        if demand > capacity + TIME_EPS:
             report.violations.append(
                 DemandViolation(
                     start=start,
@@ -213,7 +211,7 @@ def analyze_placement(
             demand, contained = _interval_demand(windows, start, end)
             if not contained:
                 continue
-            if demand > (end - start) + EPS:
+            if demand > (end - start) + TIME_EPS:
                 report.violations.append(
                     DemandViolation(
                         start=start,

@@ -17,9 +17,6 @@ from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
 from repro.types import TIME_EPS, EdgeId, NodeId, ProcessorId, Time
 
-#: Numerical slack for float comparisons (the shared cross-layer tolerance).
-EPS = TIME_EPS
-
 
 @dataclass(frozen=True)
 class ScheduledTask:
@@ -152,7 +149,7 @@ class Schedule:
                     f"subtask {entry.node_id!r} pinned to {sub.pinned_to}, "
                     f"scheduled on {entry.processor}"
                 )
-            if entry.finish < entry.start - EPS:
+            if entry.finish < entry.start - TIME_EPS:
                 raise SchedulingError(
                     f"subtask {entry.node_id!r} finishes before it starts"
                 )
@@ -164,7 +161,7 @@ class Schedule:
         for p in range(self.system.n_processors):
             ordered = self.tasks_on(p)
             for a, b in zip(ordered, ordered[1:]):
-                if b.start < a.finish - EPS:
+                if b.start < a.finish - TIME_EPS:
                     raise SchedulingError(
                         f"subtasks {a.node_id!r} and {b.node_id!r} overlap "
                         f"on processor {p}"
@@ -182,7 +179,7 @@ class Schedule:
         for link, intervals in by_link.items():
             intervals.sort()
             for (s1, f1, e1), (s2, f2, e2) in zip(intervals, intervals[1:]):
-                if s2 < f1 - EPS:
+                if s2 < f1 - TIME_EPS:
                     raise SchedulingError(
                         f"messages {e1!r} and {e2!r} overlap on link {link!r}"
                     )
@@ -202,13 +199,13 @@ class Schedule:
                         )
                 arrival = produced
             else:
-                if transfer.start < produced - EPS:
+                if transfer.start < produced - TIME_EPS:
                     raise SchedulingError(
                         f"message {src!r}->{dst!r} departs at {transfer.start} "
                         f"before producer finishes at {produced}"
                     )
                 arrival = transfer.arrival
-            if consumer.start < arrival - EPS:
+            if consumer.start < arrival - TIME_EPS:
                 raise SchedulingError(
                     f"subtask {dst!r} starts at {consumer.start} before its "
                     f"input from {src!r} arrives at {arrival}"

@@ -42,10 +42,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
 from repro.sched.bus import LinkTimelines
 from repro.sched.schedule import Schedule
-from repro.types import NodeId, ProcessorId, Time
-
-#: Numerical slack for float comparisons.
-EPS = 1e-9
+from repro.types import TIME_EPS, NodeId, ProcessorId, Time
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ class ExecutionTrace:
             expected = expected_durations[node_id] / self.system.processor(
                 proc
             ).speed
-            if abs(total - expected) > 1e-6:
+            if abs(total - expected) > TIME_EPS:
                 raise SchedulingError(
                     f"subtask {node_id!r} executed {total}, expected {expected}"
                 )
@@ -173,14 +170,14 @@ class ExecutionTrace:
         for proc, segments in by_proc.items():
             segments.sort(key=lambda s: s.start)
             for a, b in zip(segments, segments[1:]):
-                if b.start < a.end - 1e-6:
+                if b.start < a.end - TIME_EPS:
                     raise SchedulingError(
                         f"segments of {a.node_id!r} and {b.node_id!r} "
                         f"overlap on processor {proc}"
                     )
         for src, dst in self.graph.edges():
             first_start = min(s.start for s in self.segments_of(dst))
-            if first_start < self.completions[src] - 1e-6 and (
+            if first_start < self.completions[src] - TIME_EPS and (
                 self.placements[src] == self.placements[dst]
             ):
                 raise SchedulingError(
@@ -383,7 +380,7 @@ def simulate_fixed(
         if node_id is None:
             return
         start = segment_start[proc]
-        if at > start + EPS:
+        if at > start + TIME_EPS:
             trace.segments.append(
                 ExecutionSegment(
                     node_id=node_id, processor=proc, start=start, end=at
@@ -430,10 +427,11 @@ def simulate_fixed(
             proc, node_id = payload  # type: ignore[misc]
             if current[proc] != node_id:
                 continue  # stale event (task was preempted)
-            if abs(segment_start[proc] + remaining[node_id] - now) > 1e-6:
+            drift = segment_start[proc] + remaining[node_id] - now
+            if abs(drift) > TIME_EPS:
                 continue  # stale event (requeued with different remaining)
             close_segment(proc, now)
-            assert abs(remaining[node_id]) < 1e-6
+            assert abs(remaining[node_id]) < TIME_EPS
             current[proc] = None
             trace.completions[node_id] = now
             completed += 1

@@ -22,12 +22,12 @@ Time = float
 #: Index of a processor in the platform, ``0 .. n_processors - 1``.
 ProcessorId = int
 
-#: Numerical slack for comparing :data:`Time` values across layers.
+#: The one numerical slack for comparing :data:`Time` values.
 #:
-#: Every module that compares times built by *different* computations
-#: (validation of windows, schedule consistency checks, the qa oracles)
-#: must use this single tolerance, so "A is consistent with B" means the
-#: same thing everywhere. Purely internal comparisons on values produced
-#: by one algorithm (e.g. the branch-and-bound incumbent test) may use a
-#: tighter private epsilon.
+#: Producers and checkers share it — the bus reservation search, the
+#: branch-and-bound incumbent test, the simulator, the slicer's
+#: telescoping check, validation of windows, schedule consistency checks
+#: and the qa oracles — so "A is consistent with B" means the same thing
+#: everywhere, and a reservation the bus accepts is one the validator
+#: accepts.
 TIME_EPS: float = 1e-6

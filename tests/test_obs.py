@@ -271,17 +271,14 @@ class TestRuntime:
         worker = SpanRecorder()
         with worker.span("chunk"):
             pass
-        metrics = MetricsRegistry()
-        metrics.count("trials", 4)
         sample = sample_resources()
         session = Telemetry()
         with obs.activate(session), obs.span("run"):
-            session.adopt_chunk(
-                worker.finished(), metrics, [sample]
-            )
+            session.adopt_chunk(worker.finished(), [sample])
         run = session.spans.finished()[0]
         assert run.children[0].name == "chunk"
-        assert session.metrics.counters == {"trials": 4}
+        # Metrics are merged once, by the run's Instrumentation.
+        assert not session.metrics
         assert session.resources == [sample]
 
 
@@ -455,7 +452,7 @@ class TestInstrumentationCallbacks:
     def test_parallel_efficiency(self):
         inst = Instrumentation()
         inst.start(1)
-        inst.timings.add("schedule", 4.0)
+        inst.metrics.observe("phase.schedule.seconds", 4.0)
         inst._wall_elapsed = 2.0
         assert inst.parallel_efficiency(4) == pytest.approx(0.5)
         assert Instrumentation().parallel_efficiency(4) is None

@@ -178,9 +178,9 @@ class TestStatusSampler:
     def make_inst(self, done=12, total=36):
         inst = Instrumentation(telemetry=Telemetry())
         inst.start(total)
-        inst.trials_completed = done
-        inst.timings.add("generate", 0.5)
-        inst.timings.add("schedule", 1.5)
+        inst.metrics.count("engine.trials_completed", done)
+        inst.metrics.observe("phase.generate.seconds", 0.5)
+        inst.metrics.observe("phase.schedule.seconds", 1.5)
         return inst
 
     def test_snapshot_shape(self, tmp_path):
@@ -246,7 +246,7 @@ class TestStatusSampler:
         inst = self.make_inst(done=10)
         sampler = StatusSampler(None, inst)
         sampler.snapshot()
-        inst.trials_completed = 30
+        inst.metrics.count("engine.trials_completed", 20)
         snap = sampler.snapshot()
         assert snap["throughput"]["recent"] > 0
 
@@ -256,8 +256,8 @@ class TestBoard:
         stream = make_stream(tmp_path)
         inst = Instrumentation()
         inst.start(36)
-        inst.trials_completed = 18
-        inst.timings.add("schedule", 1.0)
+        inst.metrics.count("engine.trials_completed", 18)
+        inst.metrics.observe("phase.schedule.seconds", 1.0)
         sampler = StatusSampler(stream, inst)
         stream.add_probe("fleet", lambda: {"slots": [{
             "ident": "shard-0-of-2", "shard": 0, "state": "running",

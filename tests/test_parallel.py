@@ -14,6 +14,7 @@ from repro.feast.backends import (
 )
 from repro.feast.runner import run_experiment
 from repro.graph.generator import RandomGraphConfig
+from repro.obs.metrics import MetricsRegistry
 
 
 def pipeline_factory(graph_config, rng):
@@ -138,7 +139,7 @@ class TestChunk:
         }
         record = chunk.records[(2, "PURE")]
         assert record.scenario == "MDET" and record.graph_index == 1
-        assert chunk.timings.total > 0
+        assert PhaseTimings(chunk.metrics).total > 0
 
 
 class TestProgress:
@@ -157,16 +158,25 @@ class TestProgress:
 
 class TestInstrumentation:
     def test_phase_timings_merge_and_total(self):
-        a = PhaseTimings(generate=1.0, distribute=2.0, schedule=3.0)
-        a.merge(PhaseTimings(generate=0.5, schedule=0.5))
-        assert a.as_dict() == {
+        run = MetricsRegistry()
+        view = PhaseTimings(run)
+        for seconds in (
+            {"generate": 1.0, "distribute": 2.0, "schedule": 3.0},
+            {"generate": 0.5, "schedule": 0.5},
+        ):
+            chunk = MetricsRegistry()
+            for phase, value in seconds.items():
+                chunk.observe(f"phase.{phase}.seconds", value)
+            run.merge(chunk)
+        assert view.as_dict() == {
             "generate": 1.5, "distribute": 2.0, "schedule": 3.5
         }
-        assert a.total == 7.0
+        assert view.total == 7.0
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(ExperimentError, match="unknown phase"):
-            PhaseTimings().add("teleport", 1.0)
+            with Instrumentation().phase("teleport"):
+                pass
 
     def test_overcounting_rejected(self):
         inst = Instrumentation()

@@ -57,6 +57,14 @@ class TestRunRecord:
         assert make_record().throughput == pytest.approx(10.0)
         assert make_record(wall_seconds=0.0).throughput == 0.0
 
+    def test_throughput_counts_measured_trials_only(self):
+        # Replayed trials cost no computation: a fully resumed run
+        # measured nothing, a half-resumed one measured half.
+        assert make_record(replayed_trials=100).throughput == 0.0
+        assert make_record(replayed_trials=40).throughput == pytest.approx(
+            6.0
+        )
+
     def test_from_dict_malformed(self):
         with pytest.raises(SerializationError, match="malformed"):
             RunRecord.from_dict({"experiment": "x"})  # no run_id

@@ -89,24 +89,6 @@ class TestRunExperiments:
         assert done == [(1, 2), (2, 2)]
         assert all(len(r) == 2 for r in results)  # 1 size x 1 method x 2 graphs
 
-    def test_parallel_matches_serial(self):
-        configs = sweep_field(base_config(), "seed", [3, 4])
-        serial = run_experiments(configs, processes=1)
-        parallel = run_experiments(configs, processes=2)
-        for a, b in zip(serial, parallel):
-            assert [r.max_lateness for r in a.records] == [
-                r.max_lateness for r in b.records
-            ]
-
-    def test_factory_configs_fall_back_to_serial(self):
-        from repro.feast.experiments import build_experiment
-
-        configs = build_experiment(
-            "ext-structured", n_graphs=1, system_sizes=(2,)
-        )[:2]
-        results = run_experiments(configs, processes=4)
-        assert len(results) == 2
-
     def test_trial_jobs_match_serial(self):
         configs = sweep_field(base_config(), "seed", [3, 4])
         serial = run_experiments(configs)
@@ -115,10 +97,6 @@ class TestRunExperiments:
             assert [r.as_dict() for r in a.records] == [
                 r.as_dict() for r in b.records
             ]
-
-    def test_nested_parallelism_rejected(self):
-        with pytest.raises(ExperimentError, match="one parallelism axis"):
-            run_experiments([base_config()], processes=2, jobs=2)
 
     def test_checkpoint_dir_resumes_batch(self, tmp_path):
         import os
@@ -135,13 +113,6 @@ class TestRunExperiments:
                 r.as_dict() for r in b.records
             ]
 
-    def test_checkpoint_dir_rejects_processes_axis(self, tmp_path):
-        with pytest.raises(ExperimentError, match="checkpoint_dir"):
-            run_experiments(
-                [base_config()], processes=2,
-                checkpoint_dir=str(tmp_path),
-            )
-
     def test_checkpoint_dir_rejects_duplicate_names(self, tmp_path):
         with pytest.raises(ExperimentError, match="unique"):
             run_experiments(
@@ -151,7 +122,3 @@ class TestRunExperiments:
 
     def test_empty(self):
         assert run_experiments([]) == []
-
-    def test_bad_processes(self):
-        with pytest.raises(ExperimentError):
-            run_experiments([base_config()], processes=0)

@@ -13,13 +13,17 @@ channels with exclusive occupancy) a message must traverse between two
 processors — and one cost question — how long one hop takes. The message
 scheduler (:mod:`repro.sched.bus`) owns the link timelines and reservation
 logic; topologies stay pure topology.
+
+Routes are pure functions of ``(src, dst)``, so :meth:`Interconnect.paths_from`
+remembers a source's routes after computing them once; the schedulers' hot
+paths use it instead of :meth:`Interconnect.route`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from math import ceil, sqrt
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ValidationError
 from repro.types import ProcessorId, Time
@@ -43,6 +47,7 @@ class Interconnect(ABC):
             raise ValidationError(f"cost_per_item must be >= 0, got {cost_per_item}")
         self.n_processors = n_processors
         self.cost_per_item = cost_per_item
+        self._paths: Dict[ProcessorId, Tuple[Tuple[LinkId, ...], ...]] = {}
 
     def _check(self, proc: ProcessorId) -> None:
         if not 0 <= proc < self.n_processors:
@@ -53,6 +58,22 @@ class Interconnect(ABC):
     @abstractmethod
     def route(self, src: ProcessorId, dst: ProcessorId) -> List[LinkId]:
         """Links a message crosses from ``src`` to ``dst`` (empty if equal)."""
+
+    def paths_from(self, src: ProcessorId) -> Tuple[Tuple[LinkId, ...], ...]:
+        """:meth:`route` from ``src`` to every processor, indexed by
+        destination; computed (and validated) once per source."""
+        paths = self._paths.get(src)
+        if paths is None:
+            paths = self._paths[src] = tuple(
+                tuple(self.route(src, dst)) for dst in range(self.n_processors)
+            )
+        return paths
+
+    def path(self, src: ProcessorId, dst: ProcessorId) -> Tuple[LinkId, ...]:
+        """:meth:`route` as a tuple, from the per-source cache."""
+        paths = self.paths_from(src)
+        self._check(dst)
+        return paths[dst]
 
     def hop_cost(self, size: Time) -> Time:
         """Occupancy of one link by a message of ``size`` data items."""

@@ -17,29 +17,41 @@ deadline-based message scheduling the paper's run-time model calls for.
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Dict, List, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Tuple
 
 from repro.errors import SchedulingError
-from repro.machine.topology import Interconnect
+from repro.machine.topology import Interconnect, LinkId
 from repro.sched.schedule import HopReservation
 from repro.types import TIME_EPS, Time
 
 
 class LinkTimeline:
-    """Reservations on one exclusive link, kept sorted by start time."""
+    """Reservations on one exclusive link, kept sorted by start time.
 
-    __slots__ = ("_busy",)
+    Next to the sorted ``(start, finish)`` pairs the timeline keeps their
+    running maximum finish time: ``_reach[i]`` is the latest finish among
+    the first ``i + 1`` reservations. Finish times alone need not be
+    sorted — an early fit may end up to ``TIME_EPS`` past the next start —
+    but their running maximum is, so the slot search and the overlap check
+    bisect on it (DESIGN.md §3.4 shows both are exact).
+    """
+
+    __slots__ = ("_busy", "_reach")
 
     def __init__(self) -> None:
         self._busy: List[Tuple[Time, Time]] = []
+        self._reach: List[Time] = []
 
     def earliest_slot(self, ready: Time, duration: Time) -> Time:
         """Earliest start >= ready of a free interval of ``duration``."""
         if duration <= 0:
             return ready
+        # Skip every reservation over by ``ready``: none of them pushes
+        # the start later, and a slot that fits before one also fits
+        # before the first reservation left.
         t = ready
-        for start, finish in self._busy:
+        for start, finish in self._busy[bisect_right(self._reach, ready):]:
             if t + duration <= start + TIME_EPS:
                 return t
             if finish > t:
@@ -51,12 +63,23 @@ class LinkTimeline:
         if duration <= 0:
             return
         finish = start + duration
-        for s, f in self._busy:
-            if start < f - TIME_EPS and s < finish - TIME_EPS:
-                raise SchedulingError(
-                    f"link reservation [{start}, {finish}) overlaps [{s}, {f})"
-                )
-        insort(self._busy, (start, finish))
+        busy, reach = self._busy, self._reach
+        # Only reservations starting before ``finish - TIME_EPS`` can
+        # overlap; one of them does iff the latest of their finishes does.
+        n = bisect_left(busy, (finish - TIME_EPS,))
+        if n and start < reach[n - 1] - TIME_EPS:
+            s, f = next((s, f) for s, f in busy if start < f - TIME_EPS)
+            raise SchedulingError(
+                f"link reservation [{start}, {finish}) overlaps [{s}, {f})"
+            )
+        pos = bisect_right(busy, (start, finish))
+        busy.insert(pos, (start, finish))
+        before = reach[pos - 1] if pos else finish
+        reach.insert(pos, finish if finish > before else before)
+        for k in range(pos + 1, len(reach)):
+            if reach[k] >= finish:
+                break
+            reach[k] = finish
 
     def reservations(self) -> List[Tuple[Time, Time]]:
         return list(self._busy)
@@ -71,6 +94,11 @@ class LinkTimelines:
     def __init__(self, interconnect: Interconnect) -> None:
         self.interconnect = interconnect
         self._links: Dict[str, LinkTimeline] = {}
+        # Per (src, dst): the route's link ids and, on a contended
+        # interconnect, their timelines in route order.
+        self._routes: Dict[
+            Tuple[int, int], Tuple[Tuple[LinkId, ...], Tuple[LinkTimeline, ...]]
+        ] = {}
 
     def _timeline(self, link: str) -> LinkTimeline:
         timeline = self._links.get(link)
@@ -79,37 +107,49 @@ class LinkTimelines:
             self._links[link] = timeline
         return timeline
 
+    def _route(
+        self, src_proc: int, dst_proc: int
+    ) -> Tuple[Tuple[LinkId, ...], Tuple[LinkTimeline, ...]]:
+        route = self._routes.get((src_proc, dst_proc))
+        if route is None:
+            links = self.interconnect.path(src_proc, dst_proc)
+            timelines = (
+                tuple(map(self._timeline, links))
+                if self.interconnect.contended else ()
+            )
+            route = self._routes[src_proc, dst_proc] = (links, timelines)
+        return route
+
     def probe_transfer(
         self, src_proc: int, dst_proc: int, size: Time, ready: Time
     ) -> Time:
         """Arrival time of a transfer departing no earlier than ``ready``,
         without reserving anything."""
-        route = self.interconnect.route(src_proc, dst_proc)
-        if not route or size <= 0:
+        links, timelines = self._route(src_proc, dst_proc)
+        if not links or size <= 0:
             return ready
         hop = self.interconnect.hop_cost(size)
-        if not self.interconnect.contended:
-            return ready + hop * len(route)
+        if not timelines:
+            return ready + hop * len(links)
         t = ready
-        for link in route:
-            start = self._timeline(link).earliest_slot(t, hop)
-            t = start + hop
+        for timeline in timelines:
+            t = timeline.earliest_slot(t, hop) + hop
         return t
 
     def commit_transfer(
         self, src_proc: int, dst_proc: int, size: Time, ready: Time
     ) -> List[HopReservation]:
         """Reserve a transfer hop by hop; returns the hop reservations."""
-        route = self.interconnect.route(src_proc, dst_proc)
-        if not route or size <= 0:
+        links, timelines = self._route(src_proc, dst_proc)
+        if not links or size <= 0:
             return []
         hop = self.interconnect.hop_cost(size)
         reservations: List[HopReservation] = []
         t = ready
-        for link in route:
-            if self.interconnect.contended:
-                start = self._timeline(link).earliest_slot(t, hop)
-                self._timeline(link).reserve(start, hop)
+        for i, link in enumerate(links):
+            if timelines:
+                start = timelines[i].earliest_slot(t, hop)
+                timelines[i].reserve(start, hop)
             else:
                 start = t
             reservations.append(

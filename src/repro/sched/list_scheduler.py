@@ -29,7 +29,8 @@ acts through the priority order and through the lateness measurement.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.annotations import DeadlineAssignment
 from repro.core.pinning import validate_pins
@@ -85,23 +86,31 @@ class ListScheduler:
         pending_preds: List[int] = [
             index.in_degree_of(j) for j in range(index.n_nodes)
         ]
-        ready: Set[int] = {j for j, k in enumerate(pending_preds) if k == 0}
+        # Ready subtasks as a heap of (priority key, node id, dense id):
+        # highest priority first, ties broken by node id (string order).
+        # A policy key depends only on (node, graph, assignment), so it is
+        # evaluated once, when the subtask becomes ready.
         policy_key = self.policy.key
+        ready = [
+            (policy_key(ids[j], graph, assignment), ids[j], j)
+            for j, k in enumerate(pending_preds) if k == 0
+        ]
+        heapify(ready)
+        probes = memo_hits = 0
 
         while ready:
-            # Highest priority first; ties broken by node id, as before
-            # the indexed rewrite (string order, not insertion order).
-            j = min(ready, key=lambda j: (policy_key(ids[j], graph, assignment), ids[j]))
-            ready.discard(j)
-            self._place(
+            j = heappop(ready)[2]
+            placed_probes, placed_hits = self._place(
                 j, graph, index, assignment, schedule, links,
                 proc_available, finish_of, proc_of,
             )
+            probes += placed_probes
+            memo_hits += placed_hits
             for k in range(index.succ_indptr[j], index.succ_indptr[j + 1]):
                 s = index.succ_ids[k]
                 pending_preds[s] -= 1
                 if pending_preds[s] == 0:
-                    ready.add(s)
+                    heappush(ready, (policy_key(ids[s], graph, assignment), ids[s], s))
 
         if len(schedule.tasks) != graph.n_subtasks:
             raise SchedulingError(
@@ -111,6 +120,8 @@ class ListScheduler:
         obs.count("list.schedules")
         obs.count("list.tasks_placed", len(schedule.tasks))
         obs.count("list.messages_placed", len(schedule.messages))
+        obs.count("bus.probes", probes)
+        obs.count("bus.probe_memo_hits", memo_hits)
         return schedule
 
     # ------------------------------------------------------------------
@@ -125,14 +136,21 @@ class ListScheduler:
         proc_available: List[Time],
         finish_of: List[Time],
         proc_of: List[ProcessorId],
-    ) -> None:
+    ) -> Tuple[int, int]:
+        """Place dense node ``j``; returns (bus probes, probe memo hits).
+
+        Candidate processors are ranked by probed start times. Transfers
+        are probed independently, which can be optimistic when several of
+        this subtask's messages would share a link; the commit path
+        serializes them, so the schedule stays consistent either way.
+        """
         ids = index.ids
         node_id = ids[j]
         sub = index.subtasks[j]
-        if sub.is_pinned:
-            candidates: List[ProcessorId] = [sub.pinned_to]  # type: ignore[list-item]
-        else:
-            candidates = list(range(self.system.n_processors))
+        candidates = (
+            (sub.pinned_to,) if sub.is_pinned
+            else range(self.system.n_processors)
+        )
 
         floor = (
             assignment.release(node_id) if self.respect_release_times else 0.0
@@ -144,15 +162,47 @@ class ListScheduler:
             (index.pred_ids[k], messages[index.pred_edges[k]].size)
             for k in range(index.pred_indptr[j], index.pred_indptr[j + 1])
         ]
-        best: Optional[Tuple[Time, ProcessorId]] = None
+        # Per-arc data, hoisted out of the candidate loop. An empty
+        # message arrives at its producer's finish wherever the consumer
+        # runs, so it only raises the lower bound of every candidate.
+        # Nothing is reserved until the choice is made, so a probe's
+        # arrival depends only on (route, size, ready): arcs sharing
+        # (size, ready) share one memo of arrivals keyed by route.
+        paths_from = self.system.interconnect.paths_from
+        memos: Dict[Tuple[Time, Time], Dict[Tuple[str, ...], Time]] = {}
+        lower = floor
+        transfers = []
+        for p, size in incoming:
+            finish = finish_of[p]
+            if size > 0:
+                memo = memos.setdefault((size, finish), {})
+                transfers.append((finish, paths_from(proc_of[p]), proc_of[p], size, memo))
+            elif finish > lower:
+                lower = finish
+        probes = lookups = 0
+        best_proc = -1
+        best_start = 0.0
         for proc in candidates:
-            start = self._probe_start(
-                proc, incoming, links, proc_available, floor, finish_of, proc_of
-            )
-            if best is None or (start, proc) < best:
-                best = (start, proc)
-        assert best is not None
-        _, proc = best
+            start = proc_available[proc]
+            if lower > start:
+                start = lower
+            for finish, paths, pred_proc, size, memo in transfers:
+                route = paths[proc]
+                if not route:  # the producer's own processor
+                    arrival = finish
+                else:
+                    lookups += 1
+                    arrival = memo.get(route)
+                    if arrival is None:
+                        probes += 1
+                        arrival = memo[route] = links.probe_transfer(
+                            pred_proc, proc, size, finish
+                        )
+                if arrival > start:
+                    start = arrival
+            if best_proc < 0 or start < best_start:
+                best_proc, best_start = proc, start
+        proc = best_proc
 
         arrivals = [floor, proc_available[proc]]
         for p, size in sorted(incoming, key=lambda it: (finish_of[it[0]], ids[it[0]])):
@@ -182,31 +232,4 @@ class ListScheduler:
         proc_available[proc] = finish
         finish_of[j] = finish
         proc_of[j] = proc
-
-    def _probe_start(
-        self,
-        proc: ProcessorId,
-        incoming: List[Tuple[int, Time]],
-        links: LinkTimelines,
-        proc_available: List[Time],
-        floor: Time,
-        finish_of: List[Time],
-        proc_of: List[ProcessorId],
-    ) -> Time:
-        """Estimated earliest start on ``proc`` without reserving links.
-
-        Transfers are probed independently, which can be optimistic when
-        several of this subtask's messages would share a link; the commit
-        path serializes them, so the schedule stays consistent either way.
-        """
-        start = max(floor, proc_available[proc])
-        for p, size in incoming:
-            finish = finish_of[p]
-            pred_proc = proc_of[p]
-            if pred_proc == proc or size <= 0:
-                arrival = finish
-            else:
-                arrival = links.probe_transfer(pred_proc, proc, size, finish)
-            if arrival > start:
-                start = arrival
-        return start
+        return probes, lookups - probes

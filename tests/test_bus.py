@@ -1,10 +1,16 @@
 """Link timelines: slot search, reservation, probe vs commit."""
 
+from bisect import insort
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.machine.topology import IdealNetwork, Ring, SharedBus
 from repro.sched.bus import LinkTimeline, LinkTimelines
+from repro.types import TIME_EPS
+from tests.strategies import default_settings
 
 
 class TestLinkTimeline:
@@ -120,3 +126,112 @@ class TestIdeal:
         b = links.commit_transfer(2, 1, 5.0, 0.0)
         assert a[0].start == b[0].start == 0.0
         assert links.probe_transfer(0, 1, 5.0, 10.0) == 15.0
+
+
+# ----------------------------------------------------------------------
+# Differential: the indexed timeline against a plain linear scan
+# ----------------------------------------------------------------------
+class LinearTimeline:
+    """Reference: first-fit slot search and overlap check by a scan of
+    every reservation (the timeline before it kept a running maximum of
+    finish times to bisect on)."""
+
+    def __init__(self) -> None:
+        self._busy = []
+
+    def earliest_slot(self, ready, duration):
+        if duration <= 0:
+            return ready
+        t = ready
+        for start, finish in self._busy:
+            if t + duration <= start + TIME_EPS:
+                return t
+            if finish > t:
+                t = finish
+        return t
+
+    def reserve(self, start, duration):
+        if duration <= 0:
+            return
+        finish = start + duration
+        for s, f in self._busy:
+            if start < f - TIME_EPS and s < finish - TIME_EPS:
+                raise SchedulingError(
+                    f"link reservation [{start}, {finish}) overlaps [{s}, {f})"
+                )
+        insort(self._busy, (start, finish))
+
+    def reservations(self):
+        return list(self._busy)
+
+
+#: Offsets that put times on, just inside and just past TIME_EPS of a
+#: grid point, where touching intervals and early fits live.
+_NUDGES = (0.0, -2 * TIME_EPS, -TIME_EPS, -TIME_EPS / 2, TIME_EPS / 2,
+           TIME_EPS, 2 * TIME_EPS)
+
+_TIMES = st.one_of(
+    st.integers(0, 30).map(float),
+    st.tuples(st.integers(0, 30), st.sampled_from(_NUDGES)).map(
+        lambda t: max(0.0, t[0] + t[1])
+    ),
+    st.floats(0.0, 30.0, allow_nan=False),
+)
+_DURATIONS = st.one_of(
+    # Empty, at most TIME_EPS, just above it (too close for the bisect
+    # shortcut at these magnitudes) and clearly above it.
+    st.sampled_from([0.0, -1.0, TIME_EPS / 2, TIME_EPS, TIME_EPS * (1 + 1e-9),
+                     1.5 * TIME_EPS, 2 * TIME_EPS, 1.0 - TIME_EPS / 2]),
+    st.integers(1, 10).map(float),
+    st.floats(0.0, 12.0, allow_nan=False),
+)
+#: ``fit``: search a slot, then reserve it; ``slot``: search only;
+#: ``reserve``: reserve at an arbitrary start (may be rejected).
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["fit", "fit", "slot", "reserve"]), _TIMES,
+              _DURATIONS),
+    max_size=40,
+)
+
+
+def _outcome(timeline, start, duration):
+    try:
+        timeline.reserve(start, duration)
+    except SchedulingError as exc:
+        return str(exc)
+    return None
+
+
+@default_settings(max_examples=300)
+@given(ops=_OPS)
+# Touching intervals.
+@example(ops=[("reserve", 0.0, 10.0), ("reserve", 10.0, 5.0),
+              ("slot", 0.0, 3.0), ("slot", 15.0, 1.0)])
+# The early fit: a slot may end up to TIME_EPS past the next start.
+@example(ops=[("reserve", 10.0, 10.0), ("fit", 0.0, 10.0000005),
+              ("slot", 0.0, 1.0)])
+# Non-monotone finish times: [9.9999995, 9.9999996) starts after [0, 10)
+# but ends before it.
+@example(ops=[("reserve", 0.0, 10.0), ("reserve", 9.9999995, 1e-7),
+              ("slot", 9.99999955, 2e-7), ("slot", 9.9999996, 1.0),
+              ("reserve", 10.0, 1.0), ("fit", 0.0, 5e-7)])
+# A long reservation inserted ahead of a tiny one that ends earlier must
+# raise the running maximum of the finish times behind it.
+@example(ops=[("reserve", 9.9999995, 1e-7), ("reserve", 0.0, 10.0),
+              ("slot", 9.99999965, 1.0), ("fit", 9.99999965, 2e-7)])
+# Durations at and just above TIME_EPS behind a skipped reservation.
+@example(ops=[("reserve", 3.0, 2.0), ("slot", 5.0, TIME_EPS),
+              ("slot", 5.0, TIME_EPS * (1 + 1e-9)), ("fit", 4.9999995, TIME_EPS)])
+def test_indexed_timeline_matches_linear_scan(ops):
+    indexed, linear = LinkTimeline(), LinearTimeline()
+    for op, t, duration in ops:
+        if op == "reserve":
+            assert _outcome(indexed, t, duration) == _outcome(linear, t, duration)
+        else:
+            start = indexed.earliest_slot(t, duration)
+            assert start == linear.earliest_slot(t, duration)
+            if op == "fit":
+                assert _outcome(indexed, start, duration) == _outcome(
+                    linear, start, duration
+                )
+        assert indexed.reservations() == linear.reservations()

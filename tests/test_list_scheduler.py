@@ -8,6 +8,8 @@ from repro.errors import SchedulingError, ValidationError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
 from repro.machine.topology import IdealNetwork
+from repro.obs import runtime as obs
+from repro.sched.bus import LinkTimelines
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.policies import make_policy
 
@@ -189,3 +191,28 @@ class TestErrors:
         del partial.windows["b"]
         with pytest.raises(SchedulingError, match="misses subtask"):
             ListScheduler(System(1)).schedule(chain_graph, partial)
+
+
+class TestProbeCounters:
+    def test_probes_and_memo_hits_counted_once_per_schedule(
+        self, diamond_graph, monkeypatch
+    ):
+        calls = []
+        probe = LinkTimelines.probe_transfer
+
+        def counting(self, *args):
+            calls.append(args)
+            return probe(self, *args)
+
+        monkeypatch.setattr(LinkTimelines, "probe_transfer", counting)
+        session = obs.Telemetry()
+        with obs.activate(session):
+            ListScheduler(System(4)).schedule(
+                diamond_graph, assign(diamond_graph)
+            )
+        counters = session.metrics.counters
+        assert counters["bus.probes"] == len(calls) > 0
+        # On the shared bus every remote candidate of an arc has the same
+        # route, so each arc is probed once and the other P - 2 remote
+        # candidates hit the memo.
+        assert counters["bus.probe_memo_hits"] == 2 * len(calls)

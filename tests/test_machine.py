@@ -149,3 +149,20 @@ class TestFactory:
     def test_unknown(self):
         with pytest.raises(ValidationError):
             make_interconnect("torus", 4)
+
+
+class TestRouteCache:
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_cached_paths_equal_routes(self, name):
+        net = make_interconnect(name, 7)
+        for src in range(7):
+            assert net.paths_from(src) == tuple(
+                tuple(net.route(src, dst)) for dst in range(7)
+            )
+            for dst in range(7):
+                assert net.path(src, dst) == tuple(net.route(src, dst))
+
+    @pytest.mark.parametrize("src, dst", [(0, 7), (0, -1), (7, 0), (-1, 0)])
+    def test_path_validates_endpoints(self, src, dst):
+        with pytest.raises(ValidationError):
+            make_interconnect("ring", 7).path(src, dst)

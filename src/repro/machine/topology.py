@@ -39,6 +39,13 @@ class Interconnect(ABC):
     name: str = "abstract"
     #: Whether links are exclusive resources (False = infinite capacity).
     contended: bool = True
+    #: Whether a transfer's arrival depends only on ``(size, ready)``
+    #: whenever ``src != dst``: every remote destination, from every
+    #: source, sees the same arrival. The list scheduler then chooses a
+    #: processor in closed form instead of probing every candidate
+    #: (DESIGN.md §3.4). Subclasses whose routes differ per pair in a
+    #: way that changes arrivals must leave it ``False``.
+    route_uniform: bool = False
 
     def __init__(self, n_processors: int, cost_per_item: Time = 1.0) -> None:
         if n_processors < 1:
@@ -95,6 +102,7 @@ class SharedBus(Interconnect):
 
     name = "bus"
     contended = True
+    route_uniform = True
 
     def route(self, src: ProcessorId, dst: ProcessorId) -> List[LinkId]:
         self._check(src)
@@ -213,6 +221,7 @@ class IdealNetwork(Interconnect):
 
     name = "ideal"
     contended = False
+    route_uniform = True
 
     def route(self, src: ProcessorId, dst: ProcessorId) -> List[LinkId]:
         self._check(src)

@@ -107,24 +107,57 @@ def end_to_end_lateness(schedule: Schedule) -> Dict[NodeId, Time]:
 def schedule_metrics(
     schedule: Schedule, assignment: DeadlineAssignment
 ) -> ScheduleMetrics:
-    """Compute the :class:`ScheduleMetrics` summary."""
-    lateness = lateness_by_subtask(schedule, assignment)
-    if not lateness:
+    """Compute the :class:`ScheduleMetrics` summary.
+
+    Reads the schedule's dense arrays (:meth:`Schedule.dense`) in the
+    float-operation order of the per-object functions above: lateness in
+    ``graph.node_ids()`` order, each processor's busy time in
+    (start, node id) order, messages in commit order.
+    """
+    if not schedule.graph.n_subtasks:
         raise ValidationError("metrics of an empty schedule")
-    values: List[Time] = list(lateness.values())
-    msg_lateness = message_lateness(schedule, assignment)
-    utilization = schedule.processor_utilization()
-    e2e = end_to_end_lateness(schedule)
+    state = schedule.dense()
+    state.require_complete()
+    index = state.index
+    ids = index.ids
+    finish_of, start_of = state.finish_of, state.start_of
+    deadline = (
+        state.deadline if state.assignment is assignment
+        else [assignment.absolute_deadline(node_id) for node_id in ids]
+    )
+    values: List[Time] = [f - d for f, d in zip(finish_of, deadline)]
+
+    message_windows = assignment.message_windows
+    hops, hop_finish = state.msg_hops, state.hop_finish
+    msg_lateness: List[Time] = []
+    for m, (p, c) in enumerate(zip(state.msg_src, state.msg_dst)):
+        window = message_windows.get((ids[p], ids[c]))
+        if window is not None:
+            end = hops[m + 1]
+            arrival = hop_finish[end - 1] if end > hops[m] else 0.0
+            msg_lateness.append(arrival - window.absolute_deadline)
+
+    horizon = max(finish_of[j] for j in state.order)
+    utilization = [
+        sum(finish_of[j] - start_of[j] for j in group) / horizon
+        if horizon > 0 else 0.0
+        for group in state.by_processor(schedule.system.n_processors)
+    ]
+
+    succ = index.succ_indptr
+    e2e = [
+        finish_of[j] - sub.end_to_end_deadline
+        for j, sub in enumerate(index.subtasks)
+        if succ[j] == succ[j + 1] and sub.end_to_end_deadline is not None
+    ]
     return ScheduleMetrics(
         max_lateness=max(values),
         mean_lateness=sum(values) / len(values),
         n_late=sum(1 for v in values if v > TIME_EPS),
         n_subtasks=len(values),
-        makespan=schedule.makespan(),
-        mean_utilization=sum(utilization.values()) / len(utilization),
-        total_communication_volume=schedule.total_communication_volume(),
-        max_message_lateness=(
-            max(msg_lateness.values()) if msg_lateness else None
-        ),
-        max_end_to_end_lateness=max(e2e.values()) if e2e else 0.0,
+        makespan=horizon,
+        mean_utilization=sum(utilization) / len(utilization),
+        total_communication_volume=sum(state.msg_size),
+        max_message_lateness=max(msg_lateness) if msg_lateness else None,
+        max_end_to_end_lateness=max(e2e) if e2e else 0.0,
     )

@@ -18,11 +18,11 @@ deadline-based message scheduling the paper's run-time model calls for.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import SchedulingError
 from repro.machine.topology import Interconnect, LinkId
-from repro.sched.schedule import HopReservation
+from repro.sched.schedule import HopReservation, Placements
 from repro.types import TIME_EPS, Time
 
 
@@ -137,12 +137,21 @@ class LinkTimelines:
         return t
 
     def commit_transfer(
-        self, src_proc: int, dst_proc: int, size: Time, ready: Time
-    ) -> List[HopReservation]:
-        """Reserve a transfer hop by hop; returns the hop reservations."""
+        self,
+        src_proc: int,
+        dst_proc: int,
+        size: Time,
+        ready: Time,
+        sink: Optional[Placements] = None,
+    ) -> Union[List[HopReservation], Time]:
+        """Reserve a transfer hop by hop; returns the hop reservations.
+
+        With a ``sink``, appends each hop's link, start and finish to its
+        flat hop arrays instead and returns the arrival time.
+        """
         links, timelines = self._route(src_proc, dst_proc)
         if not links or size <= 0:
-            return []
+            return [] if sink is None else ready
         hop = self.interconnect.hop_cost(size)
         reservations: List[HopReservation] = []
         t = ready
@@ -152,11 +161,14 @@ class LinkTimelines:
                 timelines[i].reserve(start, hop)
             else:
                 start = t
-            reservations.append(
-                HopReservation(link=link, start=start, finish=start + hop)
-            )
             t = start + hop
-        return reservations
+            if sink is None:
+                reservations.append(HopReservation(link, start, t))
+            else:
+                sink.hop_link.append(link)
+                sink.hop_start.append(start)
+                sink.hop_finish.append(t)
+        return reservations if sink is None else t
 
     def busy_time(self) -> Dict[str, Time]:
         """Total reserved time per link (diagnostics)."""

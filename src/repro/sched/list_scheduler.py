@@ -30,7 +30,7 @@ acts through the priority order and through the lateness measurement.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.annotations import DeadlineAssignment
 from repro.core.pinning import validate_pins
@@ -40,8 +40,13 @@ from repro.machine.system import System
 from repro.obs import runtime as obs
 from repro.sched.bus import LinkTimelines
 from repro.sched.policies import EarliestDeadlineFirst, SelectionPolicy
-from repro.sched.schedule import Schedule, ScheduledMessage, ScheduledTask
+from repro.sched.schedule import Placements, Schedule
 from repro.types import ProcessorId, Time
+
+#: An incoming message with data: (producer's processor, size, producer's
+#: finish, producer's id). The id only orders commits; the choice of
+#: processor ignores it.
+Arc = Tuple[ProcessorId, Time, Time, object]
 
 
 class ListScheduler:
@@ -65,171 +70,216 @@ class ListScheduler:
         ``assignment`` must cover every subtask of ``graph`` (it supplies
         the EDF priorities and, optionally, release times).
         """
-        validate_pins(graph, self.system.n_processors)
+        system = self.system
+        validate_pins(graph, system.n_processors)
         index = graph.index()
         ids = index.ids
-        for node_id in ids:
-            if node_id not in assignment.windows:
-                raise SchedulingError(
-                    f"deadline assignment misses subtask {node_id!r}; "
-                    "run deadline distribution first"
-                )
+        windows = assignment.windows
+        try:
+            window_of = [windows[node_id] for node_id in ids]
+        except KeyError as missing:
+            raise SchedulingError(
+                f"deadline assignment misses subtask {missing.args[0]!r}; "
+                "run deadline distribution first"
+            ) from None
 
-        schedule = Schedule(graph, self.system)
-        links = LinkTimelines(self.system.interconnect)
-        proc_available: List[Time] = [0.0] * self.system.n_processors
-        # Per dense node id: finish time and processor of placed subtasks
-        # (mirrors the Schedule, saving the per-query dict hops in the
-        # probe/commit inner loops).
-        finish_of: List[Time] = [0.0] * index.n_nodes
-        proc_of: List[ProcessorId] = [-1] * index.n_nodes
-        pending_preds: List[int] = [
-            index.in_degree_of(j) for j in range(index.n_nodes)
-        ]
+        state = Placements(index)
+        state.assignment = assignment
+        deadline = state.deadline = [w.absolute_deadline for w in window_of]
+        floor_of = (
+            [w.release for w in window_of] if self.respect_release_times
+            else [0.0] * index.n_nodes
+        )
+        # A policy key depends only on (node, graph, assignment), so each
+        # is evaluated once; EDF's is the deadline itself.
+        if type(self.policy) is EarliestDeadlineFirst:
+            key_of = deadline
+        else:
+            policy_key = self.policy.key
+            key_of = [policy_key(node_id, graph, assignment) for node_id in ids]
+
+        proc_of, start_of, finish_of = state.proc_of, state.start_of, state.finish_of
+        order, hop_link = state.order, state.hop_link
+        msg_src, msg_dst, msg_size, msg_hops = (
+            state.msg_src, state.msg_dst, state.msg_size, state.msg_hops
+        )
+        links = LinkTimelines(system.interconnect)
+        commit = links.commit_transfer
+        available: List[Time] = [0.0] * system.n_processors
+        speeds = [p.speed for p in system.processors]
+        subtasks = index.subtasks
+        pred_indptr, pred_ids = index.pred_indptr, index.pred_ids
+        succ_indptr, succ_ids = index.succ_indptr, index.succ_ids
+        messages = index.edge_messages
+        pred_size = [messages[e].size for e in index.pred_edges]
+        pending = [pred_indptr[j + 1] - pred_indptr[j] for j in range(index.n_nodes)]
         # Ready subtasks as a heap of (priority key, node id, dense id):
         # highest priority first, ties broken by node id (string order).
-        # A policy key depends only on (node, graph, assignment), so it is
-        # evaluated once, when the subtask becomes ready.
-        policy_key = self.policy.key
-        ready = [
-            (policy_key(ids[j], graph, assignment), ids[j], j)
-            for j, k in enumerate(pending_preds) if k == 0
-        ]
+        ready = [(key_of[j], ids[j], j) for j, k in enumerate(pending) if k == 0]
         heapify(ready)
-        probes = memo_hits = 0
+        probes = 0
 
         while ready:
             j = heappop(ready)[2]
-            placed_probes, placed_hits = self._place(
-                j, graph, index, assignment, schedule, links,
-                proc_available, finish_of, proc_of,
+            # An empty message arrives at its producer's finish wherever
+            # the consumer runs, so it only raises the lower bound.
+            lower = floor_of[j]
+            arcs: List[Arc] = []
+            for k in range(pred_indptr[j], pred_indptr[j + 1]):
+                p = pred_ids[k]
+                if pred_size[k] > 0:
+                    arcs.append((proc_of[p], pred_size[k], finish_of[p], p))
+                elif finish_of[p] > lower:
+                    lower = finish_of[p]
+            proc, _, n_probes = choose_processor(
+                links, subtasks[j].pinned_to, available, lower, arcs
             )
-            probes += placed_probes
-            memo_hits += placed_hits
-            for k in range(index.succ_indptr[j], index.succ_indptr[j + 1]):
-                s = index.succ_ids[k]
-                pending_preds[s] -= 1
-                if pending_preds[s] == 0:
-                    heappush(ready, (policy_key(ids[s], graph, assignment), ids[s], s))
+            probes += n_probes
 
-        if len(schedule.tasks) != graph.n_subtasks:
+            # The start is the latest of the lower bound, the processor's
+            # availability and every arrival. Transfers are committed in
+            # (producer finish, producer id) order.
+            start = lower
+            if available[proc] > start:
+                start = available[proc]
+            remote = []
+            for arc in arcs:
+                if arc[0] != proc:
+                    remote.append(arc)
+                elif arc[2] > start:
+                    start = arc[2]
+            if len(remote) > 1:
+                remote.sort(key=lambda arc: (arc[2], ids[arc[3]]))
+            for src, size, ready_at, p in remote:
+                arrival = commit(src, proc, size, ready_at, state)
+                msg_src.append(p)
+                msg_dst.append(j)
+                msg_size.append(size)
+                msg_hops.append(len(hop_link))
+                if arrival > start:
+                    start = arrival
+
+            finish = start + subtasks[j].wcet / speeds[proc]
+            order.append(j)
+            proc_of[j] = proc
+            start_of[j] = start
+            finish_of[j] = finish
+            available[proc] = finish
+            for k in range(succ_indptr[j], succ_indptr[j + 1]):
+                s = succ_ids[k]
+                pending[s] -= 1
+                if not pending[s]:
+                    heappush(ready, (key_of[s], ids[s], s))
+
+        if len(order) != graph.n_subtasks:
             raise SchedulingError(
                 "scheduler finished with unplaced subtasks; "
                 "the task graph is corrupt"
             )
         obs.count("list.schedules")
-        obs.count("list.tasks_placed", len(schedule.tasks))
-        obs.count("list.messages_placed", len(schedule.messages))
+        obs.count("list.tasks_placed", len(order))
+        obs.count("list.messages_placed", len(msg_src))
         obs.count("bus.probes", probes)
-        obs.count("bus.probe_memo_hits", memo_hits)
-        return schedule
+        return Schedule(graph, system, state)
 
-    # ------------------------------------------------------------------
-    def _place(
-        self,
-        j: int,
-        graph: TaskGraph,
-        index,
-        assignment: DeadlineAssignment,
-        schedule: Schedule,
-        links: LinkTimelines,
-        proc_available: List[Time],
-        finish_of: List[Time],
-        proc_of: List[ProcessorId],
-    ) -> Tuple[int, int]:
-        """Place dense node ``j``; returns (bus probes, probe memo hits).
 
-        Candidate processors are ranked by probed start times. Transfers
-        are probed independently, which can be optimistic when several of
-        this subtask's messages would share a link; the commit path
-        serializes them, so the schedule stays consistent either way.
-        """
-        ids = index.ids
-        node_id = ids[j]
-        sub = index.subtasks[j]
-        candidates = (
-            (sub.pinned_to,) if sub.is_pinned
-            else range(self.system.n_processors)
-        )
+def choose_processor(
+    links: LinkTimelines,
+    pinned_to: Optional[ProcessorId],
+    available: Sequence[Time],
+    lower: Time,
+    arcs: Sequence[Arc],
+) -> Tuple[ProcessorId, Time, int]:
+    """The processor where a subtask can start first, that start, and the
+    number of transfer probes made.
 
-        floor = (
-            assignment.release(node_id) if self.respect_release_times else 0.0
-        )
-        # Incoming arcs as (pred dense id, message size) pairs, in
-        # adjacency order.
-        messages = index.edge_messages
-        incoming = [
-            (index.pred_ids[k], messages[index.pred_edges[k]].size)
-            for k in range(index.pred_indptr[j], index.pred_indptr[j + 1])
-        ]
-        # Per-arc data, hoisted out of the candidate loop. An empty
-        # message arrives at its producer's finish wherever the consumer
-        # runs, so it only raises the lower bound of every candidate.
-        # Nothing is reserved until the choice is made, so a probe's
-        # arrival depends only on (route, size, ready): arcs sharing
-        # (size, ready) share one memo of arrivals keyed by route.
-        paths_from = self.system.interconnect.paths_from
-        memos: Dict[Tuple[Time, Time], Dict[Tuple[str, ...], Time]] = {}
-        lower = floor
-        transfers = []
-        for p, size in incoming:
-            finish = finish_of[p]
-            if size > 0:
-                memo = memos.setdefault((size, finish), {})
-                transfers.append((finish, paths_from(proc_of[p]), proc_of[p], size, memo))
-            elif finish > lower:
-                lower = finish
-        probes = lookups = 0
-        best_proc = -1
-        best_start = 0.0
-        for proc in candidates:
-            start = proc_available[proc]
-            if lower > start:
-                start = lower
-            for finish, paths, pred_proc, size, memo in transfers:
-                route = paths[proc]
-                if not route:  # the producer's own processor
-                    arrival = finish
-                else:
-                    lookups += 1
-                    arrival = memo.get(route)
-                    if arrival is None:
-                        probes += 1
-                        arrival = memo[route] = links.probe_transfer(
-                            pred_proc, proc, size, finish
-                        )
-                if arrival > start:
-                    start = arrival
-            if best_proc < 0 or start < best_start:
-                best_proc, best_start = proc, start
-        proc = best_proc
+    The candidates are ``pinned_to`` alone, or every processor (one per
+    entry of ``available``) in ascending order; the first earliest one
+    wins (a strict ``<``). A candidate's start is the latest of
+    ``available[proc]``, ``lower`` and the arrival of every arc: its
+    producer's finish on the producer's own processor, else the probed
+    transfer. Each processor runs its subtasks one after another, so
+    ``available[p]`` must be no earlier than the finish of every producer
+    on ``p``. Nothing is reserved, so a probe's arrival depends only on
+    (route, size, ready): arcs sharing (size, ready) share one memo of
+    arrivals keyed by route. On a route-uniform interconnect every remote
+    candidate sees the same arrival, so an unpinned choice is made in
+    closed form (DESIGN.md §3.4).
+    """
+    n_processors = len(available)
+    if pinned_to is None and n_processors > 1 and links.interconnect.route_uniform:
+        return _choose_uniform(links, available, lower, arcs)
+    candidates = range(n_processors) if pinned_to is None else (pinned_to,)
+    paths_from = links.interconnect.paths_from
+    memos: Dict[Tuple[Time, Time], Dict[Tuple[str, ...], Time]] = {}
+    transfers = [
+        (ready, paths_from(src), src, size, memos.setdefault((size, ready), {}))
+        for src, size, ready, _ in arcs
+    ]
+    probes = 0
+    best_proc = -1
+    best_start = 0.0
+    for proc in candidates:
+        start = available[proc]
+        if lower > start:
+            start = lower
+        for ready, paths, src, size, memo in transfers:
+            route = paths[proc]
+            if not route:  # the producer's own processor
+                arrival = ready
+            else:
+                arrival = memo.get(route)
+                if arrival is None:
+                    probes += 1
+                    arrival = memo[route] = links.probe_transfer(
+                        src, proc, size, ready
+                    )
+            if arrival > start:
+                start = arrival
+        if best_proc < 0 or start < best_start:
+            best_proc, best_start = proc, start
+    return best_proc, best_start, probes
 
-        arrivals = [floor, proc_available[proc]]
-        for p, size in sorted(incoming, key=lambda it: (finish_of[it[0]], ids[it[0]])):
-            finish = finish_of[p]
-            pred_proc = proc_of[p]
-            if pred_proc == proc or size <= 0:
-                arrivals.append(finish)
-                continue
-            hops = links.commit_transfer(pred_proc, proc, size, finish)
-            schedule.place_message(
-                ScheduledMessage(
-                    src=ids[p],
-                    dst=node_id,
-                    src_processor=pred_proc,
-                    dst_processor=proc,
-                    size=size,
-                    hops=tuple(hops),
-                )
+
+def _choose_uniform(
+    links: LinkTimelines,
+    available: Sequence[Time],
+    lower: Time,
+    arcs: Sequence[Arc],
+) -> Tuple[ProcessorId, Time, int]:
+    """:func:`choose_processor` over all of at least two processors of a
+    route-uniform interconnect, in O(P + arcs).
+
+    Each (size, ready) has one remote arrival, probed once. A local arc
+    never raises a start: its producer finished by its processor's
+    availability. So a candidate's start is the latest of its
+    availability, ``lower`` and the remote arrivals of every producer
+    processor but its own: the latest arrival overall (``first``, from
+    ``first_src``), or on ``first_src`` the latest from elsewhere
+    (``second``).
+    """
+    probed: Dict[Tuple[Time, Time], Time] = {}
+    first = second = lower
+    first_src = -1
+    for src, size, ready, _ in arcs:
+        arrival = probed.get((size, ready))
+        if arrival is None:
+            arrival = probed[size, ready] = links.probe_transfer(
+                src, 1 if src == 0 else 0, size, ready
             )
-            arrivals.append(hops[-1].finish if hops else finish)
-
-        start = max(arrivals)
-        finish = start + self.system.execution_time(proc, sub.wcet)
-        schedule.place_task(
-            ScheduledTask(node_id=node_id, processor=proc, start=start, finish=finish)
-        )
-        proc_available[proc] = finish
-        finish_of[j] = finish
-        proc_of[j] = proc
-        return probes, lookups - probes
+        if src == first_src:
+            if arrival > first:
+                first = arrival
+        elif arrival > first:
+            first, second, first_src = arrival, first, src
+        elif arrival > second:
+            second = arrival
+    best_proc = -1
+    best_start = 0.0
+    for proc, start in enumerate(available):
+        bound = second if proc == first_src else first
+        if bound > start:
+            start = bound
+        if best_proc < 0 or start < best_start:
+            best_proc, best_start = proc, start
+    return best_proc, best_start, len(probed)

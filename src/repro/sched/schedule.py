@@ -5,17 +5,26 @@ every cross-processor message traversed the interconnect. It knows how to
 check its own consistency against the task graph and platform (used by the
 test suite and by :meth:`Schedule.validate` for downstream users) and
 renders a textual Gantt chart for inspection.
+
+The list scheduler fills a :class:`Placements` — flat per-node, per-message
+and per-hop arrays — and hands it to the :class:`Schedule`, which builds
+its :class:`ScheduledTask` and :class:`ScheduledMessage` objects only when
+asked (DESIGN.md §3.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError, UnknownNodeError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
 from repro.types import TIME_EPS, EdgeId, NodeId, ProcessorId, Time
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.annotations import DeadlineAssignment
+    from repro.graph.indexed import GraphIndex
 
 
 @dataclass(frozen=True)
@@ -61,14 +70,168 @@ class ScheduledMessage:
         return self.hops[-1].finish if self.hops else 0.0
 
 
-class Schedule:
-    """A complete non-preemptive schedule of one task graph on one system."""
+class Placements:
+    """Dense state of one schedule, over the dense ids of a
+    :class:`~repro.graph.indexed.GraphIndex`.
 
-    def __init__(self, graph: TaskGraph, system: System) -> None:
+    Per node: processor (``-1`` while unplaced), start and finish, plus
+    the placement order. Per message, in commit order: producer and
+    consumer dense ids, size and ``msg_hops`` — a CSR pointer, so message
+    ``m`` owns hops ``msg_hops[m]:msg_hops[m + 1]``. Per hop: link, start
+    and finish. ``deadline`` holds each node's distributed absolute
+    deadline under ``assignment``, when the producer read them.
+    """
+
+    __slots__ = (
+        "index", "order", "proc_of", "start_of", "finish_of",
+        "msg_src", "msg_dst", "msg_size", "msg_hops",
+        "hop_link", "hop_start", "hop_finish",
+        "assignment", "deadline",
+    )
+
+    def __init__(self, index: "GraphIndex") -> None:
+        n = index.n_nodes
+        self.index = index
+        self.order: List[int] = []
+        self.proc_of: List[ProcessorId] = [-1] * n
+        self.start_of: List[Time] = [0.0] * n
+        self.finish_of: List[Time] = [0.0] * n
+        self.msg_src: List[int] = []
+        self.msg_dst: List[int] = []
+        self.msg_size: List[Time] = []
+        self.msg_hops: List[int] = [0]
+        self.hop_link: List[str] = []
+        self.hop_start: List[Time] = []
+        self.hop_finish: List[Time] = []
+        self.assignment: Optional["DeadlineAssignment"] = None
+        self.deadline: Optional[List[Time]] = None
+
+    @classmethod
+    def of(
+        cls,
+        graph: TaskGraph,
+        tasks: Dict[NodeId, ScheduledTask],
+        messages: Dict[EdgeId, ScheduledMessage],
+    ) -> "Placements":
+        """Dense state of object-built placements, in their dict order."""
+        state = cls(graph.index())
+        id_of = state.index.id_of
+        for entry in tasks.values():
+            j = id_of.get(entry.node_id)
+            if j is None:
+                raise UnknownNodeError(
+                    f"scheduled subtask {entry.node_id!r} not in the graph"
+                )
+            state.order.append(j)
+            state.proc_of[j] = entry.processor
+            state.start_of[j] = entry.start
+            state.finish_of[j] = entry.finish
+        for message in messages.values():
+            state.msg_src.append(id_of[message.src])
+            state.msg_dst.append(id_of[message.dst])
+            state.msg_size.append(message.size)
+            for hop in message.hops:
+                state.hop_link.append(hop.link)
+                state.hop_start.append(hop.start)
+                state.hop_finish.append(hop.finish)
+            state.msg_hops.append(len(state.hop_link))
+        return state
+
+    def require_complete(self) -> None:
+        """Raise :class:`UnknownNodeError` for the first unplaced node."""
+        if len(self.order) != len(self.proc_of):
+            j = self.proc_of.index(-1)
+            raise UnknownNodeError(
+                f"subtask {self.index.ids[j]!r} not scheduled"
+            )
+
+    def by_processor(self, n_processors: int) -> List[List[int]]:
+        """Dense ids on each processor in (start, node id) order, as
+        :meth:`Schedule.tasks_on` orders them (nodes on an unknown
+        processor are left out, as there)."""
+        groups: List[List[int]] = [[] for _ in range(n_processors)]
+        proc_of = self.proc_of
+        for j in self.order:
+            if 0 <= proc_of[j] < n_processors:
+                groups[proc_of[j]].append(j)
+        start_of, ids = self.start_of, self.index.ids
+        for group in groups:
+            # A list scheduler places each processor's subtasks in
+            # strictly increasing start order unless some finish at
+            # their own start; only then is a sort needed.
+            if any(start_of[a] >= start_of[b] for a, b in zip(group, group[1:])):
+                group.sort(key=lambda j: (start_of[j], ids[j]))
+        return groups
+
+
+class Schedule:
+    """A complete non-preemptive schedule of one task graph on one system.
+
+    Built either object by object (:meth:`place_task`,
+    :meth:`place_message`) or from a scheduler's :class:`Placements`. In
+    the latter case :attr:`tasks` and :attr:`messages` are built on first
+    access, in placement and commit order; from then on those dicts are
+    the schedule (callers may edit them) and the arrays are dropped.
+    """
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        system: System,
+        placements: Optional[Placements] = None,
+    ) -> None:
         self.graph = graph
         self.system = system
-        self.tasks: Dict[NodeId, ScheduledTask] = {}
-        self.messages: Dict[EdgeId, ScheduledMessage] = {}
+        self._state = placements
+        self._tasks: Dict[NodeId, ScheduledTask] = {}
+        self._messages: Dict[EdgeId, ScheduledMessage] = {}
+
+    @property
+    def tasks(self) -> Dict[NodeId, ScheduledTask]:
+        """Placement of each subtask, in placement order."""
+        if self._state is not None:
+            self._materialize()
+        return self._tasks
+
+    @property
+    def messages(self) -> Dict[EdgeId, ScheduledMessage]:
+        """Cross-processor transfers by arc, in commit order."""
+        if self._state is not None:
+            self._materialize()
+        return self._messages
+
+    def _materialize(self) -> None:
+        state, self._state = self._state, None
+        ids = state.index.ids
+        proc_of, start_of, finish_of = state.proc_of, state.start_of, state.finish_of
+        self._tasks = {
+            ids[j]: ScheduledTask(ids[j], proc_of[j], start_of[j], finish_of[j])
+            for j in state.order
+        }
+        hops = [
+            HopReservation(link, start, finish)
+            for link, start, finish in zip(
+                state.hop_link, state.hop_start, state.hop_finish
+            )
+        ]
+        bounds = state.msg_hops
+        self._messages = {
+            (ids[p], ids[c]): ScheduledMessage(
+                ids[p], ids[c], proc_of[p], proc_of[c], size,
+                tuple(hops[bounds[m]:bounds[m + 1]]),
+            )
+            for m, (p, c, size) in enumerate(
+                zip(state.msg_src, state.msg_dst, state.msg_size)
+            )
+        }
+
+    def dense(self) -> Placements:
+        """The schedule as dense arrays: the scheduler's own
+        :class:`Placements` while the object view is unbuilt, else one
+        rebuilt from :attr:`tasks` and :attr:`messages`."""
+        if self._state is not None:
+            return self._state
+        return Placements.of(self.graph, self._tasks, self._messages)
 
     # ------------------------------------------------------------------
     # Construction (used by schedulers)
@@ -110,6 +273,19 @@ class Schedule:
             key=lambda t: (t.start, t.node_id),
         )
 
+    def _by_processor(self) -> List[List[ScheduledTask]]:
+        """:meth:`tasks_on` of every processor, from one pass and one
+        sort (a task on an unknown processor is left out, as there)."""
+        groups: List[List[ScheduledTask]] = [
+            [] for _ in range(self.system.n_processors)
+        ]
+        for t in self.tasks.values():
+            if 0 <= t.processor < len(groups):
+                groups[t.processor].append(t)
+        for group in groups:
+            group.sort(key=lambda t: (t.start, t.node_id))
+        return groups
+
     def makespan(self) -> Time:
         """Completion time of the last subtask."""
         if not self.tasks:
@@ -120,8 +296,8 @@ class Schedule:
         """Busy fraction of each processor over the makespan."""
         horizon = self.makespan()
         out: Dict[ProcessorId, float] = {}
-        for p in range(self.system.n_processors):
-            busy = sum(t.duration for t in self.tasks_on(p))
+        for p, tasks in enumerate(self._by_processor()):
+            busy = sum(t.duration for t in tasks)
             out[p] = busy / horizon if horizon > 0 else 0.0
         return out
 
@@ -158,8 +334,7 @@ class Schedule:
         self._validate_precedence()
 
     def _validate_processor_exclusivity(self) -> None:
-        for p in range(self.system.n_processors):
-            ordered = self.tasks_on(p)
+        for p, ordered in enumerate(self._by_processor()):
             for a, b in zip(ordered, ordered[1:]):
                 if b.start < a.finish - TIME_EPS:
                     raise SchedulingError(
@@ -221,9 +396,9 @@ class Schedule:
             return "(empty schedule)"
         scale = (width - 6) / horizon
         lines = []
-        for p in range(self.system.n_processors):
+        for p, tasks in enumerate(self._by_processor()):
             row = [" "] * (width - 6)
-            for t in self.tasks_on(p):
+            for t in tasks:
                 lo = int(t.start * scale)
                 hi = max(lo + 1, int(t.finish * scale))
                 label = t.node_id[-3:]

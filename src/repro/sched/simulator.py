@@ -13,8 +13,9 @@ assignment and scheduling policies"):
   distributed slack survives at run time.
 * **Dynamic dispatch** (:func:`simulate_dynamic`). No precomputed
   placement: whenever a processor is free, the globally highest-priority
-  ready subtask is dispatched to the processor that can start it first,
-  paying its input transfers (bus-reserved) at dispatch time. This is a
+  ready subtask is dispatched to the processor that can start it first
+  (chosen as the list scheduler chooses), paying its input transfers
+  (bus-reserved) at dispatch time. This is a
   global non-preemptive EDF executive driven by the distributed deadlines.
 * **Fixed-allocation replay** (:func:`simulate_fixed`), optionally
   **preemptive**. Placements come from a static schedule (or any map); on
@@ -41,6 +42,7 @@ from repro.errors import SchedulingError, ValidationError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
 from repro.sched.bus import LinkTimelines
+from repro.sched.list_scheduler import choose_processor
 from repro.sched.schedule import Schedule
 from repro.types import TIME_EPS, NodeId, ProcessorId, Time
 
@@ -231,29 +233,21 @@ def simulate_dynamic(
             ready,
             key=lambda n: (assignment.absolute_deadline(n), n),
         )
-        node = graph.node(node_id)
-        candidates = (
-            [node.pinned_to] if node.is_pinned
-            else list(range(system.n_processors))
+        # Empty messages arrive at their producer's completion wherever
+        # the subtask runs; they only raise the lower bound.
+        lower = now
+        arcs = []
+        for pred in graph.predecessors(node_id):
+            size = graph.message(pred, node_id).size
+            if size > 0:
+                arcs.append(
+                    (trace.placements[pred], size, trace.completions[pred], pred)
+                )
+            elif trace.completions[pred] > lower:
+                lower = trace.completions[pred]
+        proc, start, _ = choose_processor(
+            links, graph.node(node_id).pinned_to, proc_free, lower, arcs
         )
-        best: Optional[Tuple[Time, ProcessorId]] = None
-        for proc in candidates:
-            earliest = max(proc_free[proc], now)
-            start = earliest
-            for pred in graph.predecessors(node_id):
-                size = graph.message(pred, node_id).size
-                src_proc = trace.placements[pred]
-                if src_proc == proc or size <= 0:
-                    arrival = trace.completions[pred]
-                else:
-                    arrival = links.probe_transfer(
-                        src_proc, proc, size, trace.completions[pred]
-                    )
-                start = max(start, arrival)
-            if best is None or (start, proc) < best:
-                best = (start, proc)
-        assert best is not None
-        start, proc = best
         # Only dispatch if the processor is actually free now; a start in
         # the future blocks the processor (setup-time semantics).
         for pred in sorted(

@@ -194,7 +194,7 @@ class TestErrors:
 
 
 class TestProbeCounters:
-    def test_probes_and_memo_hits_counted_once_per_schedule(
+    def test_probes_counted_once_per_distinct_remote_arc(
         self, diamond_graph, monkeypatch
     ):
         calls = []
@@ -207,12 +207,21 @@ class TestProbeCounters:
         monkeypatch.setattr(LinkTimelines, "probe_transfer", counting)
         session = obs.Telemetry()
         with obs.activate(session):
-            ListScheduler(System(4)).schedule(
+            schedule = ListScheduler(System(4)).schedule(
                 diamond_graph, assign(diamond_graph)
             )
-        counters = session.metrics.counters
-        assert counters["bus.probes"] == len(calls) > 0
-        # On the shared bus every remote candidate of an arc has the same
-        # route, so each arc is probed once and the other P - 2 remote
-        # candidates hit the memo.
-        assert counters["bus.probe_memo_hits"] == 2 * len(calls)
+        assert session.metrics.counters["bus.probes"] == len(calls) > 0
+        # On the shared bus every remote candidate sees one arrival per
+        # (size, ready), so a placement probes each distinct (size,
+        # producer finish) of its arcs with data once, between two
+        # different processors.
+        expected = sum(
+            len({
+                (diamond_graph.message(p, n).size, schedule.finish_time(p))
+                for p in diamond_graph.predecessors(n)
+                if diamond_graph.message(p, n).size > 0
+            })
+            for n in diamond_graph.node_ids()
+        )
+        assert len(calls) == expected
+        assert all(src != dst for src, dst, _, _ in calls)

@@ -1,12 +1,14 @@
 """Lateness and schedule-quality analysis."""
 
 import math
+import random
 
 import pytest
 
 from repro.core.annotations import DeadlineAssignment, Window
 from repro.core.slicer import bst
-from repro.errors import ValidationError
+from repro.errors import UnknownNodeError, ValidationError
+from repro.graph import RandomGraphConfig, generate_task_graph
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
 from repro.sched.analysis import (
@@ -101,3 +103,61 @@ class TestMetrics:
         empty = Schedule(TaskGraph(), System(1))
         with pytest.raises(ValidationError):
             max_lateness(empty, a)
+
+
+class TestArrayView:
+    """``schedule_metrics`` reads a list schedule's dense arrays; the
+    object view must give the same numbers, bit for bit."""
+
+    def _scheduled(self, seed=3):
+        graph = generate_task_graph(
+            RandomGraphConfig(n_subtasks_range=(20, 30)),
+            rng=random.Random(seed),
+        )
+        assignment = bst("PURE", "CCAA").distribute(graph)
+        schedule = ListScheduler(System(4)).schedule(graph, assignment)
+        return graph, assignment, schedule
+
+    def test_metrics_match_the_object_view(self):
+        graph, assignment, schedule = self._scheduled()
+        from_arrays = schedule_metrics(schedule, assignment).as_dict()
+        assert from_arrays["max_message_lateness"] == from_arrays[
+            "max_message_lateness"
+        ]  # some arc crossed processors with a window
+        rebuilt = Schedule(graph, schedule.system)
+        for entry in schedule.tasks.values():
+            rebuilt.place_task(entry)
+        for message in schedule.messages.values():
+            rebuilt.place_message(message)
+        for view in (schedule, rebuilt):
+            assert repr(schedule_metrics(view, assignment).as_dict()) == repr(
+                from_arrays
+            )
+        lateness = list(lateness_by_subtask(rebuilt, assignment).values())
+        utilization = rebuilt.processor_utilization()
+        assert repr([
+            max(lateness), sum(lateness) / len(lateness), rebuilt.makespan(),
+            sum(utilization.values()) / len(utilization),
+            rebuilt.total_communication_volume(),
+            max(message_lateness(rebuilt, assignment).values()),
+        ]) == repr([
+            from_arrays[k] for k in (
+                "max_lateness", "mean_lateness", "makespan",
+                "mean_utilization", "total_communication_volume",
+                "max_message_lateness",
+            )
+        ])
+
+    def test_edits_to_the_object_view_reach_the_metrics(self):
+        _, assignment, schedule = self._scheduled()
+        last = max(schedule.tasks.values(), key=lambda t: t.finish)
+        schedule.tasks[last.node_id] = ScheduledTask(
+            last.node_id, last.processor, last.start, last.finish + 100.0
+        )
+        assert schedule_metrics(schedule, assignment).makespan == last.finish + 100.0
+
+    def test_unscheduled_subtask_rejected(self):
+        graph, assignment, schedule = self._scheduled()
+        del schedule.tasks[graph.node_ids()[-1]]
+        with pytest.raises(UnknownNodeError):
+            schedule_metrics(schedule, assignment)

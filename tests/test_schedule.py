@@ -65,6 +65,23 @@ class TestQueries:
     def test_empty_makespan(self):
         assert Schedule(chain(), System(2)).makespan() == 0.0
 
+    def test_processor_groups_follow_start_then_id(self):
+        g = TaskGraph()
+        for node_id in "abc":
+            g.add_subtask(node_id, wcet=1.0)
+        s = Schedule(g, System(2))
+        # Placed out of order, two of them tied on their start.
+        s.place_task(ScheduledTask("c", 0, 5.0, 6.0))
+        s.place_task(ScheduledTask("b", 0, 0.0, 0.0))
+        s.place_task(ScheduledTask("a", 0, 0.0, 0.0))
+        expected = [[t.node_id for t in s.tasks_on(p)] for p in range(2)]
+        assert expected == [["a", "b", "c"], []]
+        assert [[t.node_id for t in group] for group in s._by_processor()] == expected
+        state = s.dense()
+        assert [
+            [state.index.ids[j] for j in group] for group in state.by_processor(2)
+        ] == expected
+
 
 class TestConstructionErrors:
     def test_double_place_task(self):

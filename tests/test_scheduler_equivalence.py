@@ -34,6 +34,7 @@ from repro.machine.topology import TOPOLOGIES
 from repro.obs.registry import records_digest
 from repro.sched import ListScheduler
 from repro.sched.policies import POLICIES, make_policy
+from repro.sched.simulator import JitterModel, simulate_dynamic
 
 #: Platform sizes: 4 is a one- or two-hop ring, 6 and 9 give mesh routes
 #: of up to four hops.
@@ -158,6 +159,40 @@ def _schedules_digest() -> str:
     return h.hexdigest()
 
 
+#: Digest of :func:`simulate_dynamic` traces on the bus, ring and ideal
+#: networks, with and without execution-time jitter (see
+#: :func:`_dynamic_digest`), recorded before the dispatcher shared the
+#: list scheduler's candidate choice.
+DYNAMIC_DIGEST = "56347e21f49cd4883fffe518de67b591"
+
+
+def _dynamic_digest() -> str:
+    """Hash of dynamic-dispatch traces: every segment, transfer and
+    completion in trace order, over plain and quantized graphs (the
+    latter with pinned subtasks and zero-size messages)."""
+    h = hashlib.blake2b(digest_size=16)
+    rng = random.Random(16016)
+    config = RandomGraphConfig(n_subtasks_range=(25, 40))
+    graphs = [generate_task_graph(config, rng=rng) for _ in range(2)]
+    graphs += [_quantized(g) for g in graphs]
+    for graph in graphs:
+        assignment = bst("PURE", "CCNE").distribute(graph)
+        for n, speeds in ((4, None), (5, [1.0 + i % 2 for i in range(5)])):
+            for topology in ("bus", "ideal", "ring"):
+                system = System(n, make_interconnect(topology, n), speeds)
+                for jitter in (None, JitterModel(low=0.5, high=1.0, seed=3)):
+                    trace = simulate_dynamic(graph, assignment, system, jitter)
+                    h.update(json.dumps([
+                        [[s.node_id, s.processor, s.start, s.end]
+                         for s in trace.segments],
+                        [[t.src, t.dst, t.src_processor, t.dst_processor,
+                          t.size, t.departure, t.arrival]
+                         for t in trace.transfers],
+                        sorted(trace.completions.items()),
+                    ]).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_records_digest_pinned(name):
     assert _digest(name) == DIGESTS[name], f"scheduler records drifted: {name}"
@@ -167,7 +202,12 @@ def test_full_schedules_pinned():
     assert _schedules_digest() == SCHEDULES_DIGEST
 
 
+def test_dynamic_traces_pinned():
+    assert _dynamic_digest() == DYNAMIC_DIGEST
+
+
 if __name__ == "__main__":
     for key in sorted(CONFIGS):
         print(f"    {key!r}: {_digest(key)!r},")
     print(f"SCHEDULES_DIGEST = {_schedules_digest()!r}")
+    print(f"DYNAMIC_DIGEST = {_dynamic_digest()!r}")

@@ -19,7 +19,7 @@ from repro.core.commcost import (
     Scaled,
     make_estimator,
 )
-from repro.core.criticalpath import CriticalPath, find_critical_path
+from repro.core.criticalpath import CriticalPath
 from repro.core.expanded import ENode, ExpandedGraph
 from repro.core.metrics import (
     AdaptiveLaxityRatio,
@@ -83,7 +83,6 @@ __all__ = [
     "Oracle",
     "make_estimator",
     "CriticalPath",
-    "find_critical_path",
     "ENode",
     "ExpandedGraph",
     "SlicingMetric",

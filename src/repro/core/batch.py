@@ -381,16 +381,13 @@ class _Pack:
         equality is precisely the scalar merge's first-seen-wins rule
         (self-anchor seeded first, predecessors in adjacency order).
 
-        The DP is *incremental*: tables persist across slicing
-        iterations, and only the cone downstream of the last round's
-        changes is recomputed. A node's states are a pure function of
-        its immediate predecessors' states, its own release anchor, and
-        its remaining-flag, so a node is recomputed iff it was seeded as
-        affected by :meth:`_apply_slice` (removed, or release anchor
-        moved) or any predecessor was recomputed this round. Removed
-        predecessors contribute nothing either way (their valid bits
-        were cleared on removal), so influence never flows through
-        them. Levels shallower than every seed are skipped outright."""
+        The DP is *incremental*, by the invalidation argument of
+        DESIGN.md §3.2: tables persist across slicing iterations, and a
+        node is recomputed iff it was seeded as affected by
+        :meth:`_apply_slice` (removed, or release anchor moved) or any
+        predecessor was recomputed this round. Removed nodes' valid bits
+        are cleared, so influence never flows through them. Levels
+        shallower than every seed are skipped outright."""
         val, rel, cst, par, valid = (
             self.val, self.rel, self.cst, self.par, self.valid
         )

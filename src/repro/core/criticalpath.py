@@ -17,21 +17,23 @@ topological order that is exact for the paper's metrics:
   near-critical path, which only affects already-infeasible cases.
 
 Ties between equal-R candidates are broken deterministically (the paper
-breaks them arbitrarily): by fewer nodes, then by the path's id sequence.
+breaks them arbitrarily): by fewer nodes, then by the path's id sequence,
+compared through the expansion's precomputed lexicographic ranks.
 
-The search runs on the expansion's dense integer ids
-(:func:`find_critical_path_indexed`), walking only the still-unassigned
-nodes the slicer hands it; id-sequence ties compare via the expansion's
-precomputed lexicographic ranks, which orders exactly like the string
-sequences did. :func:`find_critical_path` is the string-keyed wrapper kept
-for callers addressing nodes by id.
+The search is incremental across slicing iterations. The slicer owns the
+DP states (one list per dense id) and each deadline-anchored node's best
+candidate (a dict), and hands :func:`find_critical_path_indexed` only the
+ids a slice invalidated: the forward closure of the sliced path's
+unassigned successors, plus the predecessors whose deadline anchor moved
+(re-scored, not recomputed). The first call of a distribution recomputes
+every node. Why that is exact is argued once, in DESIGN.md §3.2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.expanded import ExpandedGraph
 from repro.core.metrics import SlicingMetric
@@ -66,6 +68,9 @@ class CriticalPath:
 # sequence by walking the parent chain.
 _State = tuple
 
+# A node's best candidate is the tuple (ratio, count, state).
+_Candidate = tuple
+
 _BY_RELEASE = itemgetter(0)
 _BY_COST = itemgetter(1)
 
@@ -78,10 +83,48 @@ def _state_path(state) -> Tuple[int, ...]:
     return tuple(reversed(nodes))
 
 
+def _lex_less(a: _State, b: _State, lex_rank: List[int]) -> bool:
+    """Whether ``a``'s path id-sequence sorts before ``b``'s."""
+    return (
+        [lex_rank[j] for j in _state_path(a)]
+        < [lex_rank[j] for j in _state_path(b)]
+    )
+
+
+def _min_candidate(candidates, lex_rank: List[int]) -> Optional[_Candidate]:
+    """The minimum of (ratio, count, state) candidates under the total
+    order (ratio, count, path id-sequence). Equal ratio, count and
+    sequence mean the same path, so the visiting order cannot change the
+    winner."""
+    best = None
+    for cand in candidates:
+        if best is None or cand[0] < best[0]:
+            best = cand
+        elif cand[0] == best[0] and (
+            cand[1] < best[1]
+            or cand[1] == best[1] and _lex_less(cand[2], best[2], lex_rank)
+        ):
+            best = cand
+    return best
+
+
+def _node_best(
+    kept: List[_State], deadline: Time, ratio_of, lex_rank: List[int]
+) -> Optional[_Candidate]:
+    """The best candidate among a node's states, ended at ``deadline``."""
+    return _min_candidate(
+        [(ratio_of(deadline - s[0], s[1], s[2]), s[2], s) for s in kept],
+        lex_rank,
+    )
+
+
 def find_critical_path_indexed(
     expanded: ExpandedGraph,
     metric: SlicingMetric,
-    remaining: Sequence[int],
+    ids: Sequence[int],
+    rescore: Sequence[int],
+    states: List[Optional[List[_State]]],
+    best: Dict[int, _Candidate],
     has_release: bytearray,
     release_anchor: List[Time],
     has_deadline: bytearray,
@@ -90,32 +133,44 @@ def find_critical_path_indexed(
 ) -> CriticalPath:
     """Return the candidate path minimizing ``metric``, on dense ids.
 
-    ``remaining`` must list the unassigned dense ids **in topological
-    order** — the dynamic program walks exactly that list, so each slicing
-    iteration pays only for what is still unassigned. ``has_*`` /
-    ``*_anchor`` carry the current anchors (static application anchors plus
-    anchors inherited from already-sliced neighbours) and ``vcost`` the
-    metric's precomputed per-node virtual costs. Raises
+    ``ids`` lists the dense ids whose DP state this call recomputes, **in
+    topological order**; every other unassigned node keeps its state in
+    ``states``. ``rescore`` lists nodes whose deadline anchor moved; they
+    are re-scored after the recompute. ``best`` maps each
+    deadline-anchored node with a state to its best candidate; this call
+    updates it for ``ids`` and ``rescore``, then returns the minimum over
+    all of it. Assigned nodes must hold no state and no candidate. A full
+    search is the same call with every unassigned id, fresh
+    ``[None] * n`` states and an empty ``best``.
+
+    ``has_*`` / ``*_anchor`` carry the current anchors (static application
+    anchors plus anchors inherited from already-sliced neighbours) and
+    ``vcost`` the metric's precomputed per-node virtual costs. Raises
     :class:`DistributionError` when no candidate path exists — which cannot
     happen for a validated graph and indicates corrupted anchor
     bookkeeping.
     """
-    n = len(expanded.by_index)
-    states: List[Optional[List[_State]]] = [None] * n
     pred_lists = expanded.pred_lists
     lex_rank = expanded.lex_rank
     uses_count = metric.uses_count
     ratio_of = metric.ratio
-    # Best candidate so far, under the total order (ratio, count, path
-    # id-sequence) — total, because equal ratio+count+sequence means the
-    # same path, so the scan order cannot change the winner.
-    best_r = 0.0
-    best_c = 0
-    best_s: Optional[_State] = None
 
-    for i in remaining:
+    for i in ids:
         vc = vcost[i]
-        if uses_count:
+        preds = pred_lists[i]
+        kept: List[_State]
+        if uses_count and len(preds) < 2:
+            # At most one predecessor, whose counts are distinct and >= 1,
+            # so nothing collides with the self-anchor (count 1): the
+            # merge below would keep every state, in this order.
+            kept = []
+            if has_release[i]:
+                kept.append((release_anchor[i], vc, 1, i, None))
+            if preds:
+                plist = states[preds[0]]
+                if plist:
+                    kept += [(s[0], s[1] + vc, s[2] + 1, i, s) for s in plist]
+        elif uses_count:
             # Merge incoming states in place: per path length, the single
             # state maximizing release + cost, first-seen winning ties
             # (self-anchor before predecessors, predecessors in adjacency
@@ -125,7 +180,7 @@ def find_critical_path_indexed(
             if has_release[i]:
                 r = release_anchor[i]
                 by_count[1] = [r + vc, r, vc, None]
-            for p in pred_lists[i]:
+            for p in preds:
                 plist = states[p]
                 if plist:
                     for s in plist:
@@ -140,13 +195,11 @@ def find_critical_path_indexed(
                             cur[1] = s[0]
                             cur[2] = cost
                             cur[3] = s
-            if not by_count:
-                continue
             # No need to order by count: downstream merges key on the
-            # count stored in each state, and the candidate scan below
-            # picks the minimum of a total order — both are invariant
-            # to the order of this list (dict order is deterministic).
-            kept: List[_State] = [
+            # count stored in each state, and candidate selection picks
+            # the minimum of a total order — both are invariant to the
+            # order of this list (dict order is deterministic).
+            kept = [
                 (slot[1], slot[2], c, i, slot[3])
                 for c, slot in by_count.items()
             ]
@@ -154,34 +207,31 @@ def find_critical_path_indexed(
             incoming: List[_State] = []
             if has_release[i]:
                 incoming.append((release_anchor[i], vc, 1, i, None))
-            for p in pred_lists[i]:
+            for p in preds:
                 plist = states[p]
                 if plist:
                     for s in plist:
                         incoming.append((s[0], s[1] + vc, s[2] + 1, i, s))
-            if not incoming:
-                continue
             kept = _pareto(incoming)
+        if not kept:
+            states[i] = None
+            best.pop(i, None)
+            continue
         states[i] = kept
         if has_deadline[i]:
-            deadline = deadline_anchor[i]
-            for s in kept:
-                ratio = ratio_of(deadline - s[0], s[1], s[2])
-                if best_s is None or ratio < best_r:
-                    best_r, best_c, best_s = ratio, s[2], s
-                elif ratio == best_r:
-                    c = s[2]
-                    if c < best_c or (
-                        c == best_c
-                        and [lex_rank[j] for j in _state_path(s)]
-                        < [lex_rank[j] for j in _state_path(best_s)]
-                    ):
-                        best_r, best_c, best_s = ratio, c, s
+            best[i] = _node_best(kept, deadline_anchor[i], ratio_of, lex_rank)
 
-    if best_s is None:
+    for i in rescore:
+        kept = states[i]
+        if kept:
+            best[i] = _node_best(kept, deadline_anchor[i], ratio_of, lex_rank)
+
+    winner = _min_candidate(best.values(), lex_rank)
+    if winner is None:
         raise DistributionError(
             "no candidate path between anchors; anchor bookkeeping is corrupt"
         )
+    best_r, _, best_s = winner
     indices = _state_path(best_s)
     eids = expanded.eids
     return CriticalPath(
@@ -190,42 +240,6 @@ def find_critical_path_indexed(
         release=best_s[0],
         deadline=deadline_anchor[best_s[3]],
         indices=indices,
-    )
-
-
-def find_critical_path(
-    expanded: ExpandedGraph,
-    metric: SlicingMetric,
-    unassigned: Set[str],
-    pending_release: Mapping[str, Time],
-    pending_deadline: Mapping[str, Time],
-) -> CriticalPath:
-    """String-keyed wrapper over :func:`find_critical_path_indexed`.
-
-    ``pending_release``/``pending_deadline`` carry the current anchors,
-    keyed by expanded node id; ``unassigned`` restricts the search.
-    """
-    n = len(expanded.by_index)
-    eids = expanded.eids
-    has_release = bytearray(n)
-    release_anchor: List[Time] = [0.0] * n
-    has_deadline = bytearray(n)
-    deadline_anchor: List[Time] = [0.0] * n
-    for eid, t in pending_release.items():
-        i = expanded.nodes[eid].index
-        has_release[i] = 1
-        release_anchor[i] = t
-    for eid, t in pending_deadline.items():
-        i = expanded.nodes[eid].index
-        has_deadline[i] = 1
-        deadline_anchor[i] = t
-    remaining = [i for i in expanded.topo_indices if eids[i] in unassigned]
-    vcost = [metric.virtual_cost(nd) for nd in expanded.by_index]
-    return find_critical_path_indexed(
-        expanded, metric, remaining,
-        has_release, release_anchor,
-        has_deadline, deadline_anchor,
-        vcost,
     )
 
 

@@ -182,6 +182,10 @@ class ExpandedGraph:
                 self.deadline_anchor[i] = sub.end_to_end_deadline
                 self.has_deadline[i] = 1
         self._topo = self._topological_order()
+        #: Position of each dense id in ``topo_indices``.
+        self.topo_pos: List[int] = [0] * len(self._topo)
+        for pos, i in enumerate(self._topo):
+            self.topo_pos[i] = pos
         #: Deterministic tie-break helper: rank of each node's eid among
         #: all eids in lexicographic order (comparing rank sequences is
         #: exactly comparing eid sequences).

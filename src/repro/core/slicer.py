@@ -22,7 +22,7 @@ pairings.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.annotations import DeadlineAssignment, SliceRecord, Window
 from repro.core.commcost import CCNE, CommCostEstimator
@@ -107,13 +107,14 @@ class DeadlineDistributor:
         self.metric.prepare(expanded, context)
 
         n = len(expanded)
-        # Per-iteration state, all over dense expanded ids: the unassigned
-        # mask plus its topologically-ordered compaction (each critical-path
-        # DP walks only what is still unassigned), the pending anchors, and
-        # the metric's virtual costs (computed once — they do not change
-        # between slices).
+        # Per-distribution state, all over dense expanded ids: the
+        # unassigned mask, the pending anchors, the metric's virtual costs
+        # (computed once — they do not change between slices), and the
+        # critical-path DP's states and per-node best candidates, which
+        # persist across slices. After a slice only the ids it invalidated
+        # are handed to the next search (DESIGN.md §3.2); the first search
+        # recomputes every node.
         unassigned = bytearray(b"\x01" * n)
-        remaining: List[int] = list(expanded.topo_indices)
         has_release = bytearray(expanded.has_release)
         release_anchor: List[Time] = list(expanded.release_anchor)
         has_deadline = bytearray(expanded.has_deadline)
@@ -121,16 +122,24 @@ class DeadlineDistributor:
         vcost: List[Time] = [
             self.metric.virtual_cost(nd) for nd in expanded.by_index
         ]
+        states: list = [None] * n
+        best: dict = {}
+        mark = bytearray(n)
+        ids: List[int] = expanded.topo_indices
+        rescore: List[int] = []
         windows: Dict[int, Window] = {}
         slices = []
+        left = n
+        cells = 0
 
-        while remaining:
+        while left:
             path = find_critical_path_indexed(
-                expanded, self.metric, remaining,
+                expanded, self.metric, ids, rescore, states, best,
                 has_release, release_anchor,
                 has_deadline, deadline_anchor,
                 vcost,
             )
+            cells += len(ids)
             slices.append(
                 SliceRecord(
                     nodes=path.nodes,
@@ -147,16 +156,20 @@ class DeadlineDistributor:
             )
             for i in path.indices:
                 unassigned[i] = 0
-            remaining = [i for i in remaining if unassigned[i]]
-            self._propagate_anchors(
+                states[i] = None
+                best.pop(i, None)
+            left -= len(path.indices)
+            ids, rescore = self._propagate_anchors(
                 expanded, path.indices, unassigned,
                 has_release, release_anchor,
                 has_deadline, deadline_anchor,
-                windows,
+                windows, mark,
             )
 
         obs.count("slicer.distributions")
         obs.count("slicer.slices", len(slices))
+        obs.count("cp.calls", len(slices))
+        obs.count("cp.cells", cells)
         obs.observe(
             "slicer.slices_per_distribution", len(slices),
             buckets=COUNT_BUCKETS,
@@ -224,26 +237,55 @@ class DeadlineDistributor:
         has_deadline: bytearray,
         deadline_anchor: List[Time],
         windows: Dict[int, Window],
-    ) -> None:
+        mark: bytearray,
+    ) -> Tuple[List[int], List[int]]:
         """Figure 1 steps 5–11 (following the prose; see DESIGN.md §5):
         unassigned successors inherit a release anchor, unassigned
-        predecessors inherit a deadline anchor."""
+        predecessors inherit a deadline anchor.
+
+        Returns what the slice invalidated in the critical-path search
+        (DESIGN.md §3.2): the forward closure, over unassigned nodes, of
+        the path's unassigned successors in topological order (their
+        states are recomputed), and the predecessors whose deadline
+        anchor moved (their candidates are re-scored). ``mark`` is a
+        zeroed scratch mask over topological positions and is left
+        zeroed.
+        """
         succ_lists = expanded.succ_lists
         pred_lists = expanded.pred_lists
+        topo_pos = expanded.topo_pos
+        rescore: List[int] = []
         for i in sliced_indices:
             w = windows[i]
             for s in succ_lists[i]:
-                if unassigned[s] and (
-                    not has_release[s] or w.absolute_deadline > release_anchor[s]
-                ):
-                    has_release[s] = 1
-                    release_anchor[s] = w.absolute_deadline
+                if unassigned[s]:
+                    if not has_release[s] or (
+                        w.absolute_deadline > release_anchor[s]
+                    ):
+                        has_release[s] = 1
+                        release_anchor[s] = w.absolute_deadline
+                    mark[topo_pos[s]] = 1
             for p in pred_lists[i]:
                 if unassigned[p] and (
                     not has_deadline[p] or w.release < deadline_anchor[p]
                 ):
                     has_deadline[p] = 1
                     deadline_anchor[p] = w.release
+                    rescore.append(p)
+        # Successors sit at later positions, so one forward scan over the
+        # marks visits the closure in topological order, no sort needed.
+        topo = expanded.topo_indices
+        closure: List[int] = []
+        pos = mark.find(1)
+        while pos >= 0:
+            i = topo[pos]
+            closure.append(i)
+            for s in succ_lists[i]:
+                if unassigned[s]:
+                    mark[topo_pos[s]] = 1
+            mark[pos] = 0
+            pos = mark.find(1, pos + 1)
+        return closure, rescore
 
     def _build_assignment(
         self,

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.core.commcost import CCNE
-from repro.core.criticalpath import find_critical_path
+from repro.core.criticalpath import find_critical_path_indexed
 from repro.core.expanded import ExpandedGraph
 from repro.core.metrics import (
     MetricContext,
@@ -20,10 +20,30 @@ def expand(graph):
     return ExpandedGraph(graph, CCNE())
 
 
+def indexed_search(expanded, metric, unassigned, releases, deadlines):
+    """One full search over the ``unassigned`` expanded ids, with the
+    given anchors (keyed by expanded id) as the dense anchor arrays."""
+    n = len(expanded)
+    has_release, has_deadline = bytearray(n), bytearray(n)
+    release_anchor, deadline_anchor = [0.0] * n, [0.0] * n
+    for eid, t in releases.items():
+        i = expanded.nodes[eid].index
+        has_release[i], release_anchor[i] = 1, t
+    for eid, t in deadlines.items():
+        i = expanded.nodes[eid].index
+        has_deadline[i], deadline_anchor[i] = 1, t
+    ids = [i for i in expanded.topo_indices if expanded.eids[i] in unassigned]
+    return find_critical_path_indexed(
+        expanded, metric, ids, [], [None] * n, {},
+        has_release, release_anchor, has_deadline, deadline_anchor,
+        [metric.virtual_cost(nd) for nd in expanded.by_index],
+    )
+
+
 def search(graph, metric, unassigned=None, releases=None, deadlines=None):
     e = expand(graph)
     metric.prepare(e, MetricContext(graph=graph, n_processors=2))
-    return find_critical_path(
+    return indexed_search(
         e,
         metric,
         unassigned if unassigned is not None else set(e.nodes),
@@ -128,7 +148,7 @@ class TestSubsetSearch:
         # Pretend a, b, d were already sliced; c must attach between the
         # anchors it inherited: release 30 (deadline of a), deadline 80
         # (release of d).
-        path = find_critical_path(
+        path = indexed_search(
             e, metric, {"c"}, {"c": 30.0}, {"c": 80.0}
         )
         assert path.nodes == ("c",)
@@ -140,7 +160,7 @@ class TestSubsetSearch:
         metric = PureLaxityRatio()
         metric.prepare(e, MetricContext(graph=g, n_processors=2))
         with pytest.raises(DistributionError):
-            find_critical_path(e, metric, {"c"}, {}, {})
+            indexed_search(e, metric, {"c"}, {}, {})
 
 
 class TestDeterminism:

@@ -35,10 +35,12 @@ from repro.feast.runner import (
     graph_for_trial,
     make_record,
     prefetch_distributions,
-    run_trial,
+    schedule_trial,
 )
 from repro.machine.system import System
 from repro.machine.topology import make_interconnect
+from repro.sched.analysis import schedule_metrics
+from repro.sched.schedule import Placements, Schedule
 
 #: Chunk coordinates: (scenario, graph index).
 ChunkKey = Tuple[str, int]
@@ -211,10 +213,16 @@ def run_chunk(
 ) -> ChunkResult:
     """Execute one chunk: every (size × method) trial of one graph.
 
-    Generates the graph from its seed, distributes deadlines (reusing
-    size-independent distributions across the size sweep) and schedules
-    each trial; the parent reorders chunks into the canonical record
-    order. ``config.batch`` prefetches the chunk's distributions through
+    Generates the graph from its seed, distributes deadlines and
+    schedules each trial; the parent reorders chunks into the canonical
+    record order. Two reuse layers skip work across the size sweep, each
+    leaving the records bit-identical. Size-independent *distributions*
+    are computed once per method (:func:`distribute_for_trial`). And once
+    a size-independent method's schedule at size P leaves a processor
+    idle on a route-uniform interconnect, every larger size P' whose
+    first P speeds are the same reuses that *saturated schedule*: only
+    :func:`schedule_metrics` reruns, on the size-P' system (DESIGN.md
+    §3.4). ``config.batch`` prefetches the chunk's distributions through
     the batch kernel first (bit-identical records either way). Each
     (size × method) trial runs under a cooperative wall-clock budget of
     ``trial_timeout`` seconds (default: the config's); a trial that
@@ -256,6 +264,10 @@ def run_chunk(
                     prefetched = prefetch_distributions(
                         config, [graph], reusable, indices=[spec.index]
                     )
+            # Per method label: the size, its speeds and the placements
+            # of the sweep's first saturated schedule.
+            saturated: Dict[str, Tuple[int, Tuple[float, ...], Placements]] = {}
+            reused = 0
             for n_processors in config.system_sizes:
                 speeds = speeds_for(config.speed_profile, n_processors)
                 system = System(
@@ -265,6 +277,7 @@ def run_chunk(
                     ),
                     speeds=speeds,
                 )
+                uniform = system.interconnect.route_uniform
                 total_capacity = float(sum(speeds))
                 for method in config.methods:
                     with obs.span("trial", n_processors=n_processors,
@@ -282,15 +295,30 @@ def run_chunk(
                                 prefetched,
                             )
                         with inst.phase("schedule"):
-                            metrics = run_trial(
-                                graph,
-                                assignment,
-                                system,
-                                policy_name=config.policy,
-                                respect_release_times=(
-                                    config.respect_release_times
-                                ),
-                            )
+                            hit = saturated.get(method.label) if uniform else None
+                            if (hit is not None and hit[0] < n_processors
+                                    and speeds[:hit[0]] == hit[1]):
+                                schedule = Schedule(graph, system, hit[2])
+                                reused += 1
+                            else:
+                                schedule = schedule_trial(
+                                    graph,
+                                    assignment,
+                                    system,
+                                    policy_name=config.policy,
+                                    respect_release_times=(
+                                        config.respect_release_times
+                                    ),
+                                )
+                                placements = schedule.dense()
+                                if (uniform and hit is None
+                                        and not method.needs_system_size
+                                        and len(set(placements.proc_of))
+                                        < n_processors):
+                                    saturated[method.label] = (
+                                        n_processors, speeds, placements
+                                    )
+                            metrics = schedule_metrics(schedule, assignment)
                         if budget.expired():
                             inst.record_failure(TrialFailure(
                                 scenario=spec.scenario,
@@ -306,6 +334,7 @@ def run_chunk(
                         config, spec.scenario, n_processors, method,
                         spec.index, assignment, metrics,
                     )
+            obs.count("sched.reused", reused)
             inst.metrics.count("engine.chunks_completed")
             inst.metrics.count("engine.trials_measured", len(chunk.records))
             if chunk_span is not None and before is not None:

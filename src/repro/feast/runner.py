@@ -66,6 +66,7 @@ from repro.obs.resources import sample_resources
 from repro.sched.analysis import ScheduleMetrics, schedule_metrics
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.policies import make_policy
+from repro.sched.schedule import Schedule
 
 #: Seed-spreading multiplier (same prime the graph generator uses).
 SEED_STRIDE = 1_000_003
@@ -252,6 +253,22 @@ class ExperimentResult:
         return len(self.records)
 
 
+def schedule_trial(
+    graph: TaskGraph,
+    assignment: DeadlineAssignment,
+    system: System,
+    policy_name: str = "EDF",
+    respect_release_times: bool = False,
+) -> Schedule:
+    """List-schedule one annotated graph."""
+    scheduler = ListScheduler(
+        system,
+        policy=make_policy(policy_name),
+        respect_release_times=respect_release_times,
+    )
+    return scheduler.schedule(graph, assignment)
+
+
 def run_trial(
     graph: TaskGraph,
     assignment: DeadlineAssignment,
@@ -260,12 +277,9 @@ def run_trial(
     respect_release_times: bool = False,
 ) -> ScheduleMetrics:
     """Schedule one annotated graph and return its metrics."""
-    scheduler = ListScheduler(
-        system,
-        policy=make_policy(policy_name),
-        respect_release_times=respect_release_times,
+    schedule = schedule_trial(
+        graph, assignment, system, policy_name, respect_release_times
     )
-    schedule = scheduler.schedule(graph, assignment)
     return schedule_metrics(schedule, assignment)
 
 

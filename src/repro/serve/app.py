@@ -343,12 +343,17 @@ class ReproService:
         """Yield whole status lines; with ``follow``, tail until terminal.
 
         Reads only up to the last newline, so a concurrently appended
-        (torn) line is never forwarded half-written.
+        (torn) line is never forwarded half-written. The state is read
+        *before* the file: a job writes its ``final`` line before it
+        commits the terminal state, so the read after a terminal state
+        is seen always reaches ``final``.
         """
         path = self.paths.status(job_id)
         position = 0
         deadline = time.monotonic() + self.config.follow_timeout
         while True:
+            state = self.store.state_of(job_id)
+            terminal = state is None or state in JobState.TERMINAL
             chunk = b""
             if os.path.exists(path):
                 with open(path, "rb") as fp:
@@ -359,8 +364,6 @@ class ReproService:
                 chunk = chunk[:complete]
             if chunk:
                 yield chunk
-            state = self.store.state_of(job_id)
-            terminal = state is None or state in JobState.TERMINAL
             if terminal and not chunk:
                 return
             if not follow and not terminal:

@@ -236,8 +236,10 @@ class WorkerPool:
         error: Optional[str] = None,
         **final_fields: Any,
     ) -> None:
+        # The ``final`` line goes first: a follower that sees the
+        # terminal state must find it on its next read.
+        stream.close(state=state, error=error, **final_fields)
         self.store.finish(job_id, state, error=error)
         row = self.store.get(job_id)
         if row is not None and row.started is not None and row.finished is not None:
             self.metrics.job_finished(state, max(0.0, row.finished - row.started))
-        stream.close(state=state, error=error, **final_fields)

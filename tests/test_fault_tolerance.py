@@ -505,15 +505,15 @@ class TestTrialTimeoutRouting:
         """A trial that finishes past its cooperative budget keeps its
         result and logs a slow-trial event."""
         import repro.feast.backends.work as work_mod
-        from repro.feast.runner import run_trial as real_run_trial
+        from repro.feast.runner import schedule_trial as real_schedule_trial
 
-        def slow_run_trial(*args, **kwargs):
+        def slow_schedule_trial(*args, **kwargs):
             import time
 
             time.sleep(0.03)
-            return real_run_trial(*args, **kwargs)
+            return real_schedule_trial(*args, **kwargs)
 
-        monkeypatch.setattr(work_mod, "run_trial", slow_run_trial)
+        monkeypatch.setattr(work_mod, "schedule_trial", slow_schedule_trial)
         cfg = ft_config(n_graphs=1, trial_timeout=0.001)
         result = run_experiment(cfg, jobs=1, retry=FAST)
         assert result.complete  # records kept despite the overrun

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
+from repro.obs.live import StatusStream
 from repro.serve.app import ServiceConfig, ServiceHandle
 from repro.serve.jobs import JobState
 from tests.serve_client import (
@@ -131,6 +133,28 @@ class TestLifecycle:
 
     def test_events_follow_tails_until_terminal(self, server):
         job_id = submit(server.port, tiny_job(name="follow", seed=17))
+        status, _, body = request(
+            server.port, "GET", f"/v1/jobs/{job_id}/events?follow=1"
+        )
+        assert status == 200
+        events = [json.loads(line) for line in body.decode().splitlines()]
+        assert events[-1]["kind"] == "final"
+        assert events[-1]["state"] == JobState.DONE
+
+    def test_events_follow_ends_with_final_when_close_is_slow(
+        self, server, monkeypatch
+    ):
+        """A slow ``final`` write must not let a follower stop short: the
+        terminal state is committed only after the ``final`` line, and
+        the follower reads once more after it sees that state."""
+        close = StatusStream.close
+
+        def slow_close(stream, **final_fields):
+            time.sleep(0.5)
+            close(stream, **final_fields)
+
+        monkeypatch.setattr(StatusStream, "close", slow_close)
+        job_id = submit(server.port, tiny_job(name="slow-close", seed=19))
         status, _, body = request(
             server.port, "GET", f"/v1/jobs/{job_id}/events?follow=1"
         )

@@ -3,28 +3,31 @@
 The :class:`SubprocessBackend` is the relaxed-locality execution story:
 instead of sharing a pool inside one interpreter, the sweep is split
 into ``shards`` disjoint partitions, each executed by an independent
-``repro`` worker subprocess (:mod:`.shardworker`) that talks to the
-parent through the filesystem only — one config-fingerprinted
-checkpoint journal per shard. Nothing but the tiny pickled payload
-crosses a pipe, so the same protocol works unchanged when the "shards"
-are later dispatched to different hosts sharing a filesystem: the
-journal directory is the coordination medium.
+worker process that talks to the parent through the filesystem only —
+a pickled payload file in, one config-fingerprinted checkpoint journal
+per shard and an atomic summary out. Workers are forked from the
+supervisor, which has already imported everything they run, and start
+by shedding the parent's live state (:func:`_clean_start`); the child
+then runs :func:`.shardworker.main`, the same entry point as ``python
+-m repro.feast.backends.shardworker PAYLOAD``. So the protocol works
+unchanged when the "shards" are launched by hand or on different hosts
+sharing a filesystem: the journal directory is the coordination medium.
 
 Liveness supervision
 --------------------
-``proc.poll()`` only detects shards that *die*; a shard that wedges —
-a livelocked solver, a hung filesystem, an injected ``hang`` fault —
-would block the run forever. The supervisor therefore uses the journal
-itself as a heartbeat: a healthy shard appends a chunk line every few
-seconds, so the parent tracks each journal's size (and record count)
-and declares a shard *stalled* when it grows by nothing for
-``RetryPolicy.stall_timeout`` seconds. Escalation is the classic
-ladder: SIGTERM, a ``stall_grace`` period for a clean death, then
-SIGKILL for workers that ignore the term (the journal makes any death
-point safe — at most the in-flight chunk is lost). Stall detection is
-opt-in (``stall_timeout=None`` default) because a legitimately long
-chunk produces no journal growth while it computes; enable it when
-chunk durations are known to be bounded.
+Waiting on the workers' exit sentinels only detects shards that *die*;
+a shard that wedges — a livelocked solver, a hung filesystem, an
+injected ``hang`` fault — would block the run forever. The supervisor
+therefore uses the journal itself as a heartbeat: a healthy shard
+appends a chunk line every few seconds, so the parent tracks each
+journal's size (and record count) and declares a shard *stalled* when
+it grows by nothing for ``RetryPolicy.stall_timeout`` seconds.
+Escalation is the classic ladder: SIGTERM, a ``stall_grace`` period for
+a clean death, then SIGKILL for workers that ignore the term (the
+journal makes any death point safe — at most the in-flight chunk is
+lost). Stall detection is opt-in (``stall_timeout=None`` default)
+because a legitimately long chunk produces no journal growth while it
+computes; enable it when chunk durations are known to be bounded.
 
 Shard-merge protocol
 --------------------
@@ -74,17 +77,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import pickle
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_exit
 from typing import Dict, List, Optional, Set
 
+from repro import budget
 from repro.errors import CheckpointError, ExperimentError, ExperimentWarning
 from repro.feast.backends.base import (
     BackendOutcome,
@@ -95,6 +102,7 @@ from repro.feast.backends.base import (
 )
 from repro.feast.backends.work import ChunkKey, is_parallelizable
 from repro.obs import live as obs_live
+from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.resources import ResourceSample
 from repro.obs.spans import Span
@@ -113,15 +121,23 @@ def shard_keys(config, shard: int, n_shards: int):
     return list(config.chunk_keys())[shard::n_shards]
 
 
-#: Seconds between child-process liveness polls.
+#: Seconds between journal-heartbeat polls while a stall policy is set
+#: (worker exits wake the supervisor at once either way).
 _POLL_INTERVAL = 0.05
 
 #: Extra no-progress allowance before a launch's *first* journal growth.
-#: Worker cold-start (interpreter boot, imports, journal replay) must
-#: not count against the stall deadline, or a loaded host kill-storms
-#: healthy workers before they ever open their journal — the liveness
-#: probe only arms once the startup probe has passed.
+#: A forked worker skips interpreter boot and imports, but its start —
+#: unpickling the payload, replaying its journal (a relaunch re-reads
+#: every chunk it already journaled) — must still not count against the
+#: stall deadline, or a loaded host kill-storms healthy workers before
+#: they ever append: the liveness probe only arms once the startup
+#: probe has passed.
 _STARTUP_ALLOWANCE = 10.0
+
+#: Shard workers are forked from the supervisor, which has already
+#: imported everything they run (the start method the pool backend's
+#: ``ProcessPoolExecutor`` uses on Linux).
+_FORK = multiprocessing.get_context("fork")
 
 #: Journal the parent's terminal in-process sweep appends to.
 _PARENT_JOURNAL = "parent.ckpt"
@@ -143,21 +159,6 @@ def _chunk_digest(chunk) -> str:
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def _worker_env() -> Dict[str, str]:
-    """The child environment: inherit everything, ensure ``repro`` is
-    importable (fault-injection plans etc. ride along automatically)."""
-    import repro
-
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_dir if not existing
-        else src_dir + os.pathsep + existing
-    )
-    return env
-
-
 def _log_tail(path: str, lines: int = 5) -> str:
     try:
         with open(path) as fp:
@@ -165,6 +166,62 @@ def _log_tail(path: str, lines: int = 5) -> str:
     except OSError:
         return ""
     return "\n".join(tail)
+
+
+def _clean_start(log: str) -> None:
+    """Make a forked worker start as clean as a fresh interpreter.
+
+    The fork copied the supervisor mid-run. The worker must not publish
+    into the parent's live status stream (or reach its probes), count
+    into the parent's telemetry session, run under a parent's trial
+    budget, run the parent's thread-exit hooks, keep a parent's
+    SIGTERM/SIGINT handlers (one that ignores SIGTERM would defeat the
+    stall ladder) or signal wakeup fd (an event loop's, in ``repro
+    serve``), or write through the parent's stdio objects. Its fds 1
+    and 2 go to the shard log.
+    """
+    obs_live.detach()
+    obs_runtime.detach()
+    budget.set_trial_deadline(None)
+    # The parent's thread-exit hooks join threads the child lacks; a
+    # ``ThreadPoolExecutor``'s joins the forking thread itself, which is
+    # the child's main thread, and would turn every clean exit into 1.
+    threading._threading_atexits.clear()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.set_wakeup_fd(-1)
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    os.dup2(fd, 1)
+    os.dup2(fd, 2)
+    os.close(fd)
+    sys.stdout = open(1, "w", closefd=False)
+    sys.stderr = open(2, "w", buffering=1, closefd=False)
+
+
+class _ShardProcess(_FORK.Process):
+    """One launch of a shard worker, forked from the supervisor.
+
+    Offers the fleet the ``Popen`` surface it drives — ``pid``,
+    :meth:`poll`, ``terminate()``, ``kill()`` — plus the ``sentinel``
+    it waits on. The child cleans its inherited state, runs
+    :func:`.shardworker.main` on the payload path and exits with its
+    return code, so the exit-code contract is that of
+    ``python -m repro.feast.backends.shardworker PAYLOAD``.
+    """
+
+    def __init__(self, payload: str, log: str, name: str) -> None:
+        super().__init__(name=name)
+        self._payload = payload
+        self._log = log
+
+    def poll(self) -> Optional[int]:
+        return self.exitcode
+
+    def run(self) -> None:
+        _clean_start(self._log)
+        from repro.feast.backends import shardworker
+
+        sys.exit(shardworker.main([self._payload]))
 
 
 @dataclass
@@ -184,7 +241,7 @@ class _Slot:
     #: themselves failed over — the parent sweep is their safety net).
     original: bool = True
     launches: int = 0
-    proc: Optional[subprocess.Popen] = None
+    proc: Optional["_ShardProcess"] = None
     #: Monotonic time before which a (re)launch must not happen.
     eligible_at: float = 0.0
     #: Journal-heartbeat state: last observed size / records, and when
@@ -213,7 +270,6 @@ class _Fleet:
     def __init__(self, request: ExecutionRequest, directory: str) -> None:
         self.request = request
         self.directory = directory
-        self.env = _worker_env()
         self.slots: List[_Slot] = []
         self.stats = SupervisionStats()
 
@@ -256,20 +312,13 @@ class _Fleet:
     # -- lifecycle -----------------------------------------------------
     def _launch(self, slot: _Slot) -> None:
         slot.launches += 1
-        log = open(slot.log, "a")
-        try:
-            slot.proc = subprocess.Popen(
-                [
-                    sys.executable, "-m",
-                    "repro.feast.backends.shardworker",
-                    slot.payload,
-                ],
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                env=self.env,
-            )
-        finally:
-            log.close()
+        # The child inherits a copy of every stdio buffer; empty them so
+        # no parent output is written again from a shard.
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        slot.proc = _ShardProcess(slot.payload, slot.log, name=slot.ident)
+        slot.proc.start()
         # Heartbeat baseline: progress means growth beyond what the
         # journal already holds (relaunches start with a full journal).
         slot.bytes_seen = self._journal_size(slot)
@@ -319,7 +368,7 @@ class _Fleet:
         return {"slots": rows}
 
     def drive(self) -> None:
-        """Poll until every slot is done or given up."""
+        """Supervise until every slot is done or given up."""
         with obs_live.probe("fleet", self._probe):
             self._drive()
 
@@ -329,21 +378,37 @@ class _Fleet:
             if not live:
                 return
             now = time.monotonic()
-            progressed = False
             for slot in live:
                 if slot.proc is None:
                     if now >= slot.eligible_at:
                         self._launch(slot)
-                        progressed = True
                     continue
                 rc = slot.proc.poll()
                 if rc is not None:
                     self._reap(slot, rc)
-                    progressed = True
                 else:
                     self._check_liveness(slot, now)
-            if not progressed:
-                time.sleep(_POLL_INTERVAL)
+            self._wait()
+
+    def _wait(self) -> None:
+        """Sleep until a worker exits, the next relaunch comes due, or —
+        with a stall policy — the next journal-heartbeat poll."""
+        timeout = (
+            _POLL_INTERVAL if self.request.policy.stall_timeout is not None
+            else None
+        )
+        sentinels = []
+        now = time.monotonic()
+        for slot in self.slots:
+            if slot.done or slot.gave_up:
+                continue
+            if slot.proc is not None:
+                sentinels.append(slot.proc.sentinel)
+            else:
+                due = max(0.0, slot.eligible_at - now)
+                timeout = due if timeout is None else min(timeout, due)
+        if sentinels or timeout is not None:
+            wait_for_exit(sentinels, timeout)
 
     def _check_liveness(self, slot: _Slot, now: float) -> None:
         """Journal-growth heartbeat + the SIGTERM→grace→SIGKILL ladder."""

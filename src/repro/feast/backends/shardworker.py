@@ -1,5 +1,10 @@
 """Shard worker process: ``python -m repro.feast.backends.shardworker``.
 
+The subprocess backend forks its workers from the supervisor and calls
+:func:`main` in the child (:mod:`.shards`); ``python -m`` runs the same
+:func:`main` in a fresh interpreter, for a worker launched by hand or on
+another host that shares the journal directory.
+
 One worker owns one shard of a sweep: the chunks whose ordinal in
 ``config.chunk_keys()`` is congruent to the shard index modulo the
 shard count. It executes them through the same :class:`~.base.ChunkDriver`
@@ -22,7 +27,8 @@ which the parent grafts under the run span
 (:meth:`repro.obs.Telemetry.adopt_chunk`).
 
 Exit codes: 0 = shard complete (summary written); ``86`` = injected
-kill (testing hook, below); anything else = crashed, relaunch me.
+kill (testing hook, below); negative = killed by that signal; anything
+else = crashed, relaunch me.
 
 Testing hook
 ------------

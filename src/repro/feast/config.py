@@ -198,6 +198,12 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"system_sizes must all be >= 1, got {self.system_sizes}"
             )
+        if len(set(self.system_sizes)) != len(self.system_sizes):
+            # Records are keyed by (size, method): a repeated size would
+            # be scheduled twice and assembled as duplicate records.
+            raise ExperimentError(
+                f"system_sizes must not repeat a size, got {self.system_sizes}"
+            )
         if self.topology not in TOPOLOGIES:
             raise ExperimentError(
                 f"unknown topology {self.topology!r}; expected one of "

@@ -85,8 +85,9 @@ from repro.errors import ExperimentError
 #: Environment variable carrying the active plan (JSON).
 ENV_VAR = "REPRO_FAULT_PLAN"
 
-#: Optional module imported before plan parsing, so subprocess/spawned
-#: workers can register custom fault kinds (see docs/EXTENDING.md).
+#: Optional module imported before plan parsing, so workers started as
+#: fresh interpreters can register custom fault kinds (see
+#: docs/EXTENDING.md).
 PLUGIN_ENV_VAR = "REPRO_FAULT_PLUGIN"
 
 #: Fault kinds that terminate the executing process (parent-guarded).
@@ -392,10 +393,11 @@ def register_fault_kind(
     ``handler(spec)`` runs inside the injected-into process.
     ``lethal=True`` adds the parent-pid guard: the kind never fires in
     the process that installed the plan (do this for anything that
-    kills or corrupts its process). For workers spawned as fresh
-    interpreters (the subprocess backend), put the registration in an
-    importable module and point ``REPRO_FAULT_PLUGIN`` at it — see
-    docs/EXTENDING.md.
+    kills or corrupts its process). Forked shard workers inherit
+    registrations made before the run; for a worker started as a fresh
+    interpreter (``python -m repro.feast.backends.shardworker``), put
+    the registration in an importable module and point
+    ``REPRO_FAULT_PLUGIN`` at it — see docs/EXTENDING.md.
     """
     FAULT_KINDS[name] = handler
     if lethal:

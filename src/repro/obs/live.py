@@ -199,6 +199,16 @@ def activate_status(stream: Optional[StatusStream]) -> Iterator[None]:
         _active = previous
 
 
+def detach() -> None:
+    """Forget the active stream without writing to or closing it.
+
+    For a process forked mid-run: the stream, its fd, its probes and its
+    lock still belong to the parent, which alone may write the stream.
+    """
+    global _active
+    _active = None
+
+
 def publish(kind: str, **fields: Any) -> None:
     """Publish one status line on the active stream, if any."""
     stream = _active

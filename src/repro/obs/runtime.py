@@ -76,6 +76,16 @@ def activate(session: Optional[Telemetry]) -> Iterator[None]:
         _state.session = previous
 
 
+def detach() -> None:
+    """Deactivate every inherited session without finishing it.
+
+    For a process forked mid-run: the copy of the parent's session is
+    dead, so hot-path hooks must go back to being no-ops.
+    """
+    global _state
+    _state = threading.local()
+
+
 # ----------------------------------------------------------------------
 # Hot-path hooks (no-ops when inactive)
 # ----------------------------------------------------------------------

@@ -121,8 +121,10 @@ def schedule_metrics(
     index = state.index
     ids = index.ids
     finish_of, start_of = state.finish_of, state.start_of
+    # A re-stamped assignment (``replace(..., n_processors=P)``) shares
+    # the scheduler's ``windows`` dict, so its deadlines are reusable too.
     deadline = (
-        state.deadline if state.assignment is assignment
+        state.deadline if state.windows is assignment.windows
         else [assignment.absolute_deadline(node_id) for node_id in ids]
     )
     values: List[Time] = [f - d for f, d in zip(finish_of, deadline)]

@@ -84,7 +84,7 @@ class ListScheduler:
             ) from None
 
         state = Placements(index)
-        state.assignment = assignment
+        state.windows = windows
         deadline = state.deadline = [w.absolute_deadline for w in window_of]
         floor_of = (
             [w.release for w in window_of] if self.respect_release_times

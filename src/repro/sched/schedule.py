@@ -23,7 +23,7 @@ from repro.machine.system import System
 from repro.types import TIME_EPS, EdgeId, NodeId, ProcessorId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.annotations import DeadlineAssignment
+    from repro.core.annotations import Window
     from repro.graph.indexed import GraphIndex
 
 
@@ -79,14 +79,14 @@ class Placements:
     consumer dense ids, size and ``msg_hops`` — a CSR pointer, so message
     ``m`` owns hops ``msg_hops[m]:msg_hops[m + 1]``. Per hop: link, start
     and finish. ``deadline`` holds each node's distributed absolute
-    deadline under ``assignment``, when the producer read them.
+    deadline, read from the ``windows`` dict of the producer's assignment.
     """
 
     __slots__ = (
         "index", "order", "proc_of", "start_of", "finish_of",
         "msg_src", "msg_dst", "msg_size", "msg_hops",
         "hop_link", "hop_start", "hop_finish",
-        "assignment", "deadline",
+        "windows", "deadline",
     )
 
     def __init__(self, index: "GraphIndex") -> None:
@@ -103,7 +103,7 @@ class Placements:
         self.hop_link: List[str] = []
         self.hop_start: List[Time] = []
         self.hop_finish: List[Time] = []
-        self.assignment: Optional["DeadlineAssignment"] = None
+        self.windows: Optional[Dict[NodeId, "Window"]] = None
         self.deadline: Optional[List[Time]] = None
 
     @classmethod

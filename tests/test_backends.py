@@ -2,6 +2,8 @@
 kill-and-resume fault tolerance, streaming aggregation, journal repair."""
 
 import os
+import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,12 @@ from repro.feast.persistence import (
 )
 from repro.feast.runner import run_experiment
 from repro.graph.generator import RandomGraphConfig
+from repro.obs.live import (
+    StatusSampler,
+    StatusStream,
+    activate_status,
+    read_status,
+)
 
 
 def tiny_config(**kwargs):
@@ -205,12 +213,14 @@ class TestShardJournalAndResume:
 
     def test_killed_shard_relaunches_incrementally(self, tmp_path,
                                                    monkeypatch):
+        """The kill plan is set long after ``repro`` was imported; a
+        forked worker reads ``os.environ`` as it is at launch."""
         cfg = tiny_config(scenarios=("LDET", "MDET"), n_graphs=2)
         expected = dicts(run_experiment(cfg, jobs=1))
         monkeypatch.setenv("REPRO_SHARD_KILL_AFTER", "1")
         monkeypatch.setenv("REPRO_SHARD_KILL_SHARD", "0")
         ck = str(tmp_path / "ck")
-        with pytest.warns(ExperimentWarning, match="relaunching"):
+        with pytest.warns(ExperimentWarning, match="code 86; relaunching"):
             result = run_experiment(cfg, backend="subprocess", shards=2,
                                     checkpoint=ck)
         # The shard died after journaling one chunk; the relaunch must
@@ -220,6 +230,13 @@ class TestShardJournalAndResume:
         )
         assert dicts(result) == expected
         assert result.fallback_reason is None
+        assert result.supervision.relaunches == 1
+        # ... and the journals it left resume byte-identical.
+        inst = Instrumentation()
+        resumed = run_experiment(cfg, backend="subprocess", shards=2,
+                                 checkpoint=ck, instrumentation=inst)
+        assert dicts(resumed) == expected
+        assert inst.replayed_trials == cfg.n_trials
 
     def test_compacted_journal_resumes_at_any_shard_count(self, tmp_path):
         cfg = tiny_config(n_graphs=2)
@@ -322,6 +339,140 @@ class TestStreaming:
         assert result.supervision.relaunches >= 1
         assert result.supervision.shards_failed_over == 1
         assert result.supervision.chunks_replayed >= 1
+
+
+class TestForkedWorkerStartsClean:
+    """Shard workers are forked from the supervisor mid-run, yet must
+    start as clean as a fresh interpreter: none of the parent's live
+    state, handlers or stdio may carry over into them."""
+
+    def test_status_stream_is_written_by_the_parent_alone(
+        self, tmp_path, monkeypatch
+    ):
+        emit = StatusStream.emit
+
+        def stamped(self, kind, **fields):
+            emit(self, kind, writer=os.getpid(), **fields)
+
+        monkeypatch.setattr(StatusStream, "emit", stamped)
+        cfg = tiny_config(scenarios=("LDET", "MDET"), n_graphs=3)
+        inst = Instrumentation()
+        stream = StatusStream(
+            str(tmp_path / "bke.status.jsonl"), cfg.name, "run-1"
+        )
+        sampler = StatusSampler(
+            stream, inst, interval=0.05, backend="subprocess", shards=2
+        )
+        with activate_status(stream):
+            sampler.start()
+            try:
+                run_experiment(cfg, backend="subprocess", shards=2,
+                               instrumentation=inst)
+            finally:
+                sampler.stop()
+        stream.close()
+        events = read_status(stream.path)
+        kinds = [e["kind"] for e in events]
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        assert kinds.count("header") == 1 and kinds.count("final") == 1
+        assert kinds[0] == "header" and kinds[-1] == "final"
+        assert "progress" in kinds
+        assert {e["writer"] for e in events} == {os.getpid()}
+
+    def test_parent_sigterm_handler_does_not_shield_workers(self, tmp_path):
+        """The parent ignores SIGTERM; a hung worker must still die on
+        the stall ladder's SIGTERM, never needing the SIGKILL."""
+        from repro.feast import faultinject
+        from repro.feast.backends.work import RetryPolicy
+        from repro.feast.faultinject import FaultPlan, FaultSpec
+
+        cfg = tiny_config(scenarios=("LDET", "MDET"), n_graphs=3)
+        expected = dicts(run_experiment(cfg, jobs=1))
+        # Shard 0's second chunk: the first one has already journaled,
+        # so the stall deadline carries no startup allowance.
+        scenario, index = list(cfg.chunk_keys())[2]
+        plan = FaultPlan(faults=(
+            FaultSpec(scenario=scenario, index=index, kind="hang",
+                      once=True, seconds=30.0),
+        ))
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.01,
+                             backoff_factor=2.0, backoff_max=0.05,
+                             stall_timeout=0.8, stall_grace=2.0)
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        try:
+            with faultinject.active(plan):
+                with pytest.warns(ExperimentWarning, match="stalled"):
+                    result = run_experiment(
+                        cfg, backend="subprocess", shards=2,
+                        checkpoint=str(tmp_path / "ck"), retry=policy,
+                    )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert dicts(result) == expected
+        assert result.supervision.stalls_detected == 1
+        assert result.supervision.kills_escalated == 0
+        assert result.supervision.relaunches == 1
+
+    def test_workers_forked_from_an_executor_thread_exit_cleanly(self):
+        """``repro serve`` runs each job on a ``ThreadPoolExecutor``
+        thread, which becomes the forked worker's main thread."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfg = tiny_config(n_graphs=2)
+        expected = dicts(run_experiment(cfg, jobs=1))
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            result = executor.submit(
+                run_experiment, cfg, backend="subprocess", shards=2
+            ).result()
+        assert result.supervision.relaunches == 0
+        assert result.fallback_reason is None
+        assert dicts(result) == expected
+
+    def test_clean_start_drops_the_rest_of_the_parent_state(self, tmp_path):
+        """Checked inside a forked child: no telemetry session, trial
+        budget, parent signal handler or signal wakeup fd survives."""
+        from repro import budget
+        from repro.feast.backends import shards
+        from repro.obs import live as obs_live
+        from repro.obs import runtime as obs_runtime
+
+        log = str(tmp_path / "child.log")
+        clean = (None, None, None, signal.SIG_DFL,
+                 signal.default_int_handler, -1)
+
+        def child():
+            shards._clean_start(log)
+            state = (
+                obs_live.active_status(), obs_runtime.active(),
+                budget.current_trial_deadline(),
+                signal.getsignal(signal.SIGTERM),
+                signal.getsignal(signal.SIGINT),
+                signal.set_wakeup_fd(-1),
+            )
+            print(state)
+            sys.exit(0 if state == clean else 1)
+
+        stream = StatusStream(str(tmp_path / "p.status.jsonl"), "p", "run-1")
+        reader, writer = socket.socketpair()
+        writer.setblocking(False)
+        previous_term = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        previous_wakeup = signal.set_wakeup_fd(writer.fileno())
+        try:
+            with activate_status(stream), \
+                    obs_runtime.activate(obs_runtime.Telemetry()), \
+                    budget.trial_deadline(60.0):
+                proc = shards._FORK.Process(target=child)
+                proc.start()
+                proc.join(30)
+        finally:
+            signal.set_wakeup_fd(previous_wakeup)
+            signal.signal(signal.SIGTERM, previous_term)
+            reader.close()
+            writer.close()
+            stream.close()
+        with open(log) as fp:
+            output = fp.read()
+        assert proc.exitcode == 0, output
 
 
 class TestJournalRepair:

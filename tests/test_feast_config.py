@@ -101,6 +101,8 @@ class TestExperimentConfig:
             self.base(system_sizes=())
         with pytest.raises(ExperimentError):
             self.base(system_sizes=(0, 2))
+        with pytest.raises(ExperimentError, match="repeat"):
+            self.base(system_sizes=(4, 4, 8))
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ExperimentError):

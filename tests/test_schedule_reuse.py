@@ -14,10 +14,12 @@ from __future__ import annotations
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.pinning import pin_subtasks
+from repro.errors import ExperimentError
 from repro.feast.backends.work import TrialSpec, run_chunk
 from repro.feast.config import (
     SPEED_PROFILES,
@@ -125,7 +127,7 @@ def _pinned(graph, pins, n_processors):
     })
 
 
-_SIZES = st.lists(st.integers(1, 12), min_size=1, max_size=5)
+_SIZES = st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True)
 _PINS = st.lists(st.one_of(st.none(), st.integers(0, 11)), max_size=30)
 
 
@@ -168,11 +170,11 @@ class TestSweepOrder:
         assert counters["sched.reused"] == 4
         assert counters["list.schedules"] == 16
 
-    def test_repeated_size_is_scheduled_again(self):
-        """A size equal to the saturated one is not larger: no reuse."""
-        counters = _run(_chain(), (4, 4, 8), "EDF", "uniform", "bus", False)
-        assert counters["sched.reused"] == 4
-        assert counters["list.schedules"] == 11
+    def test_repeated_size_is_rejected(self):
+        """Records are keyed by (size, method), so a repeated size never
+        reaches the sweep; (8, 2, 16, 3) above covers the size guard."""
+        with pytest.raises(ExperimentError, match="repeat"):
+            _config(_chain(), (4, 4, 8), "EDF", "uniform", "bus", False)
 
     def test_changed_speed_prefix_blocks_reuse(self):
         """Processor 0 speeds up with the platform here, so the size-2

@@ -9,10 +9,14 @@ with a :class:`~repro.obs.StatusStream`, a fast-ticking
 wall-clock overhead. ``--max-overhead-pct`` turns it into the CI gate
 the ``bench_runtime`` job enforces (ISSUE 9: ≤5%).
 
-Timings are best-of-N per variant with the collector paused, because a
-single run on a shared CI runner measures the neighbor's workload as
-much as ours. Interleaving the variants (bare, live, bare, live, ...)
-additionally decorrelates slow machine phases from one variant.
+Each repeat times one pair — a bare run, then a live run — and the
+verdict is the median of the pairs' live/bare ratios. A slow phase of a
+shared runner lands inside one pair and moves one ratio, which the
+median drops; comparing each variant's best run instead lets one lucky
+bare run and one unlucky live run decide it. The collector is paused
+inside the timed runs and run before each one, so every run starts from
+the same heap: with garbage left to pile up, the second run of a pair
+read 3-9% slower than the first even when both were bare.
 
 Usage::
 
@@ -29,6 +33,7 @@ import gc
 import json
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -66,6 +71,7 @@ def _config(n_graphs: int) -> ExperimentConfig:
 
 
 def run_bare(config: ExperimentConfig, jobs: int) -> float:
+    gc.collect()
     began = time.perf_counter()
     run_experiment(config, jobs=jobs)
     return time.perf_counter() - began
@@ -83,6 +89,7 @@ def run_live(config: ExperimentConfig, jobs: int, workdir: str,
         stream, inst, interval=interval,
         metrics_out=os.path.join(workdir, "metrics.prom"),
     )
+    gc.collect()
     began = time.perf_counter()
     with activate_status(stream), sampler:
         run_experiment(config, jobs=jobs, instrumentation=inst)
@@ -94,35 +101,33 @@ def run_live(config: ExperimentConfig, jobs: int, workdir: str,
 def time_overhead(
     n_graphs: int, jobs: int, repeats: int, interval: float
 ) -> Dict[str, float]:
-    """Best-of-``repeats`` bare vs fully-observed wall-clock seconds."""
+    """``repeats`` interleaved (bare, live) pairs; the overhead is the
+    median of the per-pair live/bare ratios."""
     config = _config(n_graphs)
     run_bare(config, jobs)  # warm imports/caches outside the timings
-    bare_best = live_best = None
+    pairs = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            seconds = run_bare(config, jobs)
-            bare_best = (
-                seconds if bare_best is None else min(bare_best, seconds)
-            )
+            bare = run_bare(config, jobs)
             workdir = tempfile.mkdtemp(prefix="obs-overhead-")
             try:
-                seconds = run_live(config, jobs, workdir, interval)
+                live = run_live(config, jobs, workdir, interval)
             finally:
                 shutil.rmtree(workdir, ignore_errors=True)
-            live_best = (
-                seconds if live_best is None else min(live_best, seconds)
-            )
+            pairs.append((bare, live))
     finally:
         if gc_was_enabled:
             gc.enable()
+    ratio = statistics.median(live / bare for bare, live in pairs)
     return {
         "n_graphs": n_graphs,
         "jobs": jobs,
-        "bare_seconds": bare_best,
-        "live_seconds": live_best,
-        "overhead_pct": (live_best - bare_best) / bare_best * 100.0,
+        "pairs": pairs,
+        "bare_seconds": statistics.median(bare for bare, _ in pairs),
+        "live_seconds": statistics.median(live for _, live in pairs),
+        "overhead_pct": (ratio - 1.0) * 100.0,
     }
 
 

@@ -20,84 +20,48 @@ Quickstart
 True
 """
 
-from repro.core import (
-    CCAA,
-    CCNE,
-    AdaptiveLaxityRatio,
-    DeadlineAssignment,
-    DeadlineDistributor,
-    NormalizedLaxityRatio,
-    PureLaxityRatio,
-    ThresholdLaxityRatio,
-    Window,
-    ast,
-    bst,
-    make_estimator,
-    make_metric,
-    validate_assignment,
-)
-from repro.errors import ReproError
-from repro.graph import (
-    RandomGraphConfig,
-    Subtask,
-    TaskGraph,
-    generate_task_graph,
-    generate_task_graphs,
-    graph_stats,
-)
-from repro.machine import System, make_interconnect
-from repro.sched import (
-    ListScheduler,
-    Schedule,
-    max_lateness,
-    schedule_metrics,
-)
-from repro.feast import (
-    ExperimentConfig,
-    MethodSpec,
-    build_experiment,
-    lateness_report,
-    run_experiment,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    # graph
-    "TaskGraph",
-    "Subtask",
-    "RandomGraphConfig",
-    "generate_task_graph",
-    "generate_task_graphs",
-    "graph_stats",
-    # core
-    "DeadlineDistributor",
-    "DeadlineAssignment",
-    "Window",
-    "bst",
-    "ast",
-    "make_metric",
-    "make_estimator",
-    "validate_assignment",
-    "PureLaxityRatio",
-    "NormalizedLaxityRatio",
-    "ThresholdLaxityRatio",
-    "AdaptiveLaxityRatio",
-    "CCNE",
-    "CCAA",
-    # machine + sched
-    "System",
-    "make_interconnect",
-    "ListScheduler",
-    "Schedule",
-    "max_lateness",
-    "schedule_metrics",
-    # feast
-    "ExperimentConfig",
-    "MethodSpec",
-    "build_experiment",
-    "run_experiment",
-    "lateness_report",
-]
+__all__ = ["__version__"] + lazy_exports(__name__, {
+    ".errors": ("ReproError",),
+    ".graph": (
+        "TaskGraph",
+        "Subtask",
+        "RandomGraphConfig",
+        "generate_task_graph",
+        "generate_task_graphs",
+        "graph_stats",
+    ),
+    ".core": (
+        "DeadlineDistributor",
+        "DeadlineAssignment",
+        "Window",
+        "bst",
+        "ast",
+        "make_metric",
+        "make_estimator",
+        "validate_assignment",
+        "PureLaxityRatio",
+        "NormalizedLaxityRatio",
+        "ThresholdLaxityRatio",
+        "AdaptiveLaxityRatio",
+        "CCNE",
+        "CCAA",
+    ),
+    ".machine": ("System", "make_interconnect"),
+    ".sched": (
+        "ListScheduler",
+        "Schedule",
+        "max_lateness",
+        "schedule_metrics",
+    ),
+    ".feast": (
+        "ExperimentConfig",
+        "MethodSpec",
+        "build_experiment",
+        "run_experiment",
+        "lateness_report",
+    ),
+})

@@ -55,19 +55,7 @@ import sys
 import time
 from typing import Callable, List, Optional, Sequence
 
-from repro.core import ast, bst, validate_assignment
-from repro.core.slicer import DeadlineDistributor
-from repro.feast import (
-    EXPERIMENTS,
-    build_experiment,
-    lateness_report,
-    run_experiment,
-    to_csv,
-)
-from repro.graph import RandomGraphConfig, generate_task_graph, graph_stats
-from repro.graph.serialization import to_dot
-from repro.machine import System, make_interconnect
-from repro.sched import ListScheduler, schedule_metrics
+from repro.feast import EXPERIMENTS, build_experiment, run_experiment
 
 
 def _parse_sizes(text: str) -> List[int]:
@@ -591,8 +579,24 @@ def _fault_summary(result) -> Optional[str]:
     return "fault report:\n" + "\n".join(lines)
 
 
+def _known_backend(name: str) -> bool:
+    """Whether ``name`` is registered; prints the CLI error if not."""
+    from repro.feast.backends import backend_names
+
+    if name in backend_names():
+        return True
+    print(
+        f"error: unknown backend {name!r}; expected one "
+        f"of {', '.join(backend_names())}",
+        file=sys.stderr,
+    )
+    return False
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     import dataclasses
+
+    from repro.feast import lateness_report, to_csv
 
     kwargs = {}
     if args.graphs is not None:
@@ -615,16 +619,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.feast.backends import resolve_jobs
 
     jobs = resolve_jobs(args.jobs)
-    if args.backend is not None:
-        from repro.feast.backends import backend_names
-
-        if args.backend not in backend_names():
-            print(
-                f"error: unknown backend {args.backend!r}; expected one "
-                f"of {', '.join(backend_names())}",
-                file=sys.stderr,
-            )
-            return 2
+    if args.backend is not None and not _known_backend(args.backend):
+        return 2
     if args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
@@ -969,6 +965,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.core import ast, bst, validate_assignment
+    from repro.core.slicer import DeadlineDistributor
+    from repro.graph import RandomGraphConfig, generate_task_graph, graph_stats
+    from repro.graph.serialization import to_dot
+    from repro.machine import System, make_interconnect
+    from repro.sched import ListScheduler, schedule_metrics
+
     graph = generate_task_graph(
         RandomGraphConfig(), rng=random.Random(args.seed)
     )
@@ -1193,6 +1196,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.app import ServiceConfig, run_service
 
+    if not _known_backend(args.backend):
+        return 2
     token = args.auth_token or os.environ.get("REPRO_SERVE_TOKEN")
     if args.auth == "token" and not token:
         print(

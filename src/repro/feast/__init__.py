@@ -1,143 +1,86 @@
-"""FEAST-style experiment harness: configs, runner, statistics, tables."""
+"""FEAST-style experiment harness: configs, runner, statistics, tables.
 
-from repro.feast.aggregate import (
-    PairedComparison,
-    StreamingAggregator,
-    Summary,
-    paired_comparison,
-    mean_end_to_end_lateness,
-    group_records,
-    improvement_over,
-    mean_max_lateness,
-    summarize,
-    summarize_by,
-)
-from repro.feast.backends import (
-    ExecutionBackend,
-    ExecutionRequest,
-    RetryPolicy,
-    TrialSpec,
-    backend_names,
-    default_jobs,
-    make_backend,
-    register_backend,
-)
-from repro.feast.config import (
-    PAPER_N_GRAPHS,
-    PAPER_SYSTEM_SIZES,
-    ExperimentConfig,
-    MethodSpec,
-)
-from repro.feast.experiments import EXPERIMENTS, build_experiment
-from repro.feast.instrumentation import (
-    Instrumentation,
-    PhaseTimings,
-    ProgressFn,
-    TrialFailure,
-)
-from repro.feast.persistence import (
-    CheckpointJournal,
-    JournalInfo,
-    SeriesDelta,
-    compact_journals,
-    compare,
-    config_fingerprint,
-    inspect_journal,
-    iter_journal,
-    journal_paths,
-    load_result,
-    read_journal_header,
-    result_from_dict,
-    result_to_dict,
-    save_result,
-)
-from repro.feast.plots import lateness_plot, render_plot
-from repro.feast.sweep import run_experiments, sweep_field, sweep_grid
-from repro.feast.reporting import (
-    improvement_section,
-    lateness_section,
-    render_report,
-)
-from repro.feast.runner import (
-    ExperimentResult,
-    TrialRecord,
-    graph_for_trial,
-    run_experiment,
-    run_trial,
-    scenario_seed,
-    trial_seed,
-)
-from repro.feast.tables import (
-    end_to_end_panel,
-    lateness_panel,
-    lateness_report,
-    render_table,
-    series,
-    to_csv,
-)
+Importing the harness loads the serial run path — the runner, the
+experiment registry and the serial backend with everything they call —
+so a sweep's first timed call imports nothing. The rest (aggregation,
+tables, plots, persistence, the pool and subprocess backends) loads when
+it is first used (DESIGN.md §6).
+"""
 
-__all__ = [
-    "Summary",
-    "summarize",
-    "summarize_by",
-    "group_records",
-    "mean_max_lateness",
-    "mean_end_to_end_lateness",
-    "improvement_over",
-    "PairedComparison",
-    "paired_comparison",
-    "ExperimentConfig",
-    "MethodSpec",
-    "PAPER_N_GRAPHS",
-    "PAPER_SYSTEM_SIZES",
-    "EXPERIMENTS",
-    "build_experiment",
-    "ExperimentResult",
-    "TrialRecord",
-    "run_experiment",
-    "run_trial",
-    "default_jobs",
-    "TrialSpec",
-    "RetryPolicy",
-    "TrialFailure",
-    "ExecutionBackend",
-    "ExecutionRequest",
-    "backend_names",
-    "make_backend",
-    "register_backend",
-    "StreamingAggregator",
-    "CheckpointJournal",
-    "JournalInfo",
-    "config_fingerprint",
-    "read_journal_header",
-    "iter_journal",
-    "inspect_journal",
-    "journal_paths",
-    "compact_journals",
-    "Instrumentation",
-    "PhaseTimings",
-    "ProgressFn",
-    "graph_for_trial",
-    "scenario_seed",
-    "trial_seed",
-    "run_experiments",
-    "sweep_field",
-    "sweep_grid",
-    "render_report",
-    "lateness_section",
-    "improvement_section",
-    "lateness_panel",
-    "end_to_end_panel",
-    "lateness_report",
-    "render_table",
-    "series",
-    "to_csv",
-    "lateness_plot",
-    "render_plot",
-    "SeriesDelta",
-    "compare",
-    "save_result",
-    "load_result",
-    "result_to_dict",
-    "result_from_dict",
-]
+from repro._lazy import lazy_exports
+
+__all__ = lazy_exports(__name__, {
+    ".aggregate": (
+        "PairedComparison",
+        "StreamingAggregator",
+        "Summary",
+        "paired_comparison",
+        "mean_end_to_end_lateness",
+        "group_records",
+        "improvement_over",
+        "mean_max_lateness",
+        "summarize",
+        "summarize_by",
+    ),
+    ".backends": (
+        "ExecutionBackend",
+        "ExecutionRequest",
+        "RetryPolicy",
+        "TrialSpec",
+        "backend_names",
+        "default_jobs",
+        "make_backend",
+        "register_backend",
+    ),
+    ".config": (
+        "PAPER_N_GRAPHS",
+        "PAPER_SYSTEM_SIZES",
+        "ExperimentConfig",
+        "MethodSpec",
+    ),
+    ".experiments": ("EXPERIMENTS", "build_experiment"),
+    ".instrumentation": (
+        "Instrumentation",
+        "PhaseTimings",
+        "ProgressFn",
+        "TrialFailure",
+    ),
+    ".persistence": (
+        "CheckpointJournal",
+        "JournalInfo",
+        "SeriesDelta",
+        "compact_journals",
+        "compare",
+        "config_fingerprint",
+        "inspect_journal",
+        "iter_journal",
+        "journal_paths",
+        "load_result",
+        "read_journal_header",
+        "result_from_dict",
+        "result_to_dict",
+        "save_result",
+    ),
+    ".plots": ("lateness_plot", "render_plot"),
+    ".sweep": ("run_experiments", "sweep_field", "sweep_grid"),
+    ".reporting": ("improvement_section", "lateness_section", "render_report"),
+    ".runner": (
+        "ExperimentResult",
+        "TrialRecord",
+        "graph_for_trial",
+        "run_experiment",
+        "run_trial",
+        "scenario_seed",
+        "trial_seed",
+    ),
+    ".tables": (
+        "end_to_end_panel",
+        "lateness_panel",
+        "lateness_report",
+        "render_table",
+        "series",
+        "to_csv",
+    ),
+})
+
+from repro.feast import backends, experiments, runner  # noqa: E402,F401

@@ -22,36 +22,58 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from repro._lazy import lazy_exports
 from repro.errors import ExperimentError
-from repro.feast.backends.base import (
-    BackendOutcome,
-    ChunkDriver,
-    ChunkState,
-    ExecutionBackend,
-    ExecutionRequest,
-    SupervisionStats,
-    assemble_records,
-)
-from repro.feast.backends.pool import PoolSupervisor, ProcessPoolBackend
-from repro.feast.backends.serial import SerialBackend, run_classic_serial
-from repro.feast.backends.shards import SubprocessBackend
-from repro.feast.backends.work import (
-    ChunkKey,
-    ChunkResult,
-    RetryPolicy,
-    TrialSpec,
-    default_jobs,
-    execute_chunk,
-    is_parallelizable,
-    resolve_jobs,
-    run_chunk,
-)
+from repro.feast.backends.base import ExecutionBackend
+from repro.feast.backends.serial import SerialBackend
 
-#: Name → zero-argument backend factory.
+__all__ = ["BACKENDS", "backend_names", "make_backend", "register_backend"]
+__all__ += lazy_exports(__name__, {
+    ".base": (
+        "BackendOutcome",
+        "ChunkDriver",
+        "ChunkState",
+        "ExecutionBackend",
+        "ExecutionRequest",
+        "SupervisionStats",
+        "assemble_records",
+    ),
+    ".pool": ("PoolSupervisor", "ProcessPoolBackend"),
+    ".serial": ("SerialBackend", "run_classic_serial"),
+    ".shards": ("SubprocessBackend",),
+    ".work": (
+        "ChunkKey",
+        "ChunkResult",
+        "RetryPolicy",
+        "TrialSpec",
+        "default_jobs",
+        "execute_chunk",
+        "is_parallelizable",
+        "resolve_jobs",
+        "run_chunk",
+    ),
+})
+
+
+def _pool() -> ExecutionBackend:
+    from repro.feast.backends.pool import ProcessPoolBackend
+
+    return ProcessPoolBackend()
+
+
+def _subprocess() -> ExecutionBackend:
+    from repro.feast.backends.shards import SubprocessBackend
+
+    return SubprocessBackend()
+
+
+#: Name → zero-argument backend factory. The multi-process backends load
+#: their modules in :func:`make_backend`, which a run calls before its
+#: first fork, so a forked worker never imports.
 BACKENDS: Dict[str, Callable[[], ExecutionBackend]] = {
-    SerialBackend.name: SerialBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
-    SubprocessBackend.name: SubprocessBackend,
+    "serial": SerialBackend,
+    "pool": _pool,
+    "subprocess": _subprocess,
 }
 
 
@@ -81,32 +103,3 @@ def make_backend(name: str) -> ExecutionBackend:
             f"{backend_names()}"
         ) from None
     return factory()
-
-
-__all__ = [
-    "BACKENDS",
-    "BackendOutcome",
-    "ChunkDriver",
-    "ChunkKey",
-    "ChunkResult",
-    "ChunkState",
-    "ExecutionBackend",
-    "ExecutionRequest",
-    "PoolSupervisor",
-    "ProcessPoolBackend",
-    "RetryPolicy",
-    "SerialBackend",
-    "SubprocessBackend",
-    "SupervisionStats",
-    "TrialSpec",
-    "assemble_records",
-    "backend_names",
-    "default_jobs",
-    "execute_chunk",
-    "is_parallelizable",
-    "make_backend",
-    "register_backend",
-    "resolve_jobs",
-    "run_chunk",
-    "run_classic_serial",
-]

@@ -100,25 +100,20 @@ from repro.feast.backends.base import (
     ExecutionRequest,
     SupervisionStats,
 )
-from repro.feast.backends.work import ChunkKey, is_parallelizable
+from repro.feast.backends import shardworker
+from repro.feast.backends.work import ChunkKey, is_parallelizable, shard_keys
+from repro.feast.instrumentation import TrialFailure
+from repro.feast.persistence import (
+    CheckpointJournal,
+    config_fingerprint,
+    iter_journal,
+    journal_paths,
+)
 from repro.obs import live as obs_live
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.resources import ResourceSample
 from repro.obs.spans import Span
-
-
-def shard_keys(config, shard: int, n_shards: int):
-    """The chunk keys shard ``shard`` of ``n_shards`` owns.
-
-    Round-robin over the canonical chunk ordering: ordinals congruent
-    to ``shard`` mod ``n_shards``. Pure arithmetic on
-    ``config.chunk_keys()``, so every process — parent, worker,
-    relaunched worker — computes identical disjoint partitions. Lives
-    here, not in :mod:`.shardworker`, so importing the package never
-    loads the module ``python -m`` is about to run as ``__main__``.
-    """
-    return list(config.chunk_keys())[shard::n_shards]
 
 
 #: Seconds between journal-heartbeat polls while a stall policy is set
@@ -219,8 +214,6 @@ class _ShardProcess(_FORK.Process):
 
     def run(self) -> None:
         _clean_start(self._log)
-        from repro.feast.backends import shardworker
-
         sys.exit(shardworker.main([self._payload]))
 
 
@@ -545,8 +538,6 @@ class _Fleet:
         failed over again — the parent's terminal sweep catches
         whatever remains.
         """
-        from repro.feast.persistence import config_fingerprint, iter_journal
-
         if not slot.original:
             return
         journaled: Set[ChunkKey] = set()
@@ -617,12 +608,6 @@ class SubprocessBackend(ExecutionBackend):
             )
 
     def run(self, request: ExecutionRequest) -> BackendOutcome:
-        from repro.feast.persistence import (
-            config_fingerprint,
-            iter_journal,
-            journal_paths,
-        )
-
         config = request.config
         inst = request.instrumentation
         n_shards = request.shards
@@ -740,8 +725,6 @@ class SubprocessBackend(ExecutionBackend):
         the still-missing keys — chunks already merged from worker
         journals are never re-streamed or re-run.
         """
-        from repro.feast.persistence import CheckpointJournal
-
         journal = CheckpointJournal(
             os.path.join(directory, _PARENT_JOURNAL), request.config
         )
@@ -777,8 +760,6 @@ class SubprocessBackend(ExecutionBackend):
         """Fold one worker's summary — faults, its metrics registry,
         telemetry, replay count — and return the chunk keys its
         registry already counts."""
-        from repro.feast.instrumentation import TrialFailure
-
         try:
             with open(slot.summary) as fp:
                 summary = json.load(fp)

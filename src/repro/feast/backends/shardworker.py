@@ -49,7 +49,11 @@ import sys
 from typing import Optional
 
 from repro.applog import atomic_write_text
+from repro.feast import faultinject
+from repro.feast.backends.base import ChunkDriver
+from repro.feast.backends.work import shard_keys
 from repro.feast.instrumentation import Instrumentation
+from repro.feast.persistence import CheckpointJournal
 from repro.obs import runtime as obs
 
 #: Exit code of a deliberately injected kill (see module docstring).
@@ -73,11 +77,6 @@ def _kill_after(shard: int) -> Optional[int]:
 
 def run_shard(payload: dict) -> int:
     """Execute one shard per ``payload``; returns the exit code."""
-    from repro.feast import faultinject
-    from repro.feast.backends.base import ChunkDriver
-    from repro.feast.backends.shards import shard_keys
-    from repro.feast.persistence import CheckpointJournal
-
     config = payload["config"]
     shard = payload["shard"]
     n_shards = payload["n_shards"]

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import budget
 from repro.errors import ExperimentError
+from repro.feast import faultinject
 from repro.obs import runtime as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.resources import ResourceSample, sample_resources
@@ -167,6 +168,19 @@ class RetryPolicy:
         ).digest()
         rng = random.Random(int.from_bytes(digest, "big"))
         return base * (1.0 + self.jitter * rng.random())
+
+
+def shard_keys(
+    config: ExperimentConfig, shard: int, n_shards: int
+) -> List[ChunkKey]:
+    """The chunk keys shard ``shard`` of ``n_shards`` owns.
+
+    Round-robin over the canonical chunk ordering: ordinals congruent
+    to ``shard`` mod ``n_shards``. Pure arithmetic on
+    ``config.chunk_keys()``, so every process — parent, worker,
+    relaunched worker — computes identical disjoint partitions.
+    """
+    return list(config.chunk_keys())[shard::n_shards]
 
 
 @dataclass(frozen=True)
@@ -358,8 +372,6 @@ def execute_chunk(
     trace: bool = False,
 ) -> ChunkResult:
     """Worker entry point: fault-injection hook + the chunk itself."""
-    from repro.feast import faultinject
-
     faultinject.maybe_inject(spec.scenario, spec.index, attempt)
     return run_chunk(
         spec, trial_timeout=trial_timeout, attempt=attempt, trace=trace

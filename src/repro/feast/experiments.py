@@ -49,6 +49,7 @@ from repro.graph.structured import (
     generate_out_tree,
     generate_pipeline,
 )
+from repro.graph.workloads import make_workload
 
 #: Default sweep for the extension experiments (coarser than the figures).
 EXT_SYSTEM_SIZES: Tuple[int, ...] = (2, 4, 8, 16)
@@ -361,8 +362,6 @@ def _realistic_factory(workload: str) -> Callable:
     """Graph factory adapting the realistic workload builders; the nested
     graph config's OLR carries through so laxity ablations stay possible."""
     def factory(config: RandomGraphConfig, rng: random.Random):
-        from repro.graph.workloads import make_workload
-
         return make_workload(
             workload, rng=rng, laxity_ratio=config.overall_laxity_ratio
         )

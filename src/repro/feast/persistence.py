@@ -35,7 +35,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import applog
 from repro.errors import CheckpointError, ExperimentWarning, SerializationError
-from repro.feast.aggregate import mean_max_lateness
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.instrumentation import PHASES, PhaseTimings, TrialFailure
 from repro.feast.runner import ExperimentResult, TrialRecord
@@ -587,6 +586,8 @@ def compare(
     Returns the points present in both runs whose absolute change exceeds
     ``threshold``, worst regressions (most positive delta) first.
     """
+    from repro.feast.aggregate import mean_max_lateness
+
     means_before = mean_max_lateness(before.records)
     means_after = mean_max_lateness(after.records)
     deltas = [

@@ -1,81 +1,44 @@
 """Task-graph substrate: model, generators, analysis, serialization."""
 
-from repro.graph.node import CommSubtask, Message, Subtask
-from repro.graph.indexed import GraphIndex
-from repro.graph.taskgraph import TaskGraph
-from repro.graph.generator import (
-    HDET,
-    LDET,
-    MDET,
-    PAPER_CONFIG,
-    SCENARIOS,
-    RandomGraphConfig,
-    generate_task_graph,
-    generate_task_graphs,
-)
-from repro.graph.structured import (
-    STRUCTURES,
-    generate_diamond,
-    generate_fork_join,
-    generate_in_tree,
-    generate_out_tree,
-    generate_pipeline,
-)
-from repro.graph.periodic import CrossTaskArc, PeriodicTask, hyperperiod, unroll
-from repro.graph.analysis import GraphStats, graph_stats, max_width, width_histogram
-from repro.graph.workloads import (
-    WORKLOADS,
-    automotive_control,
-    make_workload,
-    radar_pipeline,
-    video_encoder,
-)
-from repro.graph.transform import (
-    compose,
-    critical_path_subgraph,
-    extract_subgraph,
-    merge_chains,
-    relabel,
-    scale_workload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CommSubtask",
-    "Message",
-    "Subtask",
-    "GraphIndex",
-    "TaskGraph",
-    "RandomGraphConfig",
-    "PAPER_CONFIG",
-    "SCENARIOS",
-    "LDET",
-    "MDET",
-    "HDET",
-    "generate_task_graph",
-    "generate_task_graphs",
-    "STRUCTURES",
-    "generate_diamond",
-    "generate_fork_join",
-    "generate_in_tree",
-    "generate_out_tree",
-    "generate_pipeline",
-    "CrossTaskArc",
-    "PeriodicTask",
-    "hyperperiod",
-    "unroll",
-    "GraphStats",
-    "graph_stats",
-    "max_width",
-    "width_histogram",
-    "compose",
-    "merge_chains",
-    "extract_subgraph",
-    "critical_path_subgraph",
-    "scale_workload",
-    "relabel",
-    "WORKLOADS",
-    "automotive_control",
-    "radar_pipeline",
-    "video_encoder",
-    "make_workload",
-]
+__all__ = lazy_exports(__name__, {
+    ".node": ("CommSubtask", "Message", "Subtask"),
+    ".indexed": ("GraphIndex",),
+    ".taskgraph": ("TaskGraph",),
+    ".generator": (
+        "HDET",
+        "LDET",
+        "MDET",
+        "PAPER_CONFIG",
+        "SCENARIOS",
+        "RandomGraphConfig",
+        "generate_task_graph",
+        "generate_task_graphs",
+    ),
+    ".structured": (
+        "STRUCTURES",
+        "generate_diamond",
+        "generate_fork_join",
+        "generate_in_tree",
+        "generate_out_tree",
+        "generate_pipeline",
+    ),
+    ".periodic": ("CrossTaskArc", "PeriodicTask", "hyperperiod", "unroll"),
+    ".analysis": ("GraphStats", "graph_stats", "max_width", "width_histogram"),
+    ".workloads": (
+        "WORKLOADS",
+        "automotive_control",
+        "make_workload",
+        "radar_pipeline",
+        "video_encoder",
+    ),
+    ".transform": (
+        "compose",
+        "critical_path_subgraph",
+        "extract_subgraph",
+        "merge_chains",
+        "relabel",
+        "scale_workload",
+    ),
+})

@@ -1,29 +1,19 @@
 """Platform substrate: processors and interconnect topologies."""
 
-from repro.machine.processor import Processor
-from repro.machine.system import System
-from repro.machine.topology import (
-    TOPOLOGIES,
-    FullyConnected,
-    IdealNetwork,
-    Interconnect,
-    LinkId,
-    Mesh2D,
-    Ring,
-    SharedBus,
-    make_interconnect,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Processor",
-    "System",
-    "Interconnect",
-    "LinkId",
-    "SharedBus",
-    "FullyConnected",
-    "Ring",
-    "Mesh2D",
-    "IdealNetwork",
-    "TOPOLOGIES",
-    "make_interconnect",
-]
+__all__ = lazy_exports(__name__, {
+    ".processor": ("Processor",),
+    ".system": ("System",),
+    ".topology": (
+        "TOPOLOGIES",
+        "FullyConnected",
+        "IdealNetwork",
+        "Interconnect",
+        "LinkId",
+        "Mesh2D",
+        "Ring",
+        "SharedBus",
+        "make_interconnect",
+    ),
+})

@@ -34,99 +34,57 @@ inspect with ``repro report`` / ``repro trace``; from code, pass a
 and hand it to :func:`~repro.feast.runner.run_experiment`.
 """
 
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.resources import ResourceSample, sample_resources
-from repro.obs.runtime import (
-    Telemetry,
-    activate,
-    active,
-    annotate,
-    count,
-    gauge,
-    observe,
-    span,
-    toplevel_span,
-)
-from repro.obs.spans import Span, SpanRecorder
-from repro.obs.export import (
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    chrome_trace,
-    events_from_telemetry,
-    read_events,
-    validate_events,
-    write_chrome_trace,
-    write_events,
-)
-from repro.obs.report import render_run_report
-from repro.obs.live import (
-    STATUS_FORMAT,
-    STATUS_VERSION,
-    StatusSampler,
-    StatusStream,
-    activate_status,
-    active_status,
-    probe,
-    publish,
-    read_status,
-)
-from repro.obs.promexport import openmetrics_text, write_openmetrics
-from repro.obs.registry import (
-    DEFAULT_REGISTRY_DIR,
-    RunRecord,
-    RunRegistry,
-    diff_runs,
-    records_digest,
-)
-from repro.obs.board import render_board
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "SpanRecorder",
-    "Histogram",
-    "MetricsRegistry",
-    "LATENCY_BUCKETS",
-    "COUNT_BUCKETS",
-    "ResourceSample",
-    "sample_resources",
-    "Telemetry",
-    "activate",
-    "active",
-    "annotate",
-    "count",
-    "gauge",
-    "observe",
-    "span",
-    "toplevel_span",
-    "TRACE_FORMAT",
-    "TRACE_VERSION",
-    "events_from_telemetry",
-    "write_events",
-    "read_events",
-    "validate_events",
-    "chrome_trace",
-    "write_chrome_trace",
-    "render_run_report",
-    "STATUS_FORMAT",
-    "STATUS_VERSION",
-    "StatusStream",
-    "StatusSampler",
-    "activate_status",
-    "active_status",
-    "publish",
-    "probe",
-    "read_status",
-    "openmetrics_text",
-    "write_openmetrics",
-    "DEFAULT_REGISTRY_DIR",
-    "RunRecord",
-    "RunRegistry",
-    "diff_runs",
-    "records_digest",
-    "render_board",
-]
+__all__ = lazy_exports(__name__, {
+    ".metrics": (
+        "COUNT_BUCKETS",
+        "LATENCY_BUCKETS",
+        "Histogram",
+        "MetricsRegistry",
+    ),
+    ".resources": ("ResourceSample", "sample_resources"),
+    ".runtime": (
+        "Telemetry",
+        "activate",
+        "active",
+        "annotate",
+        "count",
+        "gauge",
+        "observe",
+        "span",
+        "toplevel_span",
+    ),
+    ".spans": ("Span", "SpanRecorder"),
+    ".export": (
+        "TRACE_FORMAT",
+        "TRACE_VERSION",
+        "chrome_trace",
+        "events_from_telemetry",
+        "read_events",
+        "validate_events",
+        "write_chrome_trace",
+        "write_events",
+    ),
+    ".report": ("render_run_report",),
+    ".live": (
+        "STATUS_FORMAT",
+        "STATUS_VERSION",
+        "StatusSampler",
+        "StatusStream",
+        "activate_status",
+        "active_status",
+        "probe",
+        "publish",
+        "read_status",
+    ),
+    ".promexport": ("openmetrics_text", "write_openmetrics"),
+    ".registry": (
+        "DEFAULT_REGISTRY_DIR",
+        "RunRecord",
+        "RunRegistry",
+        "diff_runs",
+        "records_digest",
+    ),
+    ".board": ("render_board",),
+})

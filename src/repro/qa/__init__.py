@@ -20,44 +20,27 @@ Every later performance PR runs against this layer: an optimization that
 drifts from the oracles is a bug, not a speedup.
 """
 
-from repro.qa.fuzz import (
-    FuzzConfig,
-    FuzzFailure,
-    FuzzResult,
-    replay_reproducer,
-    run_fuzz,
-    scenario_from_dict,
-    shrink_graph,
-)
-from repro.qa.invariants import CheckResult, QAReport, check_pipeline
-from repro.qa.oracles import (
-    ExhaustiveResult,
-    ExhaustiveScheduler,
-    ReplayReport,
-    oracle_average_parallelism,
-    oracle_graph_depth,
-    oracle_longest_path_length,
-    oracle_validate_assignment,
-    replay_schedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckResult",
-    "ExhaustiveResult",
-    "ExhaustiveScheduler",
-    "FuzzConfig",
-    "FuzzFailure",
-    "FuzzResult",
-    "QAReport",
-    "ReplayReport",
-    "check_pipeline",
-    "oracle_average_parallelism",
-    "oracle_graph_depth",
-    "oracle_longest_path_length",
-    "oracle_validate_assignment",
-    "replay_reproducer",
-    "replay_schedule",
-    "run_fuzz",
-    "scenario_from_dict",
-    "shrink_graph",
-]
+__all__ = lazy_exports(__name__, {
+    ".fuzz": (
+        "FuzzConfig",
+        "FuzzFailure",
+        "FuzzResult",
+        "replay_reproducer",
+        "run_fuzz",
+        "scenario_from_dict",
+        "shrink_graph",
+    ),
+    ".invariants": ("CheckResult", "QAReport", "check_pipeline"),
+    ".oracles": (
+        "ExhaustiveResult",
+        "ExhaustiveScheduler",
+        "ReplayReport",
+        "oracle_average_parallelism",
+        "oracle_graph_depth",
+        "oracle_longest_path_length",
+        "oracle_validate_assignment",
+        "replay_schedule",
+    ),
+})

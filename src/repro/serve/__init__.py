@@ -25,27 +25,16 @@ Layering (request flow, top to bottom):
   ExecutionBackend layer, with cooperative cancel and graceful drain.
 """
 
-from repro.serve.app import ReproService, ServiceConfig, ServiceHandle, run_service
-from repro.serve.jobs import (
-    JOB_FORMAT,
-    JOB_VERSION,
-    JobCancelled,
-    JobState,
-    compile_job,
-)
-from repro.serve.validation import DocumentError, parse_json_strict, validate_job
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JOB_FORMAT",
-    "JOB_VERSION",
-    "DocumentError",
-    "JobCancelled",
-    "JobState",
-    "ReproService",
-    "ServiceConfig",
-    "ServiceHandle",
-    "compile_job",
-    "parse_json_strict",
-    "run_service",
-    "validate_job",
-]
+__all__ = lazy_exports(__name__, {
+    ".app": ("ReproService", "ServiceConfig", "ServiceHandle", "run_service"),
+    ".jobs": (
+        "JOB_FORMAT",
+        "JOB_VERSION",
+        "JobCancelled",
+        "JobState",
+        "compile_job",
+    ),
+    ".validation": ("DocumentError", "parse_json_strict", "validate_job"),
+})

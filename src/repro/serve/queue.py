@@ -32,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
 from repro.applog import atomic_write_text
+from repro.feast.backends import make_backend
 from repro.feast.runner import run_experiment
 from repro.obs.live import StatusStream
 from repro.serve.jobs import JobCancelled, JobState, compile_job
@@ -101,6 +102,11 @@ class WorkerPool:
         self.workers = max(1, workers)
         self.backend = backend
         self.shards = shards
+        # Load the backend's modules at boot, not in the first job: jobs
+        # run on executor threads, and a multi-process backend forks
+        # right after its import (DESIGN.md §9). An unknown name fails
+        # here instead of failing every job.
+        make_backend(backend)
         self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=queue_size)
         self._tasks: List["asyncio.Task"] = []
         self._draining = False

@@ -1139,15 +1139,9 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.errors import ExperimentError
-    from repro.feast.backends import backend_names
     from repro.feast.chaos import render_chaos_report, run_chaos
 
-    if args.backend not in backend_names():
-        print(
-            f"error: unknown backend {args.backend!r}; expected one "
-            f"of {', '.join(backend_names())}",
-            file=sys.stderr,
-        )
+    if not _known_backend(args.backend):
         return 2
     try:
         report = run_chaos(

@@ -40,14 +40,59 @@ PACKAGES = (
 )
 
 
+#: Names served from modules that import numpy, an optional dependency
+#: (``test_batch.py`` skips without it). Every other name must resolve
+#: on a numpy-free interpreter.
+NUMPY_BACKED = {
+    "repro.core": (
+        "DistributeRequest",
+        "batch_distribute",
+        "distribute_many",
+        "fallback_reason",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", PACKAGES)
 def test_every_exported_name_resolves(name):
     package = importlib.import_module(name)
     assert len(package.__all__) == len(set(package.__all__))
+    optional = NUMPY_BACKED.get(name, ())
+    assert set(optional) <= set(package.__all__)
     for attr in package.__all__:
+        assert attr in dir(package)
+        if attr in optional:
+            continue
         value = getattr(package, attr)
         assert not isinstance(value, types.ModuleType), attr
-        assert attr in dir(package)
+
+
+def test_numpy_backed_names_resolve():
+    pytest.importorskip("numpy")
+    from repro.core import batch
+
+    core = importlib.import_module("repro.core")
+    for attr in NUMPY_BACKED["repro.core"]:
+        assert getattr(core, attr) is getattr(batch, attr)
+
+
+def test_surface_without_numpy():
+    """With numpy unimportable, only the numpy-backed names fail."""
+    out = run_fresh("""
+        import importlib, json, sys
+        sys.modules["numpy"] = None  # import numpy -> ModuleNotFoundError
+        failed = {}
+        for name in sys.argv[1:]:
+            package = importlib.import_module(name)
+            for attr in package.__all__:
+                try:
+                    getattr(package, attr)
+                except ImportError:
+                    failed.setdefault(name, []).append(attr)
+        exec("from repro import *", {})
+        print(json.dumps(failed))
+    """, *PACKAGES)
+    assert out == {name: list(names) for name, names in NUMPY_BACKED.items()}
 
 
 @pytest.mark.parametrize("name", PACKAGES)

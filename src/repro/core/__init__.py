@@ -40,12 +40,6 @@ __all__ = lazy_exports(__name__, {
         "pinned_fraction",
         "validate_pins",
     ),
-    ".sensitivity": (
-        "SubtaskMargin",
-        "critical_scaling_factor",
-        "per_subtask_margins",
-        "window_scaling_factor",
-    ),
     ".slicer": ("DeadlineDistributor", "ast", "bst"),
     ".validation": ("ValidationReport", "validate_assignment"),
     ".batch": (

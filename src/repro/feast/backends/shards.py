@@ -87,7 +87,7 @@ import tempfile
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as wait_for_exit
 from typing import Dict, List, Optional, Set
 

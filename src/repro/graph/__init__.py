@@ -33,12 +33,5 @@ __all__ = lazy_exports(__name__, {
         "radar_pipeline",
         "video_encoder",
     ),
-    ".transform": (
-        "compose",
-        "critical_path_subgraph",
-        "extract_subgraph",
-        "merge_chains",
-        "relabel",
-        "scale_workload",
-    ),
+    ".transform": ("relabel", "scale_workload"),
 })

@@ -86,13 +86,6 @@ def _suffix_array(graph: TaskGraph, include_messages: bool) -> List[Time]:
     return suffix
 
 
-def _longest_suffix(graph: TaskGraph, include_messages: bool) -> Dict[NodeId, Time]:
-    """Dict view of :func:`_suffix_array`, keyed by node id (kept for
-    callers and tests that address nodes by name)."""
-    suffix = _suffix_array(graph, include_messages)
-    return {n: suffix[i] for i, n in enumerate(graph.index().ids)}
-
-
 def average_parallelism(graph: TaskGraph) -> float:
     """The paper's ξ: total workload / longest-path execution length.
 

@@ -132,6 +132,32 @@ class StatusStream:
         with self._lock:
             self._close_fd()
 
+    @staticmethod
+    def close_orphan(path: str, **final_fields: Any) -> None:
+        """Append the ``final`` line a stream's dead writer never wrote.
+
+        Cuts a torn tail first and numbers the line after the last one.
+        Writes nothing when ``path`` is missing, has no complete header,
+        or already ends with ``final``.
+        """
+        if not os.path.exists(path):
+            return
+        applog.repair(path)
+        try:
+            last = read_status(path)[-1]
+        except SerializationError:
+            return
+        if last["kind"] == "final":
+            return
+        fd = applog.open_append(path)
+        try:
+            applog.append_line(fd, {
+                "kind": "final", "seq": last["seq"] + 1, "ts": time.time(),
+                **final_fields,
+            })
+        finally:
+            os.close(fd)
+
     def _close_fd(self) -> None:
         if self._fd is not None:
             try:

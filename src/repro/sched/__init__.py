@@ -23,7 +23,6 @@ __all__ = lazy_exports(__name__, {
         "SelectionPolicy",
         "make_policy",
     ),
-    ".diff": ("ScheduleDiff", "TaskDelta", "diff_schedules"),
     ".export": ("schedule_to_json", "schedule_to_svg", "trace_to_svg"),
     ".optimal": ("BranchAndBoundScheduler", "OptimalResult"),
     ".schedulability": (

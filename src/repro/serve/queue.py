@@ -120,10 +120,15 @@ class WorkerPool:
         for i in range(self.workers):
             self._tasks.append(asyncio.create_task(self._worker(), name=f"serve-worker-{i}"))
         resumed = 0
-        for job_id in self.store.recover():
+        for job_id in self.store.recover(self._close_cancelled_stream):
             if self.try_enqueue(job_id):
                 resumed += 1
         return resumed
+
+    def _close_cancelled_stream(self, job_id: str) -> None:
+        StatusStream.close_orphan(
+            self.paths.status(job_id), state=JobState.CANCELLED, error=None
+        )
 
     def try_enqueue(self, job_id: str) -> bool:
         """Admit a job to the in-memory queue; False when full (503)."""

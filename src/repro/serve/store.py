@@ -29,7 +29,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ExperimentError
 from repro.serve.jobs import JobState
@@ -175,19 +175,27 @@ class JobStore:
                 (done, total, job_id),
             )
 
-    def recover(self) -> List[str]:
+    def recover(self, close_stream: Callable[[str], None]) -> List[str]:
         """Boot-time recovery: orphaned ``running`` rows re-queue.
 
         Returns every queued job id in submission order, for
         re-enqueueing. A job whose cancel was requested before the
-        crash goes straight to ``cancelled`` instead of re-running.
+        crash goes straight to ``cancelled`` instead of re-running;
+        ``close_stream(job_id)`` writes its ``final`` status line before
+        that state is committed, the order a live job finishes in.
         """
         with self._lock:
-            self._conn.execute(
-                "UPDATE jobs SET state = ?, finished = ?"
-                " WHERE state IN (?, ?) AND cancel_requested = 1",
-                (JobState.CANCELLED, time.time(), JobState.QUEUED, JobState.RUNNING),
-            )
+            cancelled = self._conn.execute(
+                "SELECT id FROM jobs WHERE state IN (?, ?) AND cancel_requested = 1"
+                " ORDER BY rowid",
+                (JobState.QUEUED, JobState.RUNNING),
+            ).fetchall()
+            for row in cancelled:
+                close_stream(row["id"])
+                self._conn.execute(
+                    "UPDATE jobs SET state = ?, finished = ? WHERE id = ?",
+                    (JobState.CANCELLED, time.time(), row["id"]),
+                )
             self._conn.execute(
                 "UPDATE jobs SET state = ? WHERE state = ?",
                 (JobState.QUEUED, JobState.RUNNING),

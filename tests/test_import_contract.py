@@ -33,9 +33,7 @@ OFF_PATH = (
     "repro.sched.export",
     "repro.sched.simulator",
     "repro.sched.optimal",
-    "repro.sched.diff",
     "repro.sched.schedulability",
-    "repro.core.sensitivity",
     "repro.core.batch",
     "repro.feast.aggregate",
     "repro.feast.plots",

@@ -140,6 +140,25 @@ class TestStatusStream:
             read_status(str(empty))
 
 
+    def test_close_orphan_ends_a_stream_once(self, tmp_path):
+        """Recovery closes a stream whose writer died: at most one
+        ``final``, and nothing when there is no stream to close."""
+        stream = make_stream(tmp_path)
+        stream.emit("progress", index=0)
+        stream.close(state="done")
+        before = Path(stream.path).read_bytes()
+        StatusStream.close_orphan(stream.path, state="cancelled")
+        assert Path(stream.path).read_bytes() == before
+
+        missing = tmp_path / "missing.status.jsonl"
+        StatusStream.close_orphan(str(missing), state="cancelled")
+        assert not missing.exists()
+        torn = tmp_path / "torn.status.jsonl"
+        torn.write_text('{"kind": "hea')
+        StatusStream.close_orphan(str(torn), state="cancelled")
+        assert torn.read_text() == ""
+
+
 class TestAmbientHooks:
     def test_publish_is_noop_without_active_stream(self):
         assert active_status() is None

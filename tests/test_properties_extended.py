@@ -1,16 +1,15 @@
 """Property-based tests for the extension modules.
 
-Covers the invariants of the baselines, the run-time simulator, the
-sensitivity analysis and the graph transformations on arbitrary workloads.
+Covers the invariants of the baselines, the run-time simulator and the
+graph transformations on arbitrary workloads.
 """
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.baselines import BASELINES, make_baseline
-from repro.core.sensitivity import per_subtask_margins, window_scaling_factor
 from repro.core.slicer import bst
-from repro.graph.transform import merge_chains, relabel, scale_workload
+from repro.graph.transform import relabel, scale_workload
 from repro.machine.system import System
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.simulator import (
@@ -93,38 +92,8 @@ def test_fixed_replay_consistent(graph, preemptive):
 
 
 # ----------------------------------------------------------------------
-# Sensitivity
-# ----------------------------------------------------------------------
-@SETTINGS
-@given(graph=workloads())
-def test_window_scaling_factor_is_the_min_margin(graph):
-    assignment = bst("PURE", "CCNE").distribute(graph)
-    margins = per_subtask_margins(assignment)
-    factor = window_scaling_factor(assignment)
-    assert factor <= min(m.growth_factor for m in margins) + 1e-9
-    # Scaling at the factor keeps every window non-degenerate.
-    for margin in margins:
-        assert margin.cost * factor <= margin.relative_deadline + 1e-6
-
-
-# ----------------------------------------------------------------------
 # Transformations
 # ----------------------------------------------------------------------
-@SETTINGS
-@given(graph=workloads())
-def test_merge_chains_preserves_workload_and_criticality(graph):
-    from repro.graph import paths
-
-    merged = merge_chains(graph)
-    assert merged.total_workload() <= graph.total_workload() + 1e-6
-    assert merged.total_workload() >= graph.total_workload() - 1e-6
-    assert paths.longest_path_length(merged) <= (
-        paths.longest_path_length(graph) + 1e-6
-    )
-    assert merged.n_subtasks <= graph.n_subtasks
-    merged.validate()
-
-
 @SETTINGS
 @given(graph=workloads(), factor=st.sampled_from([0.5, 1.0, 2.0]))
 def test_scale_workload_scales_linearly(graph, factor):

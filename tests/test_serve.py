@@ -19,6 +19,8 @@ import pytest
 from repro.obs.live import StatusStream
 from repro.serve.app import ServiceConfig, ServiceHandle
 from repro.serve.jobs import JobState
+from repro.serve.queue import JobPaths
+from repro.serve.store import JobStore
 from tests.serve_client import (
     ServerProcess,
     direct_records,
@@ -291,3 +293,37 @@ class TestRestartResume:
 
         direct = direct_records(document)
         assert json.dumps(records, sort_keys=True) == json.dumps(direct, sort_keys=True)
+
+    def test_restart_closes_the_stream_of_a_job_cancelled_while_down(
+        self, tmp_path
+    ):
+        """A server killed while a cancel waits for the running job's next
+        checkpoint leaves a ``running`` row flagged for cancel, and a
+        status stream with no ``final`` line and perhaps a torn tail. The
+        restarted server cancels the job and ends its stream with
+        ``final`` before it commits the state, so a follower still ends
+        on ``final``."""
+        paths = JobPaths(str(tmp_path / "data"))
+        store = JobStore(paths.db())
+        job_id = "00000000000000c1"
+        store.create(job_id, "cut-short", tiny_job(name="cut-short", seed=7))
+        assert store.mark_running(job_id)
+        stream = StatusStream(paths.status(job_id), "cut-short", job_id)
+        stream.emit("progress", done=1, total=4)
+        stream._close_fd()  # killed mid-run: no ``final`` line
+        with open(paths.status(job_id), "ab") as fp:
+            fp.write(b'{"kind": "progr')
+        assert store.request_cancel(job_id) == JobState.RUNNING
+        store.close()
+
+        config = ServiceConfig(data_dir=paths.data_dir, workers=1)
+        with ServiceHandle(config) as handle:
+            assert poll_job(handle.port, job_id)["state"] == JobState.CANCELLED
+            status, _, body = request(
+                handle.port, "GET", f"/v1/jobs/{job_id}/events?follow=1"
+            )
+        assert status == 200
+        events = [json.loads(line) for line in body.decode().splitlines()]
+        assert [e["kind"] for e in events] == ["header", "progress", "final"]
+        assert [e["seq"] for e in events] == [0, 1, 2]
+        assert events[-1]["state"] == JobState.CANCELLED

@@ -1,18 +1,10 @@
-"""Graph transformations: merging, extraction, scaling, relabeling."""
+"""Graph transformations: scaling and relabeling."""
 
 import pytest
 
-from repro.core.slicer import bst
 from repro.errors import ValidationError
-from repro.graph import paths
 from repro.graph.taskgraph import TaskGraph
-from repro.graph.transform import (
-    critical_path_subgraph,
-    extract_subgraph,
-    merge_chains,
-    relabel,
-    scale_workload,
-)
+from repro.graph.transform import relabel, scale_workload
 
 
 def chain_with_branch():
@@ -29,92 +21,6 @@ def chain_with_branch():
     g.add_edge("a", "e", message_size=1.0)
     g.add_edge("e", "d", message_size=1.0)
     return g
-
-
-class TestMergeChains:
-    def test_merges_linear_run(self):
-        g = chain_with_branch()
-        merged = merge_chains(g)
-        # b -> c is the only interior chain (a forks, d joins).
-        assert "b+c" in merged
-        assert merged.node("b+c").wcet == 50.0
-        assert merged.n_subtasks == 4
-        assert merged.has_edge("a", "b+c")
-        assert merged.has_edge("b+c", "d")
-        merged.validate()
-
-    def test_pure_chain_collapses_to_one(self):
-        g = TaskGraph()
-        prev = None
-        for i in range(5):
-            g.add_subtask(f"n{i}", wcet=1.0,
-                          release=0.0 if i == 0 else None,
-                          end_to_end_deadline=50.0 if i == 4 else None)
-            if prev:
-                g.add_edge(prev, f"n{i}")
-            prev = f"n{i}"
-        merged = merge_chains(g)
-        assert merged.n_subtasks == 1
-        only = merged.nodes()[0]
-        assert only.wcet == 5.0
-        assert only.release == 0.0
-        assert only.end_to_end_deadline == 50.0
-
-    def test_pins_block_merging(self):
-        g = TaskGraph()
-        g.add_subtask("a", wcet=1.0, release=0.0, pinned_to=0)
-        g.add_subtask("b", wcet=1.0, end_to_end_deadline=10.0, pinned_to=1)
-        g.add_edge("a", "b")
-        merged = merge_chains(g)
-        assert merged.n_subtasks == 2
-
-    def test_matching_pins_merge(self):
-        g = TaskGraph()
-        g.add_subtask("a", wcet=1.0, release=0.0, pinned_to=2)
-        g.add_subtask("b", wcet=1.0, end_to_end_deadline=10.0, pinned_to=2)
-        g.add_edge("a", "b")
-        merged = merge_chains(g)
-        assert merged.n_subtasks == 1
-        assert merged.nodes()[0].pinned_to == 2
-
-    def test_total_workload_preserved(self, random_graph):
-        merged = merge_chains(random_graph)
-        assert merged.total_workload() == pytest.approx(
-            random_graph.total_workload()
-        )
-        assert paths.longest_path_length(merged) == pytest.approx(
-            paths.longest_path_length(random_graph)
-        )
-
-
-class TestExtractSubgraph:
-    def test_anchors_synthesized_from_assignment(self):
-        g = chain_with_branch()
-        assignment = bst("PURE", "CCNE").distribute(g)
-        sub = extract_subgraph(g, ["b", "c"], assignment=assignment)
-        sub.validate()
-        assert sub.node("b").release == pytest.approx(assignment.release("b"))
-        assert sub.node("c").end_to_end_deadline == pytest.approx(
-            assignment.absolute_deadline("c")
-        )
-        assert sub.has_edge("b", "c")
-        assert sub.n_edges == 1
-
-    def test_unknown_node_rejected(self):
-        with pytest.raises(ValidationError):
-            extract_subgraph(chain_with_branch(), ["zzz"])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            extract_subgraph(chain_with_branch(), [])
-
-    def test_critical_path_subgraph(self):
-        g = chain_with_branch()
-        assignment = bst("PURE", "CCNE").distribute(g)
-        sub = critical_path_subgraph(g, assignment=assignment)
-        assert sub.node_ids() == ["a", "b", "c", "d"]
-        assert sub.n_edges == 3
-        sub.validate()
 
 
 class TestScaleWorkload:

@@ -137,8 +137,8 @@ class StatusStream:
         """Append the ``final`` line a stream's dead writer never wrote.
 
         Cuts a torn tail first and numbers the line after the last one.
-        Writes nothing when ``path`` is missing, has no complete header,
-        or already ends with ``final``.
+        Appends nothing when ``path`` is missing, has no complete
+        header, or already ends with ``final``.
         """
         if not os.path.exists(path):
             return

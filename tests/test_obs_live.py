@@ -139,7 +139,6 @@ class TestStatusStream:
         with pytest.raises(SerializationError, match="empty"):
             read_status(str(empty))
 
-
     def test_close_orphan_ends_a_stream_once(self, tmp_path):
         """Recovery closes a stream whose writer died: at most one
         ``final``, and nothing when there is no stream to close."""

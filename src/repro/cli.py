@@ -128,18 +128,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
-        help="(--backend subprocess) declare a shard stalled after this "
+        help="(multi-process runs) declare a worker stalled after this "
         "many seconds without journal progress and escalate "
         "SIGTERM → grace → SIGKILL before relaunching it (default: "
-        "stall detection off — long chunks journal nothing while they "
+        "one chunk's budget under --trial-timeout, else stall "
+        "detection off — long chunks journal nothing while they "
         "compute)",
     )
     run.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend: serial, pool, or subprocess (shards "
-        "the sweep over independent worker subprocesses merged through "
-        "the checkpoint journal); default: serial for --jobs 1, else "
-        "pool",
+        help="execution backend: serial, or subprocess (shards the "
+        "sweep over a fleet of worker processes merged through "
+        "checkpoint journals; pool is the same fleet sized by --jobs); "
+        "default: serial for --jobs 1, else pool",
     )
     run.add_argument(
         "--shards", type=int, default=2, metavar="N",
@@ -147,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="journal completed work to PATH (a file, or a directory "
-        "with --backend subprocess); pass --resume to continue an "
-        "interrupted sweep from it",
+        help="journal completed work to PATH (a file for a serial run, "
+        "a directory for a multi-process one); pass --resume to "
+        "continue an interrupted sweep from it",
     )
     run.add_argument(
         "--resume", action="store_true",
@@ -346,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0, help="campaign seed")
     chaos.add_argument(
         "--backend", default="subprocess",
-        help="execution backend under test: serial, pool, or "
-        "subprocess (default; the only one with stall/failover "
-        "supervision)",
+        help="execution backend under test: serial, or subprocess "
+        "(default) or its alias pool, the worker fleet with "
+        "stall/failover supervision",
     )
     chaos.add_argument(
         "--shards", type=int, default=3, metavar="N",
-        help="worker subprocesses for --backend subprocess "
+        help="fleet workers for --backend subprocess/pool "
         "(default: 3; >= 2 required so faults span multiple shards)",
     )
     chaos.add_argument(

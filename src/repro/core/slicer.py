@@ -28,12 +28,7 @@ from repro.core.annotations import DeadlineAssignment, SliceRecord, Window
 from repro.core.commcost import CCNE, CommCostEstimator
 from repro.core.criticalpath import CriticalPath, find_critical_path_indexed
 from repro.core.expanded import ExpandedGraph
-from repro.core.metrics import (
-    AdaptiveLaxityRatio,
-    MetricContext,
-    SlicingMetric,
-    make_metric,
-)
+from repro.core.metrics import MetricContext, SlicingMetric, make_metric
 from repro.errors import DistributionError
 from repro.graph.taskgraph import TaskGraph
 from repro.obs import runtime as obs

@@ -16,7 +16,7 @@ enumeration) when asked — useful on small graphs and in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.core.annotations import DeadlineAssignment
 from repro.errors import ValidationError

@@ -72,13 +72,8 @@ class TrialTimeoutError(ExperimentError):
     """A trial exceeded its wall-clock budget.
 
     Raised cooperatively (see :mod:`repro.budget`) by components that
-    poll the current trial deadline, and used by the experiment engine to
-    label chunks it had to kill from the outside.
+    poll the current trial deadline.
     """
-
-
-class WorkerCrashError(ExperimentError):
-    """A worker process died (killed, crashed, or its pool broke)."""
 
 
 class QuarantinedTrialError(ExperimentError):
@@ -103,10 +98,11 @@ class ExperimentWarning(ReproError, UserWarning):
     """Non-fatal experiment-engine condition worth surfacing.
 
     Emitted via :func:`warnings.warn` when the engine degrades instead of
-    failing: silent serial fallback for unpicklable configs, process-pool
-    respawns, or degradation to in-process execution. Derives from
-    :class:`ReproError` so ``-W error::repro.errors.ExperimentWarning``
-    and blanket ``ReproError`` handling both work.
+    failing: silent serial fallback for unpicklable configs, worker
+    relaunches and failovers, or degradation to in-process execution.
+    Derives from :class:`ReproError` so
+    ``-W error::repro.errors.ExperimentWarning`` and blanket
+    ``ReproError`` handling both work.
     """
 
 

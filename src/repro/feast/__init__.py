@@ -3,7 +3,7 @@
 Importing the harness loads the serial run path — the runner, the
 experiment registry and the serial backend with everything they call —
 so a sweep's first timed call imports nothing. The rest (aggregation,
-tables, plots, persistence, the pool and subprocess backends) loads when
+tables, plots, persistence, the multi-process backend) loads when
 it is first used (DESIGN.md §6).
 """
 

@@ -239,8 +239,8 @@ class ExactSum:
     """Exact float accumulation via Shewchuk partials.
 
     Floating-point addition is not associative, but execution backends
-    deliver chunks in arbitrary order — the pool by completion, shards
-    by journal position. Tracking each group's sum as a list of
+    deliver chunks in arbitrary order — a worker fleet by journal
+    position. Tracking each group's sum as a list of
     non-overlapping partials makes the rounded total independent of
     the order values arrive in, which is what lets a streamed aggregate
     be *identical* across backends and shard counts instead of merely
@@ -332,8 +332,8 @@ class StreamingAggregator:
     its chunk completes (or replays from a checkpoint), then dropped —
     the run never materializes the record list, so a paper-scale sweep's
     resident memory is bounded by the chunk size. Aggregates are
-    order-independent (see :class:`ExactSum`): serial, pool, and any
-    shard count produce identical group summaries.
+    order-independent (see :class:`ExactSum`): serial and any worker
+    count produce identical group summaries.
 
     ``key``/``value`` default to the paper's headline series — mean max
     lateness per (scenario, method, n_processors), i.e.

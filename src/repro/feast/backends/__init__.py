@@ -6,13 +6,14 @@ in-tree:
 
 ======================  ==========================================
 ``serial``              chunks run one at a time in this process
-``pool``                supervised local ``ProcessPoolExecutor``
-``subprocess``          independent shard subprocesses merged
-                        through the checkpoint journal
+``subprocess``          a supervised fleet of forked worker
+                        processes merged through checkpoint journals
+``pool``                the same fleet; ``run_experiment(jobs=N)``
+                        with ``N > 1`` selects it with ``N`` workers
 ======================  ==========================================
 
-``run_experiment(..., backend="pool")`` / ``repro run --backend`` select
-one by name; :func:`register_backend` adds custom ones (see
+``run_experiment(..., backend="subprocess")`` / ``repro run --backend``
+select one by name; :func:`register_backend` adds custom ones (see
 docs/EXTENDING.md). Every backend produces byte-identical canonical
 records for the same config — the parity tests in
 ``tests/test_backends.py`` hold them to it.
@@ -38,7 +39,6 @@ __all__ += lazy_exports(__name__, {
         "SupervisionStats",
         "assemble_records",
     ),
-    ".pool": ("PoolSupervisor", "ProcessPoolBackend"),
     ".serial": ("SerialBackend", "run_classic_serial"),
     ".shards": ("SubprocessBackend",),
     ".work": (
@@ -55,24 +55,18 @@ __all__ += lazy_exports(__name__, {
 })
 
 
-def _pool() -> ExecutionBackend:
-    from repro.feast.backends.pool import ProcessPoolBackend
-
-    return ProcessPoolBackend()
-
-
 def _subprocess() -> ExecutionBackend:
     from repro.feast.backends.shards import SubprocessBackend
 
     return SubprocessBackend()
 
 
-#: Name → zero-argument backend factory. The multi-process backends load
-#: their modules in :func:`make_backend`, which a run calls before its
-#: first fork, so a forked worker never imports.
+#: Name → zero-argument backend factory. The fleet loads its module in
+#: :func:`make_backend`, which a run calls before its first fork, so a
+#: forked worker never imports. ``pool`` is an alias of ``subprocess``.
 BACKENDS: Dict[str, Callable[[], ExecutionBackend]] = {
     "serial": SerialBackend,
-    "pool": _pool,
+    "pool": _subprocess,
     "subprocess": _subprocess,
 }
 

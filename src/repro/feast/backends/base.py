@@ -61,15 +61,12 @@ class ExecutionRequest:
     config: ExperimentConfig
     instrumentation: Instrumentation
     policy: RetryPolicy
-    #: Checkpoint location: a journal *file* for serial/pool backends, a
-    #: journal *directory* for the subprocess shard backend; ``None``
-    #: disables checkpointing (the shard backend then manages a
-    #: temporary directory itself).
+    #: Checkpoint location: a journal *file* for the serial backend, a
+    #: journal *directory* for the worker fleet; ``None`` disables
+    #: checkpointing (the fleet then manages a temporary directory).
     checkpoint: Optional[str] = None
-    #: Worker processes (pool backend) — already resolved (>= 1).
-    jobs: int = 1
-    #: Shard subprocesses (subprocess backend).
-    shards: int = 2
+    #: Worker processes of a multi-process backend (>= 1).
+    workers: int = 1
     #: Whether failing chunks get retry/quarantine treatment. ``False``
     #: (a plain ``jobs=1`` run) makes the serial backend fail-fast: the
     #: first chunk exception propagates and no later chunk runs.
@@ -159,11 +156,10 @@ class ExecutionBackend(ABC):
     """Strategy interface: *where* the chunks of a sweep execute.
 
     Implementations: :class:`~repro.feast.backends.serial.SerialBackend`
-    (this process), :class:`~repro.feast.backends.pool.ProcessPoolBackend`
-    (a supervised ``ProcessPoolExecutor``), and
-    :class:`~repro.feast.backends.shards.SubprocessBackend` (independent
-    ``repro`` worker subprocesses merged through the checkpoint
-    journal). Register custom backends with
+    (this process) and
+    :class:`~repro.feast.backends.shards.SubprocessBackend` (a
+    supervised fleet of worker processes merged through checkpoint
+    journals). Register custom backends with
     :func:`repro.feast.backends.register_backend`.
     """
 
@@ -193,8 +189,6 @@ class ChunkState:
     eligible_at: float = 0.0
     #: (exception type name, message) of the previous failure.
     last_signature: Optional[Tuple[str, str]] = None
-    #: Suspected of killing the pool — re-run alone until cleared.
-    suspect: bool = False
 
 
 class ChunkDriver:
@@ -203,9 +197,9 @@ class ChunkDriver:
     Owns the bookkeeping every backend shares: attempt counting with
     retry/backoff, deterministic-failure quarantine, checkpoint-journal
     replay and append, telemetry adoption, instrumentation/progress, and
-    the streaming hook. Backends subclass (pool supervision) or use it
-    directly (:meth:`run_in_process`, the serial chunk loop that is also
-    the pool backend's degraded mode and the shard worker's engine).
+    the streaming hook. Backends use it through :meth:`run_in_process`,
+    the serial chunk loop that is also the fleet worker's engine and the
+    fleet parent's terminal sweep.
 
     ``keys`` restricts the driver to a subset of the config's chunks —
     the shard worker passes its partition; the default is every chunk.
@@ -234,7 +228,6 @@ class ChunkDriver:
         self.done: Dict[ChunkKey, object] = {}
         self.quarantined: Dict[ChunkKey, str] = {}
         self.failures: List[TrialFailure] = []
-        self.degraded_reason: Optional[str] = None
         self.streamed_trials = 0
         self.supervision = SupervisionStats()
         for key in (list(config.chunk_keys()) if keys is None else keys):
@@ -273,7 +266,6 @@ class ChunkDriver:
 
     def complete(self, key: ChunkKey, chunk) -> None:
         """Record one successfully executed chunk."""
-        self.states[key].suspect = False
         self.failures.extend(chunk.failures)
         if self.inst.telemetry is not None:
             # Graft the worker's span tree under the run span.
@@ -281,21 +273,19 @@ class ChunkDriver:
         self._store(key, chunk, journaled=False)
         self.inst.absorb(chunk.metrics, chunk.n_trials, chunk.failures)
 
-    def fail(self, key: ChunkKey, kind: str, exc: BaseException) -> None:
+    def fail(self, key: ChunkKey, exc: BaseException) -> None:
         """Consume one attempt of ``key``; requeue or quarantine it."""
         state = self.states[key]
         state.attempt += 1
         signature = (type(exc).__name__, str(exc))
         failure = TrialFailure(
-            scenario=key[0], index=key[1], kind=kind,
+            scenario=key[0], index=key[1], kind="exception",
             message=f"{signature[0]}: {signature[1]}",
             attempt=state.attempt,
         )
         self.failures.append(failure)
         self.inst.record_failure(failure)
-        deterministic = (
-            kind == "exception" and state.last_signature == signature
-        )
+        deterministic = state.last_signature == signature
         state.last_signature = signature
         if deterministic:
             self.quarantine(key, (
@@ -305,7 +295,7 @@ class ChunkDriver:
         elif state.attempt >= self.policy.max_attempts:
             self.quarantine(key, (
                 f"exhausted {self.policy.max_attempts} attempts; last "
-                f"failure ({kind}): {failure.message}"
+                f"failure: {failure.message}"
             ))
         else:
             self.inst.retried()
@@ -327,17 +317,11 @@ class ChunkDriver:
         self.failures.append(failure)
         self.inst.record_failure(failure)
 
-    def outstanding(self) -> int:
-        return len(self.states) - sum(
-            1 for k in self.states if k in self.done or k in self.quarantined
-        )
-
     def outcome(self) -> BackendOutcome:
         return BackendOutcome(
             chunks=self.done,
             quarantined=self.quarantined,
             failures=self.failures,
-            degraded_reason=self.degraded_reason,
             streamed_trials=self.streamed_trials,
             supervision=self.supervision,
         )
@@ -346,11 +330,10 @@ class ChunkDriver:
     def run_in_process(self, fail_fast: bool = False) -> None:
         """Run the remaining chunks in this process, one at a time.
 
-        Exceptions get the same retry/quarantine treatment as in pool
-        mode, unless ``fail_fast`` re-raises the first one unchanged;
-        crash/hang protection requires worker processes and is
-        unavailable here (injected crashes are parent-safe by design —
-        see :mod:`repro.feast.faultinject`).
+        Exceptions get retry/quarantine treatment, unless ``fail_fast``
+        re-raises the first one unchanged; crash/hang protection needs
+        worker processes and is the fleet's job (injected crashes are
+        parent-safe by design — see :mod:`repro.feast.faultinject`).
         """
         while self.waiting:
             now = time.monotonic()
@@ -368,7 +351,7 @@ class ChunkDriver:
             except Exception as exc:
                 if fail_fast:
                     raise
-                self.fail(key, "exception", exc)
+                self.fail(key, exc)
             else:
                 self.complete(key, chunk)
 

@@ -2,11 +2,10 @@
 
 :class:`SerialBackend` runs the chunks one at a time in this process
 through the shared :class:`~.base.ChunkDriver`, the same chunk loop
-that is the pool backend's degraded mode and the engine inside every
-shard worker. A plain ``run_experiment(jobs=1)`` uses it unsupervised
-(fail-fast: the first trial error propagates); any fault-tolerance
-feature makes it supervised (retry, quarantine, checkpoint journaling,
-streaming).
+that is the engine inside every fleet worker. A plain
+``run_experiment(jobs=1)`` uses it unsupervised (fail-fast: the first
+trial error propagates); any fault-tolerance feature makes it
+supervised (retry, quarantine, checkpoint journaling, streaming).
 """
 
 from __future__ import annotations

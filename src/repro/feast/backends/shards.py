@@ -1,9 +1,11 @@
-"""Multi-process shard execution coordinated through journal files.
+"""Multi-process execution: a worker fleet coordinated through journals.
 
-The :class:`SubprocessBackend` is the relaxed-locality execution story:
-instead of sharing a pool inside one interpreter, the sweep is split
-into ``shards`` disjoint partitions, each executed by an independent
-worker process that talks to the parent through the filesystem only —
+The :class:`SubprocessBackend` is the engine's one multi-process
+supervisor (registered as ``subprocess`` and as its alias ``pool``, which
+``run_experiment(jobs=N)`` selects for ``N > 1``). The sweep is split
+into ``request.workers`` disjoint partitions (shards), each executed by
+an independent worker process that talks to the parent through the
+filesystem only —
 a pickled payload file in, one config-fingerprinted checkpoint journal
 per shard and an atomic summary out. Workers are forked from the
 supervisor, which has already imported everything they run, and start
@@ -21,13 +23,14 @@ injected ``hang`` fault — would block the run forever. The supervisor
 therefore uses the journal itself as a heartbeat: a healthy shard
 appends a chunk line every few seconds, so the parent tracks each
 journal's size (and record count) and declares a shard *stalled* when
-it grows by nothing for ``RetryPolicy.stall_timeout`` seconds.
-Escalation is the classic ladder: SIGTERM, a ``stall_grace`` period for
-a clean death, then SIGKILL for workers that ignore the term (the
-journal makes any death point safe — at most the in-flight chunk is
-lost). Stall detection is opt-in (``stall_timeout=None`` default)
-because a legitimately long chunk produces no journal growth while it
-computes; enable it when chunk durations are known to be bounded.
+it grows by nothing for :meth:`.work.RetryPolicy.stall_deadline`
+seconds: ``RetryPolicy.stall_timeout`` when set, else one chunk's budget
+under ``config.trial_timeout``. Escalation is the classic ladder:
+SIGTERM, a ``stall_grace`` period for a clean death, then SIGKILL for
+workers that ignore the term (the journal makes any death point safe —
+at most the in-flight chunk is lost). With neither set, stall detection
+is off, because a legitimately long chunk produces no journal growth
+while it computes.
 
 Shard-merge protocol
 --------------------
@@ -59,10 +62,15 @@ Shard-merge protocol
 * Whatever is *still* missing — e.g. every failover path also died —
   runs in-process in the parent against ``parent.ckpt``, so the run
   terminates with every chunk done-or-quarantined no matter what the
-  fleet did.
+  fleet did. A poison chunk that kills every worker ends here; chunk
+  *exceptions* are retried and quarantined inside each worker's
+  :class:`~.base.ChunkDriver`, as on the serial backend.
 
-Resuming a sharded sweep reuses the directory: pass the same
-``checkpoint``. A directory journaled under a different shard count
+A checkpoint is a journal directory; a new path is created as one, and
+a single-file journal (a serial run's) raises :class:`CheckpointError`.
+Without a checkpoint the fleet journals into a temporary directory it
+removes afterwards. Resuming a sharded sweep reuses the directory: pass
+the same ``checkpoint``. A directory journaled under a different shard count
 also resumes: the merge reads all journals, so previously completed
 chunks are replayed (workers still re-execute chunks absent from their
 own journal; the digest dedupe arbitrates the resulting duplicates).
@@ -130,8 +138,7 @@ _POLL_INTERVAL = 0.05
 _STARTUP_ALLOWANCE = 10.0
 
 #: Shard workers are forked from the supervisor, which has already
-#: imported everything they run (the start method the pool backend's
-#: ``ProcessPoolExecutor`` uses on Linux).
+#: imported everything they run.
 _FORK = multiprocessing.get_context("fork")
 
 #: Journal the parent's terminal in-process sweep appends to.
@@ -265,6 +272,7 @@ class _Fleet:
         self.directory = directory
         self.slots: List[_Slot] = []
         self.stats = SupervisionStats()
+        self.stall_timeout = request.policy.stall_deadline(request.config)
 
     def add_slot(
         self,
@@ -287,7 +295,7 @@ class _Fleet:
         payload = {
             "config": self.request.config,
             "shard": shard,
-            "n_shards": self.request.shards,
+            "n_shards": self.request.workers,
             "journal": slot.journal,
             "summary": slot.summary,
             "policy": self.request.policy,
@@ -387,8 +395,7 @@ class _Fleet:
         """Sleep until a worker exits, the next relaunch comes due, or —
         with a stall policy — the next journal-heartbeat poll."""
         timeout = (
-            _POLL_INTERVAL if self.request.policy.stall_timeout is not None
-            else None
+            _POLL_INTERVAL if self.stall_timeout is not None else None
         )
         sentinels = []
         now = time.monotonic()
@@ -406,7 +413,7 @@ class _Fleet:
     def _check_liveness(self, slot: _Slot, now: float) -> None:
         """Journal-growth heartbeat + the SIGTERM→grace→SIGKILL ladder."""
         policy = self.request.policy
-        if policy.stall_timeout is None:
+        if self.stall_timeout is None:
             return
         size = self._journal_size(slot)
         if size != slot.bytes_seen:
@@ -451,7 +458,7 @@ class _Fleet:
                 )
                 slot.term_at = None  # the kill is final; just reap it
             return
-        deadline = policy.stall_timeout
+        deadline = self.stall_timeout
         if not slot.saw_progress:
             deadline += _STARTUP_ALLOWANCE
         if now - slot.last_progress >= deadline:
@@ -586,14 +593,14 @@ class _Fleet:
 
 
 class SubprocessBackend(ExecutionBackend):
-    """Disjoint shards executed by independent worker subprocesses."""
+    """Disjoint shards executed by a supervised fleet of workers."""
 
     name = "subprocess"
 
     def prepare(self, request: ExecutionRequest) -> None:
-        if request.shards < 1:
+        if request.workers < 1:
             raise ExperimentError(
-                f"shards must be >= 1, got {request.shards}"
+                f"shards must be >= 1, got {request.workers}"
             )
         if not is_parallelizable(request.config):
             raise ExperimentError(
@@ -602,15 +609,15 @@ class SubprocessBackend(ExecutionBackend):
             )
         if request.checkpoint is not None and os.path.isfile(request.checkpoint):
             raise CheckpointError(
-                f"the subprocess backend checkpoints into a journal "
+                f"a multi-process run checkpoints into a journal "
                 f"*directory*, but {request.checkpoint!r} is a file "
-                "(a single-file journal from a serial/pool run?)"
+                "(a single-file journal from a serial run?)"
             )
 
     def run(self, request: ExecutionRequest) -> BackendOutcome:
         config = request.config
         inst = request.instrumentation
-        n_shards = request.shards
+        n_shards = request.workers
         fingerprint = config_fingerprint(config)
 
         directory = request.checkpoint
@@ -645,19 +652,24 @@ class SubprocessBackend(ExecutionBackend):
 
         outcome = BackendOutcome()
         outcome.supervision.merge(fleet.stats)
-        seen: Dict[ChunkKey, str] = {}
+        # Key → its first chunk, or that chunk's digest when streaming
+        # drops records: a kept chunk is digested only if its key repeats,
+        # a streamed one up front, so memory stays bounded by chunk size.
+        seen: Dict[ChunkKey, object] = {}
+
+        def digest(first) -> str:
+            return first if isinstance(first, str) else _chunk_digest(first)
 
         def merge_chunk(key: ChunkKey, chunk) -> None:
-            digest = _chunk_digest(chunk)
             if key in seen:
-                if seen[key] != digest:
+                if digest(seen[key]) != _chunk_digest(chunk):
                     raise ExperimentError(
                         f"conflicting duplicate chunk (scenario={key[0]}, "
                         f"graph={key[1]}) across shard journals in "
                         f"{directory!r} — records differ; refusing to merge"
                     )
                 return
-            seen[key] = digest
+            seen[key] = chunk if request.keep_records else _chunk_digest(chunk)
             if request.on_chunk is not None:
                 request.on_chunk(key, chunk)
                 outcome.streamed_trials += chunk.n_trials
@@ -692,9 +704,7 @@ class SubprocessBackend(ExecutionBackend):
             if key not in seen and key not in outcome.quarantined
         ]
         if missing:
-            self._finish_in_process(
-                request, missing, directory, outcome, seen
-            )
+            self._finish_in_process(request, missing, directory, outcome)
         if gave_up:
             outcome.degraded_reason = (
                 f"worker(s) {gave_up} kept failing after "
@@ -716,7 +726,6 @@ class SubprocessBackend(ExecutionBackend):
         missing: List[ChunkKey],
         directory: str,
         outcome: BackendOutcome,
-        seen: Dict[ChunkKey, str],
     ) -> None:
         """Terminal sweep: the parent completes whatever no worker did.
 
@@ -742,9 +751,7 @@ class SubprocessBackend(ExecutionBackend):
         finally:
             journal.close()
         sub = driver.outcome()
-        for key, chunk in sub.chunks.items():
-            seen[key] = "" if chunk is None else _chunk_digest(chunk)
-            outcome.chunks[key] = chunk
+        outcome.chunks.update(sub.chunks)
         outcome.quarantined.update(sub.quarantined)
         outcome.failures.extend(sub.failures)
         outcome.streamed_trials += sub.streamed_trials

@@ -55,7 +55,7 @@ def default_jobs() -> int:
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalize a ``jobs`` request: ``None``/``0`` means all cores.
 
-    Values above the machine's core count are allowed (the pool is
+    Values above the machine's core count are allowed (a run is
     capped at one worker per chunk anyway); negatives are rejected.
     """
     if jobs is None or jobs == 0:
@@ -86,7 +86,7 @@ class RetryPolicy:
 
     The default comes from the experiment config
     (:meth:`from_config`: ``max_attempts = config.max_retries + 1``);
-    pass an explicit policy to tune backoff or pool-respawn limits.
+    pass an explicit policy to tune backoff or stall supervision.
     """
 
     #: Total attempts per chunk (first run + retries) before quarantine.
@@ -97,22 +97,23 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     #: Backoff ceiling, seconds.
     backoff_max: float = 4.0
-    #: Pool deaths tolerated before degrading to in-process execution.
-    max_pool_respawns: int = 8
     #: Extra seconds granted on top of the per-chunk budget
-    #: (``trial_timeout × trials_per_graph``) before the parent kills an
-    #: overdue chunk; covers graph generation and scheduling jitter.
+    #: (``trial_timeout × trials_per_graph``) in the stall deadline that
+    #: :meth:`stall_deadline` derives from ``config.trial_timeout``;
+    #: covers graph generation and scheduling jitter.
     timeout_grace: float = 1.0
     #: Fractional backoff jitter: each retry delay is stretched by up to
     #: this fraction, deterministically derived from (seed, token,
     #: attempt), so simultaneous shard relaunches never synchronize
     #: their retries against a shared journal directory. 0 disables.
     jitter: float = 0.25
-    #: Liveness supervision (subprocess backend): seconds a shard may go
+    #: Liveness supervision (worker fleet): seconds a worker may go
     #: without journal progress before it is declared stalled and
-    #: escalated SIGTERM → :attr:`stall_grace` → SIGKILL. ``None``
-    #: disables stall detection (the default — a long legitimate chunk
-    #: produces no journal growth while it computes).
+    #: escalated SIGTERM → :attr:`stall_grace` → SIGKILL. ``None`` (the
+    #: default) derives the deadline from ``config.trial_timeout`` (see
+    #: :meth:`stall_deadline`), and disables stall detection when that
+    #: is unset too — a long legitimate chunk produces no journal
+    #: growth while it computes.
     stall_timeout: Optional[float] = None
     #: Seconds between the stall SIGTERM and the SIGKILL escalation.
     stall_grace: float = 2.0
@@ -124,10 +125,6 @@ class RetryPolicy:
             )
         if self.backoff_base < 0 or self.backoff_max < 0:
             raise ExperimentError("backoff delays must be >= 0")
-        if self.max_pool_respawns < 0:
-            raise ExperimentError(
-                f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}"
-            )
         if self.jitter < 0:
             raise ExperimentError(f"jitter must be >= 0, got {self.jitter}")
         if self.stall_timeout is not None and self.stall_timeout <= 0:
@@ -142,6 +139,25 @@ class RetryPolicy:
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "RetryPolicy":
         return cls(max_attempts=config.max_retries + 1)
+
+    def stall_deadline(self, config: ExperimentConfig) -> Optional[float]:
+        """Seconds without journal progress before a worker is stalled.
+
+        :attr:`stall_timeout` when set; otherwise one chunk's budget
+        under ``config.trial_timeout`` (``trial_timeout ×
+        trials_per_graph`` plus ``max(timeout_grace, trial_timeout)``),
+        so a trial timeout also bounds a wedged worker; ``None`` (no
+        stall detection) when neither is set.
+        """
+        if self.stall_timeout is not None:
+            return self.stall_timeout
+        timeout = config.trial_timeout
+        if timeout is None:
+            return None
+        return (
+            timeout * config.trials_per_graph
+            + max(self.timeout_grace, timeout)
+        )
 
     def backoff(self, attempt: int) -> float:
         """Delay before resubmitting after the ``attempt``-th failure."""

@@ -18,12 +18,11 @@ stops exercising a path fails the campaign even if the records stay
 correct.
 
 Plans are backend-aware. Worker-killing kinds need worker processes:
-the ``subprocess`` backend gets the full menu (stall → escalation,
-journal truncation, failover-forcing exits); the ``pool`` backend gets
-crashes and in-worker faults; ``serial`` gets only in-process kinds
-(``error``/``slow-io``/``spin``). Everything is derived from the seed —
-the same ``(seed, backend, shards)`` triple always injects the same
-faults at the same chunks.
+the worker fleet (``subprocess`` and its alias ``pool``) gets the full
+menu (stall → escalation, journal truncation, failover-forcing exits);
+``serial`` gets only in-process kinds (``error``/``slow-io``/``spin``).
+Everything is derived from the seed — the same ``(seed, backend,
+shards)`` triple always injects the same faults at the same chunks.
 
 CLI: ``repro chaos --seed N --backend subprocess --faults K [--out DIR]``
 (see :func:`repro.cli.cmd_chaos`); CI runs one campaign per backend.
@@ -50,6 +49,9 @@ from repro.obs import runtime as obs
 
 #: In-process-safe fault kinds, usable on every backend.
 _SOFT_KINDS = ("error", "slow-io", "spin")
+
+#: Backend names that run the multi-process worker fleet.
+_FLEET = ("pool", "subprocess")
 
 
 def chaos_config(
@@ -83,7 +85,7 @@ def chaos_config(
 def chaos_policy(backend: str) -> RetryPolicy:
     """The retry/supervision policy a campaign runs under.
 
-    Subprocess campaigns enable stall detection (2 s of journal silence
+    Fleet campaigns enable stall detection (2 s of journal silence
     ⇒ SIGTERM, 1 s grace ⇒ SIGKILL) and enough launch attempts to climb
     the whole recovery ladder: stall-kill, truncation repair, and still
     one spare.
@@ -93,7 +95,7 @@ def chaos_policy(backend: str) -> RetryPolicy:
         backoff_base=0.05,
         backoff_factor=2.0,
         backoff_max=0.25,
-        stall_timeout=2.0 if backend == "subprocess" else None,
+        stall_timeout=2.0 if backend in _FLEET else None,
         stall_grace=1.0,
     )
 
@@ -107,7 +109,7 @@ def build_fault_plan(
 ) -> FaultPlan:
     """The seeded fault schedule for one campaign.
 
-    For the ``subprocess`` backend the plan *guarantees* the coverage
+    For the worker fleet the plan *guarantees* the coverage
     the acceptance campaign requires, pinned to chunk ordinals so the
     victims span at least two shards:
 
@@ -122,10 +124,9 @@ def build_fault_plan(
       sweep absorbs the poisoned chunk itself, where the fault is
       inert by the parent-pid guard).
 
-    The ``pool`` backend gets a fire-once ``crash`` instead (pool
-    respawn supervision), and every backend gets ``extra_faults``
-    additional seeded in-process faults (``error``/``slow-io``/``spin``)
-    on coordinates drawn from ``random.Random(seed)``.
+    Every backend gets ``extra_faults`` additional seeded in-process
+    faults (``error``/``slow-io``/``spin``) on coordinates drawn from
+    ``random.Random(seed)``.
     """
     keys = list(config.chunk_keys())
     faults: List[FaultSpec] = []
@@ -136,10 +137,10 @@ def build_fault_plan(
         faults.append(FaultSpec(scenario=scenario, index=index, **kwargs))
         taken.add((scenario, index))
 
-    if backend == "subprocess":
+    if backend in _FLEET:
         if shards < 2:
             raise ExperimentError(
-                f"a subprocess chaos campaign needs >= 2 shards, got {shards}"
+                f"a {backend} chaos campaign needs >= 2 shards, got {shards}"
             )
         pin(0, kind="hang", once=True, seconds=30.0,
             message="chaos: wedge shard 0")
@@ -147,8 +148,6 @@ def build_fault_plan(
             message="chaos: tear shard 0's journal")
         pin(1 + shards, kind="exit", attempts=None,
             message="chaos: poison shard 1")
-    elif backend == "pool":
-        pin(0, kind="crash", attempts=(0,), message="chaos: crash a worker")
     rng = random.Random(seed)
     open_keys = [k for k in keys if k not in taken]
     rng.shuffle(open_keys)
@@ -188,7 +187,7 @@ class Expectation:
 
 def plan_expectations(plan: FaultPlan, backend: str) -> List[Expectation]:
     """The supervision outcomes ``plan`` must provoke on ``backend``."""
-    if backend != "subprocess":
+    if backend not in _FLEET:
         return []
     kinds = [spec.kind for spec in plan.faults]
     expectations: List[Expectation] = []
@@ -285,7 +284,7 @@ def run_chaos(
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "fault-plan.json"), "w") as fp:
             fp.write(plan.to_json() + "\n")
-        if backend == "subprocess":
+        if backend in _FLEET:
             checkpoint = os.path.join(out, "journals")
 
     inst = Instrumentation(telemetry=obs.Telemetry())
@@ -295,6 +294,9 @@ def run_chaos(
             result = run_experiment(
                 config,
                 backend=backend,
+                # ``pool`` sizes the fleet by ``jobs``, ``subprocess``
+                # by ``shards``; the plan assumes ``shards`` workers.
+                jobs=shards if backend in _FLEET else 1,
                 shards=shards,
                 retry=policy,
                 checkpoint=checkpoint,

@@ -13,7 +13,7 @@ sweep (system sizes, topology), the scheduling options, and the set of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 from repro.core.commcost import make_estimator

@@ -40,7 +40,7 @@ docs/EXTENDING.md ("Custom fault kinds").
 
 Plans activate through an environment variable rather than module state
 so that worker processes see them under both the ``fork`` and ``spawn``
-start methods, and so a respawned pool inherits the active plan.
+start methods, and so a relaunched worker inherits the active plan.
 Injection is fully deterministic: the same plan against the same config
 fails the same chunks on the same attempts, every run.
 
@@ -245,8 +245,7 @@ def set_journal_context(path: Optional[str]) -> None:
     """Tell the injector which journal this process appends to.
 
     Installed by the shard worker before its driver runs; the
-    ``truncate-journal`` kind is a no-op in processes without one
-    (pool workers journal in the parent, which is immune anyway).
+    ``truncate-journal`` kind is a no-op in processes without one.
     """
     _context["journal"] = path
 

@@ -17,12 +17,12 @@ did the work, and merged upward once:
   :attr:`Instrumentation.wall_elapsed` and
   :meth:`Instrumentation.parallel_efficiency`.
 * Engine bookkeeping (trials completed and replayed, fault events,
-  retries, quarantines, pool respawns) lives in ``engine.*`` counters;
+  retries, quarantines) lives in ``engine.*`` counters;
   the attributes of the same names are views of them.
 * A chunk replayed from a checkpoint journal counts as replayed trials
   but adds no phase seconds: nothing was measured for it in this run.
 
-:class:`TrialFailure` is one fault event (crash, timeout, exception,
+:class:`TrialFailure` is one fault event (exception, slow trial,
 quarantine) observed by the fault-tolerant engine; plain picklable data
 shared by workers, results, and the checkpoint journal.
 
@@ -34,8 +34,8 @@ records into its own registry and ships it back with its records, and
 the parent calls :meth:`Instrumentation.absorb` as each chunk arrives —
 which merges the registry and fires the progress callbacks with the
 updated trial count. Progress granularity is therefore one chunk (all
-trials of one (scenario, graph) pair) on the serial and pool backends,
-and one shard worker on the subprocess backend.
+trials of one (scenario, graph) pair) on the serial backend, and one
+worker of the multi-process fleet.
 
 Progress callbacks are exception-safe: a callback that raises an
 :class:`Exception` is detached and reported as an
@@ -68,7 +68,9 @@ PHASE_METRICS: Dict[str, str] = {p: f"phase.{p}.seconds" for p in PHASES}
 
 #: Fault-event kinds the engine records.
 FAILURE_KINDS = (
-    "crash",       # a worker process (or its pool) died
+    # Worker deaths and stalls are supervision events now; these two
+    # kinds stay so results saved by earlier versions still load.
+    "crash",       # a worker process died
     "timeout",     # the parent killed a chunk that overran its budget
     "exception",   # the chunk raised inside a worker
     "slow-trial",  # a trial finished but overran its cooperative budget
@@ -228,9 +230,6 @@ class Instrumentation:
     quarantined = _counter_view(
         "engine.quarantined", "Chunks given up on after repeated failures."
     )
-    pool_respawns = _counter_view(
-        "engine.pool_respawns", "Times the worker pool died and was respawned."
-    )
 
     # ------------------------------------------------------------------
     def add_progress(self, callback: ProgressFn) -> None:
@@ -341,10 +340,6 @@ class Instrumentation:
     def quarantine(self) -> None:
         """Count one chunk quarantined after repeated failures."""
         self.metrics.count("engine.quarantined")
-
-    def pool_respawned(self) -> None:
-        """Count one worker-pool death + respawn."""
-        self.metrics.count("engine.pool_respawns")
 
     # ------------------------------------------------------------------
     def _progress(self) -> None:

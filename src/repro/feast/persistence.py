@@ -510,8 +510,8 @@ def compact_journals(directory: str) -> str:
     """Merge every journal in ``directory`` into one deduplicated file.
 
     The merged journal is written atomically as ``shard-0-of-1.ckpt``
-    (so both a ``--shards 1`` resume and a serial/pool resume pointed at
-    the file pick it up), chunks in canonical first-seen order, then the
+    (so both a ``--shards 1`` resume and a serial resume pointed at the
+    file pick it up), chunks in canonical first-seen order, then the
     source journals are removed. Identical duplicate chunks collapse;
     conflicting duplicates (same key, different records) raise
     :class:`CheckpointError` — compaction never guesses which side is

@@ -4,8 +4,8 @@
 and returns an :class:`ExperimentResult` holding one :class:`TrialRecord`
 per (scenario, system size, method, graph). Trials run in chunks on a
 pluggable execution backend (:mod:`repro.feast.backends`: in-process,
-a process pool, or shard subprocesses), and every backend produces the
-same records in the same order.
+or a fleet of worker processes), and every backend produces the same
+records in the same order.
 
 Seeding / pairing contract
 --------------------------
@@ -198,7 +198,7 @@ class ExperimentResult:
     #: their trials are *missing* from ``records``. Empty on a clean run.
     quarantined: List[Tuple[str, int]] = field(default_factory=list)
     #: Why the run executed on fewer workers than requested (unpicklable
-    #: config, repeated pool deaths, failing shards); ``None`` when
+    #: config, workers that kept failing); ``None`` when
     #: nothing degraded.
     fallback_reason: Optional[str] = None
     #: Trials whose records were streamed into a ``record_sink`` instead
@@ -430,31 +430,39 @@ def run_experiment(
 
     ``jobs`` selects the backend: ``1`` (default) runs the chunks in
     this process (``"serial"``); ``> 1`` fans them out over that many
-    worker processes (``"pool"``); ``0`` or ``None`` uses all CPU
-    cores. A config whose ``graph_factory`` cannot be pickled falls
-    back to in-process execution regardless of ``jobs``, with an
-    :class:`ExperimentWarning` and the reason recorded on
+    forked worker processes, at most one per chunk (``"pool"``, the
+    worker fleet of the ``"subprocess"`` backend); ``0`` or ``None``
+    uses all CPU cores. A config whose ``graph_factory`` cannot be
+    pickled falls back to in-process execution regardless of ``jobs``,
+    with an :class:`ExperimentWarning` and the reason recorded on
     ``result.fallback_reason``.
 
     ``backend`` selects an execution backend by registry name
     (:mod:`repro.feast.backends`: ``"serial"``, ``"pool"``,
     ``"subprocess"``, or anything registered) instead of deriving it
-    from ``jobs``; ``shards`` sets the subprocess backend's shard
-    count. Every backend produces byte-identical canonical records.
+    from ``jobs``; ``shards`` sets the worker count of
+    ``"subprocess"`` (``jobs`` that of ``"pool"``). Every backend
+    produces byte-identical canonical records.
 
-    ``checkpoint`` names a journal file (for the subprocess backend: a
-    journal *directory*): completed chunks are appended as they finish,
-    and a rerun with the same config and path resumes where the previous
-    run stopped — the resumed result is byte-identical to an
-    uninterrupted run. ``retry`` overrides the
-    :class:`~repro.feast.backends.RetryPolicy` derived from the config.
+    ``checkpoint`` names a journal file for a serial run and a journal
+    *directory* for a multi-process one (a new path is created as a
+    directory; an existing journal file raises
+    :class:`~repro.errors.CheckpointError`): completed chunks are
+    appended as they finish, and a rerun with the same config and path
+    resumes where the previous run stopped — the resumed result is
+    byte-identical to an uninterrupted run. ``retry`` overrides the
+    :class:`~repro.feast.backends.RetryPolicy` derived from the config;
+    on a multi-process run ``config.trial_timeout`` also bounds a
+    wedged worker (:meth:`~repro.feast.backends.RetryPolicy.stall_deadline`).
 
     Failure semantics: a plain ``jobs=1`` run (none of ``checkpoint``,
     ``retry``, ``config.trial_timeout``, ``backend`` or ``record_sink``)
     is fail-fast — it raises the first trial error and runs no later
-    chunk. Every other run is supervised: a failing chunk is retried per
-    the retry policy, then quarantined and listed on
-    ``result.quarantined`` while the sweep goes on.
+    chunk. Every other run is supervised: a chunk that raises is retried
+    per the retry policy, then quarantined and listed on
+    ``result.quarantined`` while the sweep goes on. A chunk that kills
+    every worker process it runs in ends in the parent, which runs it
+    in-process after the fleet gave up (``result.fallback_reason``).
 
     ``record_sink`` switches to streaming: every completed chunk's
     records (including chunks replayed from a checkpoint) are passed to
@@ -518,8 +526,10 @@ def run_experiment(
         instrumentation=inst,
         policy=retry if retry is not None else RetryPolicy.from_config(config),
         checkpoint=checkpoint,
-        jobs=n_jobs,
-        shards=shards,
+        workers=(
+            shards if backend_name == "subprocess"
+            else min(n_jobs, len(config.chunk_keys()))
+        ),
         supervised=supervised,
         on_chunk=on_chunk,
         keep_records=record_sink is None,
@@ -533,7 +543,7 @@ def run_experiment(
     with obs.activate(inst.telemetry):
         with obs.toplevel_span(
             "run", experiment=config.name, jobs=n_jobs,
-            engine=backend_name,
+            engine=engine.name,
         ):
             outcome = engine.run(request)
         # Supervision outcomes become counters exactly once, here in

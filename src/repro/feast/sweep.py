@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import fields, replace
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.feast.config import ExperimentConfig
@@ -126,6 +126,7 @@ def registry_record(
     config fingerprint (record-determining fields only) and the
     order-sensitive digest of the canonical records.
     """
+    from repro.feast.backends import make_backend
     from repro.feast.persistence import config_fingerprint
     from repro.obs.registry import RunRecord, records_digest
 
@@ -134,7 +135,9 @@ def registry_record(
         run_id=run_id,
         experiment=config.name,
         fingerprint=config_fingerprint(config),
-        backend=backend or ("serial" if result.jobs == 1 else "pool"),
+        backend=make_backend(
+            backend or ("serial" if result.jobs == 1 else "pool")
+        ).name,
         jobs=result.jobs,
         shards=shards,
         started=started,
@@ -168,7 +171,6 @@ def run_summary(
         "trials_replayed": inst.replayed_trials,
         "retries": inst.retries,
         "quarantined": inst.quarantined,
-        "pool_respawns": inst.pool_respawns,
         "parallel_efficiency": inst.parallel_efficiency(result.jobs),
     }
 

@@ -9,14 +9,10 @@ would extract from the paper's plots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.feast.aggregate import (
-    mean_end_to_end_lateness,
-    mean_max_lateness,
-    summarize_by,
-)
-from repro.feast.runner import ExperimentResult, TrialRecord
+from repro.feast.aggregate import mean_end_to_end_lateness, mean_max_lateness
+from repro.feast.runner import ExperimentResult
 
 
 def render_table(

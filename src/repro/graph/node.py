@@ -15,7 +15,7 @@ time" is the (estimated or actual) communication cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ValidationError

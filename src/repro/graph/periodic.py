@@ -18,10 +18,10 @@ between subtasks of tasks with different periods".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.errors import ValidationError
 from repro.graph.taskgraph import TaskGraph

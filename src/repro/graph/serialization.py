@@ -15,7 +15,7 @@ The JSON schema is versioned and intentionally simple::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, Union
+from typing import Any, Dict, IO
 
 from repro.errors import SerializationError
 from repro.graph.taskgraph import TaskGraph

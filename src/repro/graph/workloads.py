@@ -33,7 +33,6 @@ from typing import Dict, List, Optional
 
 from repro.errors import GeneratorError
 from repro.graph.taskgraph import TaskGraph
-from repro.types import Time
 
 
 def _anchor(graph: TaskGraph, laxity_ratio: float) -> TaskGraph:

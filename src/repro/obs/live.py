@@ -133,6 +133,16 @@ class StatusStream:
             self._close_fd()
 
     @staticmethod
+    def final_line(path: str) -> Optional[Dict[str, Any]]:
+        """The ``final`` line ``path`` ends with; ``None`` when the
+        stream is missing, headerless or not finished."""
+        try:
+            last = read_status(path)[-1]
+        except SerializationError:
+            return None
+        return last if last["kind"] == "final" else None
+
+    @staticmethod
     def close_orphan(path: str, **final_fields: Any) -> None:
         """Append the ``final`` line a stream's dead writer never wrote.
 
@@ -342,7 +352,6 @@ class StatusSampler:
                 "failures": len(inst.failures),
                 "retries": inst.retries,
                 "quarantined": inst.quarantined,
-                "pool_respawns": inst.pool_respawns,
             },
             "parent": {
                 "pid": parent.pid,

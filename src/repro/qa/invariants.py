@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.core.annotations import DeadlineAssignment
 from repro.core.commcost import make_estimator

@@ -13,7 +13,7 @@ JSON export captures the schedule's raw placement for external tooling.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Union
+from typing import List, Optional
 from xml.sax.saxutils import escape
 
 from repro.core.annotations import DeadlineAssignment

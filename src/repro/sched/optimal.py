@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro import budget as trial_budget
 from repro.obs import runtime as obs
@@ -53,7 +53,7 @@ from repro.sched.schedule import (
     ScheduledMessage,
     ScheduledTask,
 )
-from repro.types import TIME_EPS, NodeId, ProcessorId, Time
+from repro.types import TIME_EPS, ProcessorId, Time
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.annotations import DeadlineAssignment
 from repro.errors import ValidationError

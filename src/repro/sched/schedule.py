@@ -14,7 +14,7 @@ asked (DESIGN.md §3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError, UnknownNodeError

@@ -29,7 +29,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.applog import atomic_write_text
 from repro.feast.backends import make_backend
@@ -120,15 +120,32 @@ class WorkerPool:
         for i in range(self.workers):
             self._tasks.append(asyncio.create_task(self._worker(), name=f"serve-worker-{i}"))
         resumed = 0
-        for job_id in self.store.recover(self._close_cancelled_stream):
+        for job_id in self.store.recover(self._settle):
             if self.try_enqueue(job_id):
                 resumed += 1
         return resumed
 
-    def _close_cancelled_stream(self, job_id: str) -> None:
-        StatusStream.close_orphan(
-            self.paths.status(job_id), state=JobState.CANCELLED, error=None
-        )
+    def _settle(
+        self, job_id: str, cancel_requested: bool
+    ) -> Optional[Tuple[str, Optional[str]]]:
+        """How recovery ends an unfinished row; ``None`` runs it.
+
+        A status stream that already ends with ``final`` records how the
+        job ended before the server died uncommitted: keep that state,
+        ``done`` only while its result file exists. Otherwise a
+        cancel-flagged job is cancelled, its stream ended first.
+        """
+        path = self.paths.status(job_id)
+        final = StatusStream.final_line(path)
+        if final is not None and final.get("state") in JobState.TERMINAL and (
+            final["state"] != JobState.DONE
+            or os.path.exists(self.paths.result(job_id))
+        ):
+            return final["state"], final.get("error")
+        if not cancel_requested:
+            return None
+        StatusStream.close_orphan(path, state=JobState.CANCELLED, error=None)
+        return JobState.CANCELLED, None
 
     def try_enqueue(self, job_id: str) -> bool:
         """Admit a job to the in-memory queue; False when full (503)."""

@@ -29,7 +29,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.serve.jobs import JobState
@@ -175,27 +175,34 @@ class JobStore:
                 (done, total, job_id),
             )
 
-    def recover(self, close_stream: Callable[[str], None]) -> List[str]:
+    def recover(
+        self,
+        settle: Callable[[str, bool], Optional[Tuple[str, Optional[str]]]],
+    ) -> List[str]:
         """Boot-time recovery: orphaned ``running`` rows re-queue.
 
         Returns every queued job id in submission order, for
-        re-enqueueing. A job whose cancel was requested before the
-        crash goes straight to ``cancelled`` instead of re-running;
-        ``close_stream(job_id)`` writes its ``final`` status line before
-        that state is committed, the order a live job finishes in.
+        re-enqueueing. ``settle(job_id, cancel_requested)`` sees each
+        unfinished row first and returns the terminal ``(state, error)``
+        to commit instead — for a job that ended before the crash, or
+        one whose cancel was requested — after writing whatever must
+        precede that commit (the ``final`` status line), the order a
+        live job finishes in; ``None`` leaves the row to run.
         """
         with self._lock:
-            cancelled = self._conn.execute(
-                "SELECT id FROM jobs WHERE state IN (?, ?) AND cancel_requested = 1"
+            unfinished = self._conn.execute(
+                "SELECT id, cancel_requested FROM jobs WHERE state IN (?, ?)"
                 " ORDER BY rowid",
                 (JobState.QUEUED, JobState.RUNNING),
             ).fetchall()
-            for row in cancelled:
-                close_stream(row["id"])
-                self._conn.execute(
-                    "UPDATE jobs SET state = ?, finished = ? WHERE id = ?",
-                    (JobState.CANCELLED, time.time(), row["id"]),
-                )
+            for row in unfinished:
+                end = settle(row["id"], bool(row["cancel_requested"]))
+                if end is not None:
+                    self._conn.execute(
+                        "UPDATE jobs SET state = ?, finished = ?, error = ?"
+                        " WHERE id = ?",
+                        (end[0], time.time(), end[1], row["id"]),
+                    )
             self._conn.execute(
                 "UPDATE jobs SET state = ? WHERE state = ?",
                 (JobState.QUEUED, JobState.RUNNING),

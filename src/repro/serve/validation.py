@@ -25,7 +25,7 @@ Two layers:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ReproError
 from repro.feast.config import MethodSpec, SPEED_PROFILES

@@ -31,6 +31,7 @@ from repro.feast.persistence import (
 )
 from repro.feast.runner import run_experiment
 from repro.graph.generator import RandomGraphConfig
+from repro.obs import Telemetry
 from repro.obs.live import (
     StatusSampler,
     StatusStream,
@@ -78,7 +79,21 @@ class TestRegistry:
         for name in backend_names():
             engine = make_backend(name)
             assert isinstance(engine, ExecutionBackend)
-            assert engine.name == name
+            # ``pool`` is an alias of the one multi-process supervisor.
+            assert engine.name == ("subprocess" if name == "pool" else name)
+
+    def test_jobs_run_the_worker_fleet(self):
+        from repro.feast.backends.shards import SubprocessBackend
+        from repro.feast.sweep import registry_record
+
+        assert type(make_backend("pool")) is SubprocessBackend
+        cfg = tiny_config(n_graphs=2)
+        inst = Instrumentation(telemetry=Telemetry())
+        result = run_experiment(cfg, jobs=2, instrumentation=inst)
+        (run,) = [s for s in inst.telemetry.spans.finished()
+                  if s.name == "run"]
+        assert run.attrs["engine"] == "subprocess"
+        assert registry_record("r", result, inst).backend == "subprocess"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExperimentError, match="unknown execution"):

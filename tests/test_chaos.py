@@ -278,6 +278,16 @@ class TestChaosCampaign:
                 "chunks_replayed", "relaunches"} <= names
         assert plan_expectations(plan, "serial") == []
 
+    def test_pool_campaign_plans_for_the_fleet(self):
+        """``pool`` runs the worker fleet, so it gets the fleet's plan
+        and expectations."""
+        cfg = chaos_config(0)
+        plan = build_fault_plan(0, cfg, "pool", 3)
+        assert plan == build_fault_plan(0, cfg, "subprocess", 3)
+        assert plan_expectations(plan, "pool") == plan_expectations(
+            plan, "subprocess"
+        )
+
     def test_serial_campaign_passes(self):
         report = run_chaos(
             seed=1, backend="serial",

@@ -129,42 +129,45 @@ class TestTransientFaults:
         assert result.failures[0].index == 1
 
     def test_worker_crash_is_retried(self):
+        """A worker killed mid-chunk is relaunched; its journal makes
+        the relaunch re-run only what was missing."""
         cfg = ft_config(n_graphs=2)
         clean = run_experiment(cfg)
         plan = FaultPlan(faults=(
-            FaultSpec(scenario="MDET", index=0, kind="crash",
-                      attempts=(0,)),
+            FaultSpec(scenario="MDET", index=0, kind="crash", once=True),
         ))
-        inst = Instrumentation()
         with faultinject.active(plan):
-            result = run_experiment(
-                cfg, jobs=2, retry=FAST, instrumentation=inst
-            )
+            with pytest.warns(ExperimentWarning, match="relaunching"):
+                result = run_experiment(cfg, jobs=2, retry=FAST)
         assert record_dicts(result) == record_dicts(clean)
         assert result.complete
-        assert inst.pool_respawns >= 1
-        assert any(f.kind == "crash" for f in result.failures)
+        assert result.supervision.relaunches == 1
+        assert result.fallback_reason is None
 
     def test_hang_is_killed_and_retried(self):
-        cfg = ft_config(n_graphs=2, trial_timeout=0.25)
-        clean = run_experiment(ft_config(n_graphs=2))
+        """``trial_timeout`` bounds a wedged worker: with no
+        ``stall_timeout`` the stall deadline is one chunk's budget."""
+        cfg = ft_config(n_graphs=4, trial_timeout=0.25)
+        clean = run_experiment(ft_config(n_graphs=4))
+        # Graph 2 is worker 0's second chunk: its first one journaled,
+        # so the stall needs no startup allowance to be detected.
         plan = FaultPlan(faults=(
-            FaultSpec(scenario="MDET", index=0, kind="hang",
-                      attempts=(0,), seconds=20.0),
+            FaultSpec(scenario="MDET", index=2, kind="hang", once=True,
+                      seconds=20.0),
         ))
         policy = RetryPolicy(
             max_attempts=3, backoff_base=0.01, backoff_max=0.05,
             timeout_grace=0.25,
         )
-        inst = Instrumentation()
+        assert policy.stall_deadline(cfg) == 0.5
         with faultinject.active(plan):
-            result = run_experiment(
-                cfg, jobs=2, retry=policy, instrumentation=inst
-            )
+            with pytest.warns(ExperimentWarning, match="stalled"):
+                result = run_experiment(cfg, jobs=2, retry=policy)
         # trial_timeout does not affect records, only survival.
         assert record_dicts(result) == record_dicts(clean)
         assert result.complete
-        assert any(f.kind == "timeout" for f in result.failures)
+        assert result.supervision.stalls_detected >= 1
+        assert result.supervision.relaunches >= 1
 
 
 class TestQuarantine:
@@ -196,19 +199,25 @@ class TestQuarantine:
         with pytest.raises(QuarantinedTrialError, match=r"\(MDET, 1\)"):
             result.check()
 
-    def test_exhausted_attempts_quarantine(self):
+    def test_exhausted_attempts_quarantine(self, monkeypatch):
+        """An exception whose message changes between attempts looks
+        transient, so it burns through the full attempt budget — inside
+        the worker that runs the chunk."""
+        import repro.feast.backends.base as base_mod
+
+        real_execute_chunk = base_mod.execute_chunk
+
+        def flaky(spec, attempt, *args):
+            if spec.index == 0:
+                raise RuntimeError(f"flaky on attempt {attempt}")
+            return real_execute_chunk(spec, attempt, *args)
+
+        # Forked workers inherit the patched module.
+        monkeypatch.setattr(base_mod, "execute_chunk", flaky)
         cfg = ft_config(n_graphs=2)
-        plan = FaultPlan(faults=(
-            # Different message each attempt would be needed to look
-            # transient; a crash is never treated as deterministic, so it
-            # burns through the full attempt budget.
-            FaultSpec(scenario="MDET", index=0, kind="crash",
-                      attempts=None),
-        ))
         policy = RetryPolicy(max_attempts=2, backoff_base=0.01,
                              backoff_max=0.02)
-        with faultinject.active(plan):
-            result = run_experiment(cfg, jobs=2, retry=policy)
+        result = run_experiment(cfg, jobs=2, retry=policy)
         assert result.quarantined == [("MDET", 0)]
         assert len(result.records) == cfg.n_trials - cfg.trials_per_graph
         quarantine_events = [
@@ -234,28 +243,27 @@ class TestQuarantine:
 
 
 class TestDegradation:
-    def test_repeated_pool_deaths_degrade_to_in_process(self):
+    def test_poison_chunk_ends_in_the_parent_sweep(self):
+        """A chunk that kills every worker it runs in exhausts its
+        worker's launches, then its failover worker's, and finally runs
+        in the parent's terminal sweep — never quarantined for a crash."""
         cfg = ft_config(n_graphs=2)
         clean = run_experiment(cfg)
         plan = FaultPlan(faults=(
             FaultSpec(scenario="MDET", index=0, kind="crash",
                       attempts=None),
         ))
-        policy = RetryPolicy(
-            max_attempts=5, backoff_base=0.01, backoff_max=0.02,
-            max_pool_respawns=0,
-        )
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.01,
+                             backoff_max=0.02)
         with faultinject.active(plan):
-            with pytest.warns(ExperimentWarning, match="degraded"):
-                result = run_experiment(
-                    cfg, jobs=2, retry=policy
-                )
-        # In-process, the crash spec is parent-safe, so the sweep
-        # finishes completely.
+            with pytest.warns(ExperimentWarning, match="giving up"):
+                result = run_experiment(cfg, jobs=2, retry=policy)
+        # In the parent the crash spec is inert, so the sweep finishes
+        # completely.
         assert record_dicts(result) == record_dicts(clean)
         assert result.complete
-        assert result.fallback_reason is not None
-        assert "degraded" in result.fallback_reason
+        assert result.supervision.shards_failed_over == 1
+        assert "ran in-process in the parent" in result.fallback_reason
 
 
 class TestCheckpoint:
@@ -386,13 +394,26 @@ class TestCheckpoint:
             run_experiment(ft_config(), checkpoint=str(path))
 
     def test_parallel_checkpoint_matches_serial(self, tmp_path):
+        """A multi-process checkpoint is a journal directory, created
+        at a new path whatever its name."""
         cfg = ft_config()
         clean = run_experiment(cfg)
         path = str(tmp_path / "par.ckpt")
         result = run_experiment(cfg, jobs=2, checkpoint=path)
         assert record_dicts(result) == record_dicts(clean)
-        resumed = run_experiment(cfg, jobs=2, checkpoint=path)
+        assert os.path.isdir(path)
+        inst = Instrumentation()
+        resumed = run_experiment(cfg, jobs=2, checkpoint=path,
+                                 instrumentation=inst)
         assert record_dicts(resumed) == record_dicts(clean)
+        assert inst.replayed_trials == cfg.n_trials
+
+    def test_parallel_run_refuses_a_single_file_journal(self, tmp_path):
+        cfg = ft_config()
+        path = str(tmp_path / "serial.ckpt")
+        run_experiment(cfg, checkpoint=path)
+        with pytest.raises(CheckpointError, match="is a file"):
+            run_experiment(cfg, jobs=2, checkpoint=path)
 
 
 class TestRetryPolicy:
@@ -410,8 +431,6 @@ class TestRetryPolicy:
     def test_invalid_policy_rejected(self):
         with pytest.raises(Exception, match="max_attempts"):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(Exception, match="max_pool_respawns"):
-            RetryPolicy(max_pool_respawns=-1)
         with pytest.raises(Exception, match="jitter"):
             RetryPolicy(jitter=-0.1)
         with pytest.raises(Exception, match="stall_timeout"):

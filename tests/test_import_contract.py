@@ -38,7 +38,6 @@ OFF_PATH = (
     "repro.feast.aggregate",
     "repro.feast.plots",
     "repro.feast.tables",
-    "repro.feast.backends.pool",
     "repro.feast.backends.shards",
     "repro.qa",
     "repro.serve",
@@ -136,7 +135,7 @@ class TestSerialRunPath:
 class TestWorkers:
     def test_hand_launched_shardworker_loads_no_supervisor(self, tmp_path):
         """``python -m repro.feast.backends.shardworker PAYLOAD`` runs its
-        shard without the supervisor, the pool or the service."""
+        shard without the supervisor or the service."""
         out = run_fresh("""
             import json, runpy, sys
             sys.argv = ["shardworker", sys.argv[1]]
@@ -153,7 +152,7 @@ class TestWorkers:
 
     def test_forking_parent_has_loaded_what_workers_run(self, tmp_path):
         """After ``make_backend`` — which a run calls before its first
-        fork — running a pool chunk or a whole shard in the same process
+        fork — running a chunk or a whole shard in the same process
         imports no ``repro`` module, so a forked worker never does."""
         out = run_fresh("""
             import json, sys

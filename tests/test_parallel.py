@@ -82,11 +82,16 @@ class TestRecordIdentity:
             run_experiment(cfg, jobs=2)
         )
 
-    def test_more_jobs_than_chunks(self):
+    def test_more_jobs_than_chunks(self, tmp_path):
         cfg = tiny_config(n_graphs=1)
-        assert dicts(run_experiment(cfg, jobs=8)) == dicts(
-            run_experiment(cfg, jobs=1)
+        ckpt = tmp_path / "ckpt"
+        assert dicts(run_experiment(cfg, jobs=8, checkpoint=str(ckpt))) == (
+            dicts(run_experiment(cfg, jobs=1))
         )
+        # Capped at one worker per chunk.
+        assert sorted(p.name for p in ckpt.glob("*.ckpt")) == [
+            "shard-0-of-1.ckpt"
+        ]
 
 
 class TestDispatch:
@@ -150,9 +155,10 @@ class TestProgress:
                        jobs=2)
         assert calls[-1] == (cfg.n_trials, cfg.n_trials)
         assert all(t == cfg.n_trials for _, t in calls)
-        # One event per chunk, monotone, never past 100 %.
+        # One event per worker (the fleet reports a worker's trials when
+        # it finishes), monotone, never past 100 %.
         assert [d for d, _ in calls] == sorted(d for d, _ in calls)
-        assert len(calls) == len(cfg.scenarios) * cfg.n_graphs
+        assert len(calls) == 2
         assert all(d <= t for d, t in calls)
 
 

@@ -327,3 +327,41 @@ class TestRestartResume:
         assert [e["kind"] for e in events] == ["header", "progress", "final"]
         assert [e["seq"] for e in events] == [0, 1, 2]
         assert events[-1]["state"] == JobState.CANCELLED
+
+    def test_restart_keeps_a_job_that_finished_before_its_commit(
+        self, tmp_path
+    ):
+        """A server killed inside a job's finish, after the result file
+        and the ``final … done`` line but before the ``done`` commit,
+        leaves a ``running`` row — here also flagged for cancel. The
+        restarted server keeps the state the stream records: the job is
+        ``done`` and its result is served, not cancelled or re-run."""
+        from repro.applog import atomic_write_text
+
+        paths = JobPaths(str(tmp_path / "data"))
+        store = JobStore(paths.db())
+        job_id = "00000000000000d1"
+        store.create(job_id, "finished", tiny_job(name="finished", seed=7))
+        assert store.mark_running(job_id)
+        assert store.request_cancel(job_id) == JobState.RUNNING
+        result = json.dumps({"job": job_id, "records": []}) + "\n"
+        atomic_write_text(paths.result(job_id), result)
+        stream = StatusStream(paths.status(job_id), "finished", job_id)
+        stream.close(state=JobState.DONE, error=None, records=0)
+        store.close()
+
+        config = ServiceConfig(data_dir=paths.data_dir, workers=1)
+        with ServiceHandle(config) as handle:
+            assert poll_job(handle.port, job_id)["state"] == JobState.DONE
+            status, _, body = request(
+                handle.port, "GET", f"/v1/jobs/{job_id}/result"
+            )
+            assert status == 200
+            assert body.decode() == result
+            status, _, body = request(
+                handle.port, "GET", f"/v1/jobs/{job_id}/events?follow=1"
+            )
+        assert status == 200
+        events = [json.loads(line) for line in body.decode().splitlines()]
+        assert [e["kind"] for e in events] == ["header", "final"]
+        assert events[-1]["state"] == JobState.DONE

@@ -730,8 +730,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
             registry = RunRegistry(args.registry or DEFAULT_REGISTRY_DIR)
             registry.append(registry_record(
-                run_id, result, instrumentation,
-                backend=args.backend, shards=args.shards,
+                run_id, result, instrumentation, shards=args.shards,
                 started=started_epoch,
                 trace=(
                     trace_path(args.trace, config) if args.trace else ""

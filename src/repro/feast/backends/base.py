@@ -203,6 +203,8 @@ class ChunkDriver:
 
     ``keys`` restricts the driver to a subset of the config's chunks —
     the shard worker passes its partition; the default is every chunk.
+    ``on_start`` is called with each chunk's key before it executes (the
+    shard worker names its in-flight chunk for the fleet's stall charge).
     """
 
     def __init__(
@@ -214,12 +216,14 @@ class ChunkDriver:
         keys: Optional[List[ChunkKey]] = None,
         on_chunk: Optional[ChunkSink] = None,
         keep_records: bool = True,
+        on_start: Optional[Callable[[ChunkKey], None]] = None,
     ) -> None:
         self.config = config
         self.inst = inst
         self.policy = policy
         self.journal = journal
         self.on_chunk = on_chunk
+        self.on_start = on_start
         self.keep_records = keep_records
         #: Whether workers should record and ship telemetry.
         self.trace = inst.telemetry is not None
@@ -343,6 +347,8 @@ class ChunkDriver:
                 time.sleep(delay)
             self.waiting.remove(key)
             state = self.states[key]
+            if self.on_start is not None:
+                self.on_start(key)
             try:
                 chunk = execute_chunk(
                     state.spec, state.attempt, self.config.trial_timeout,

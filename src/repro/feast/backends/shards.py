@@ -32,6 +32,19 @@ at most the in-flight chunk is lost). With neither set, stall detection
 is off, because a legitimately long chunk produces no journal growth
 while it computes.
 
+A stall is charged to the chunk the worker was executing (it names it
+before it starts, :func:`.shardworker.inflight_path`) as one ``timeout``
+attempt, not to the worker's launch cap: the worker is relaunched, and a
+chunk that stalls ``RetryPolicy.max_attempts`` times is quarantined and
+dropped from its worker's keys. So a chunk that hangs on every attempt
+never reaches a failover worker or the parent's sweep, and the run
+finishes. A stall the worker named no unfinished chunk for counts as a
+failed launch.
+
+The same journal growth is the parent's progress signal: with progress
+callbacks registered, each chunk line a worker appends is reported
+through :meth:`~repro.feast.instrumentation.Instrumentation.heartbeat`.
+
 Shard-merge protocol
 --------------------
 * Partition: shard ``i`` of ``n`` owns the chunks whose ordinal in the
@@ -64,7 +77,8 @@ Shard-merge protocol
   terminates with every chunk done-or-quarantined no matter what the
   fleet did. A poison chunk that kills every worker ends here; chunk
   *exceptions* are retried and quarantined inside each worker's
-  :class:`~.base.ChunkDriver`, as on the serial backend.
+  :class:`~.base.ChunkDriver`, as on the serial backend, and chunks that
+  keep stalling are quarantined by the parent (above).
 
 A checkpoint is a journal directory; a new path is created as one, and
 a single-file journal (a serial run's) raises :class:`CheckpointError`.
@@ -109,6 +123,7 @@ from repro.feast.backends.base import (
     SupervisionStats,
 )
 from repro.feast.backends import shardworker
+from repro.feast.backends.shardworker import inflight_path, read_inflight
 from repro.feast.backends.work import ChunkKey, is_parallelizable, shard_keys
 from repro.feast.instrumentation import TrialFailure
 from repro.feast.persistence import (
@@ -125,7 +140,8 @@ from repro.obs.spans import Span
 
 
 #: Seconds between journal-heartbeat polls while a stall policy is set
-#: (worker exits wake the supervisor at once either way).
+#: or progress is reported (worker exits wake the supervisor at once
+#: either way).
 _POLL_INTERVAL = 0.05
 
 #: Extra no-progress allowance before a launch's *first* journal growth.
@@ -134,7 +150,8 @@ _POLL_INTERVAL = 0.05
 #: every chunk it already journaled) — must still not count against the
 #: stall deadline, or a loaded host kill-storms healthy workers before
 #: they ever append: the liveness probe only arms once the startup
-#: probe has passed.
+#: probe has passed (the journal grew, or the worker named the chunk it
+#: started).
 _STARTUP_ALLOWANCE = 10.0
 
 #: Shard workers are forked from the supervisor, which has already
@@ -249,11 +266,16 @@ class _Slot:
     bytes_seen: int = 0
     records_seen: int = 0
     last_progress: float = 0.0
-    #: Whether this launch has produced any journal activity yet; until
-    #: it has, the stall deadline is widened by ``_STARTUP_ALLOWANCE``.
+    #: Whether this launch has produced any journal activity or started
+    #: a chunk yet; until it has, the stall deadline is widened by
+    #: ``_STARTUP_ALLOWANCE``.
     saw_progress: bool = False
     #: When the SIGKILL escalation fires, if a stall SIGTERM was sent.
     term_at: Optional[float] = None
+    #: Whether this launch was declared stalled.
+    stalled: bool = False
+    #: Launches that failed and were not charged to a stalled chunk.
+    failed_launches: int = 0
     done: bool = False
     gave_up: bool = False
 
@@ -263,8 +285,9 @@ class _Fleet:
 
     Runs the poll loop: launch eligible slots, reap exits (relaunch
     with jittered backoff, or give up and fail over), and watch journal
-    heartbeats for stalls (SIGTERM → grace → SIGKILL). Collects
-    :class:`SupervisionStats` as it goes.
+    heartbeats for progress and stalls (SIGTERM → grace → SIGKILL,
+    charged to the stalled chunk). Collects :class:`SupervisionStats`,
+    and the chunks it quarantined with their fault events, as it goes.
     """
 
     def __init__(self, request: ExecutionRequest, directory: str) -> None:
@@ -273,6 +296,15 @@ class _Fleet:
         self.slots: List[_Slot] = []
         self.stats = SupervisionStats()
         self.stall_timeout = request.policy.stall_deadline(request.config)
+        #: Whether the loop polls the journals between worker exits.
+        self.polling = (
+            self.stall_timeout is not None
+            or request.instrumentation.reports_progress
+        )
+        #: Stalls charged per chunk, and the chunks that ran out.
+        self.timeouts: Dict[ChunkKey, int] = {}
+        self.quarantined: Dict[ChunkKey, str] = {}
+        self.failures: List[TrialFailure] = []
 
     def add_slot(
         self,
@@ -292,23 +324,27 @@ class _Fleet:
             payload=os.path.join(self.directory, ident + ".payload.pkl"),
             original=original,
         )
+        self._write_payload(slot, explicit_keys)
+        self.slots.append(slot)
+        return slot
+
+    def _write_payload(self, slot: _Slot, explicit_keys: bool) -> None:
         payload = {
             "config": self.request.config,
-            "shard": shard,
+            "shard": slot.shard,
             "n_shards": self.request.workers,
             "journal": slot.journal,
             "summary": slot.summary,
             "policy": self.request.policy,
             "trace": self.request.trace,
-            # Failover workers get an explicit key list; originals
-            # derive their partition from (shard, n_shards) so the
-            # payload stays oblivious to this run's fault history.
-            "keys": keys if explicit_keys else None,
+            # Failover workers, and workers that lost a quarantined
+            # chunk, get an explicit key list; other originals derive
+            # their partition from (shard, n_shards) so the payload
+            # stays oblivious to this run's fault history.
+            "keys": slot.keys if explicit_keys else None,
         }
         with open(slot.payload, "wb") as fp:
             pickle.dump(payload, fp)
-        self.slots.append(slot)
-        return slot
 
     # -- lifecycle -----------------------------------------------------
     def _launch(self, slot: _Slot) -> None:
@@ -318,6 +354,13 @@ class _Fleet:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
+        if self.stall_timeout is not None:
+            # A marker left by the previous launch names no chunk of
+            # this one.
+            try:
+                os.unlink(inflight_path(slot.journal))
+            except OSError:
+                pass
         slot.proc = _ShardProcess(slot.payload, slot.log, name=slot.ident)
         slot.proc.start()
         # Heartbeat baseline: progress means growth beyond what the
@@ -369,9 +412,20 @@ class _Fleet:
         return {"slots": rows}
 
     def drive(self) -> None:
-        """Supervise until every slot is done or given up."""
+        """Supervise until every slot is done or given up.
+
+        Kills the live workers if the loop is interrupted (a progress
+        callback may raise ``KeyboardInterrupt``).
+        """
         with obs_live.probe("fleet", self._probe):
-            self._drive()
+            try:
+                self._drive()
+            except BaseException:
+                for slot in self.slots:
+                    if slot.proc is not None:
+                        slot.proc.kill()
+                        slot.proc.join()
+                raise
 
     def _drive(self) -> None:
         while True:
@@ -393,10 +447,8 @@ class _Fleet:
 
     def _wait(self) -> None:
         """Sleep until a worker exits, the next relaunch comes due, or —
-        with a stall policy — the next journal-heartbeat poll."""
-        timeout = (
-            _POLL_INTERVAL if self.stall_timeout is not None else None
-        )
+        while polling — the next journal-heartbeat poll."""
+        timeout = _POLL_INTERVAL if self.polling else None
         sentinels = []
         now = time.monotonic()
         for slot in self.slots:
@@ -410,36 +462,48 @@ class _Fleet:
         if sentinels or timeout is not None:
             wait_for_exit(sentinels, timeout)
 
+    def _observe(self, slot: _Slot, now: float) -> bool:
+        """Read one journal's heartbeat: whether it changed since the
+        last look. New chunk lines are reported as progress."""
+        size = self._journal_size(slot)
+        if size == slot.bytes_seen:
+            return False
+        if size > slot.bytes_seen:
+            # Appends are whole lines, so counting newlines in the
+            # grown region tracks the record heartbeat exactly.
+            try:
+                with open(slot.journal, "rb") as fp:
+                    fp.seek(slot.bytes_seen)
+                    lines = fp.read(size - slot.bytes_seen).count(b"\n")
+            except OSError:
+                lines = 0
+            if slot.bytes_seen == 0:
+                lines = max(0, lines - 1)  # the header line
+            slot.records_seen += lines
+            for _ in range(lines):  # one progress event per chunk
+                self.request.instrumentation.heartbeat(
+                    self.request.config.trials_per_graph
+                )
+        # A shrink is torn-tail repair on reopen — also liveness.
+        slot.bytes_seen = size
+        slot.last_progress = now
+        slot.saw_progress = True
+        # Chunks complete inside the shard worker (no status stream
+        # there), so journal growth is the parent's progress signal.
+        obs_live.publish(
+            "progress",
+            shard=slot.shard,
+            ident=slot.ident,
+            chunks_journaled=slot.records_seen,
+        )
+        return True
+
     def _check_liveness(self, slot: _Slot, now: float) -> None:
         """Journal-growth heartbeat + the SIGTERM→grace→SIGKILL ladder."""
         policy = self.request.policy
-        if self.stall_timeout is None:
+        if not self.polling or self._observe(slot, now):
             return
-        size = self._journal_size(slot)
-        if size != slot.bytes_seen:
-            if size > slot.bytes_seen:
-                # Appends are whole lines, so counting newlines in the
-                # grown region tracks the record heartbeat exactly.
-                try:
-                    with open(slot.journal, "rb") as fp:
-                        fp.seek(slot.bytes_seen)
-                        slot.records_seen += fp.read(
-                            size - slot.bytes_seen
-                        ).count(b"\n")
-                except OSError:
-                    pass
-            # A shrink is torn-tail repair on reopen — also liveness.
-            slot.bytes_seen = size
-            slot.last_progress = now
-            slot.saw_progress = True
-            # Chunks complete inside the shard worker (no status stream
-            # there), so journal growth is the parent's progress signal.
-            obs_live.publish(
-                "progress",
-                shard=slot.shard,
-                ident=slot.ident,
-                chunks_journaled=slot.records_seen,
-            )
+        if self.stall_timeout is None:
             return
         if slot.term_at is not None:
             if now >= slot.term_at:
@@ -458,6 +522,12 @@ class _Fleet:
                 )
                 slot.term_at = None  # the kill is final; just reap it
             return
+        if not slot.saw_progress and os.path.exists(
+            inflight_path(slot.journal)
+        ):
+            # The worker started its first chunk: startup is over.
+            slot.saw_progress = True
+            slot.last_progress = now
         deadline = self.stall_timeout
         if not slot.saw_progress:
             deadline += _STARTUP_ALLOWANCE
@@ -479,15 +549,19 @@ class _Fleet:
                 stacklevel=6,
             )
             slot.proc.terminate()
+            slot.stalled = True
             slot.term_at = now + policy.stall_grace
 
     def _reap(self, slot: _Slot, returncode: int) -> None:
         slot.proc = None
+        if self.polling:
+            self._observe(slot, time.monotonic())  # the last lines
+        stalled, slot.stalled = slot.stalled, False
         if returncode == 0:
             slot.done = True
-            # Without a stall policy the journal is never polled, so a
-            # clean exit is the one unconditional progress signal the
-            # parent sees per shard.
+            # Without polling the journal is never read, so a clean
+            # exit is the one unconditional progress signal the parent
+            # sees per shard.
             obs_live.publish(
                 "progress",
                 shard=slot.shard,
@@ -496,19 +570,19 @@ class _Fleet:
             )
             return
         policy = self.request.policy
-        if slot.launches >= policy.max_attempts:
+        if not (stalled and self._charge_stall(slot)):
+            slot.failed_launches += 1
+        failed = f"{slot.failed_launches}/{policy.max_attempts}"
+        if slot.failed_launches >= policy.max_attempts:
             slot.gave_up = True
             obs_live.publish(
                 "supervision", event="gave-up", ident=slot.ident,
-                detail=(
-                    f"exit {returncode} on launch "
-                    f"{slot.launches}/{policy.max_attempts}"
-                ),
+                detail=f"exit {returncode}; {failed} launches failed",
             )
             warnings.warn(
-                f"{slot.ident} exited with code {returncode} on launch "
-                f"{slot.launches}/{policy.max_attempts}; giving up on the "
-                f"worker. Last output:\n{_log_tail(slot.log)}",
+                f"{slot.ident} exited with code {returncode}; {failed} "
+                "launches failed, giving up on the worker. Last "
+                f"output:\n{_log_tail(slot.log)}",
                 ExperimentWarning,
                 stacklevel=6,
             )
@@ -523,17 +597,70 @@ class _Fleet:
             "supervision", event="relaunch", ident=slot.ident,
             detail=(
                 f"exit {returncode}; relaunching in {delay:.2f}s "
-                f"(launch {slot.launches + 1}/{policy.max_attempts})"
+                f"({failed} launches failed)"
             ),
         )
         warnings.warn(
             f"{slot.ident} exited with code {returncode}; "
-            f"relaunching in {delay:.2f}s (launch {slot.launches + 1}/"
-            f"{policy.max_attempts}) — its journal makes "
-            "the relaunch incremental",
+            f"relaunching in {delay:.2f}s ({failed} launches failed) — "
+            "its journal makes the relaunch incremental",
             ExperimentWarning,
             stacklevel=6,
         )
+
+    def _journaled(self, slot: _Slot) -> Set[ChunkKey]:
+        if not os.path.exists(slot.journal):
+            return set()
+        fingerprint = config_fingerprint(self.request.config)
+        return {
+            key for key, _ in iter_journal(
+                slot.journal, fingerprint=fingerprint
+            )
+        }
+
+    def _charge_stall(self, slot: _Slot) -> bool:
+        """Charge a stall-killed launch to the chunk it was executing.
+
+        The chunk loses one attempt (a ``timeout`` fault event); after
+        ``max_attempts`` it is quarantined and leaves the slot's keys, so
+        the relaunch skips it. Returns whether the stall was charged —
+        ``False`` when the worker named no chunk it had not journaled.
+        """
+        key = read_inflight(slot.journal)
+        if key is None or key not in slot.keys or key in self._journaled(slot):
+            return False
+        inst = self.request.instrumentation
+        policy = self.request.policy
+        attempt = self.timeouts[key] = self.timeouts.get(key, 0) + 1
+        message = (
+            f"{slot.ident} stalled on it: no journal progress for "
+            f"{self.stall_timeout:g}s"
+        )
+        self._record(TrialFailure(
+            scenario=key[0], index=key[1], kind="timeout",
+            message=message, attempt=attempt,
+        ))
+        if attempt < policy.max_attempts:
+            inst.retried()
+            return True
+        reason = f"timed out on {attempt} attempts; last: {message}"
+        self.quarantined[key] = reason
+        inst.quarantine()
+        self._record(TrialFailure(
+            scenario=key[0], index=key[1], kind="quarantine",
+            message=reason, attempt=attempt,
+        ))
+        slot.keys = [k for k in slot.keys if k != key]
+        self._write_payload(slot, explicit_keys=True)
+        obs_live.publish(
+            "supervision", event="quarantine", ident=slot.ident,
+            detail=f"chunk ({key[0]}, {key[1]}): {reason}",
+        )
+        return True
+
+    def _record(self, failure: TrialFailure) -> None:
+        self.failures.append(failure)
+        self.request.instrumentation.record_failure(failure)
 
     def _fail_over(self, slot: _Slot) -> None:
         """Repartition a dead shard's remaining keys across survivors.
@@ -547,14 +674,7 @@ class _Fleet:
         """
         if not slot.original:
             return
-        journaled: Set[ChunkKey] = set()
-        if os.path.exists(slot.journal):
-            fingerprint = config_fingerprint(self.request.config)
-            journaled = {
-                key for key, _ in iter_journal(
-                    slot.journal, fingerprint=fingerprint
-                )
-            }
+        journaled = self._journaled(slot)
         remaining = [k for k in slot.keys if k not in journaled]
         survivors = [
             s for s in self.slots if s.original and not s.gave_up
@@ -615,17 +735,23 @@ class SubprocessBackend(ExecutionBackend):
             )
 
     def run(self, request: ExecutionRequest) -> BackendOutcome:
+        directory = request.checkpoint
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+            return self._run(request, directory)
+        directory = tempfile.mkdtemp(prefix="repro-shards-")
+        try:
+            return self._run(request, directory)
+        finally:
+            shutil.rmtree(directory, ignore_errors=True)
+
+    def _run(
+        self, request: ExecutionRequest, directory: str
+    ) -> BackendOutcome:
         config = request.config
         inst = request.instrumentation
         n_shards = request.workers
         fingerprint = config_fingerprint(config)
-
-        directory = request.checkpoint
-        ephemeral = directory is None
-        if ephemeral:
-            directory = tempfile.mkdtemp(prefix="repro-shards-")
-        else:
-            os.makedirs(directory, exist_ok=True)
 
         # Chunks already journaled before this run started are what the
         # supervision stats call replayed; the per-journal breakdown
@@ -696,6 +822,12 @@ class SubprocessBackend(ExecutionBackend):
             if key not in counted:
                 inst.replayed(config.trials_per_graph)
 
+        # A chunk quarantined for stalling stays so unless some journal
+        # (an earlier partitioning's) holds it after all.
+        for key, reason in fleet.quarantined.items():
+            if key not in seen:
+                outcome.quarantined[key] = reason
+        outcome.failures.extend(fleet.failures)
         gave_up = sorted(
             slot.ident for slot in fleet.slots if slot.gave_up
         )
@@ -715,8 +847,6 @@ class SubprocessBackend(ExecutionBackend):
                     "; failover workers completed their remaining chunks"
                 )
             )
-        if ephemeral:
-            shutil.rmtree(directory, ignore_errors=True)
         return outcome
 
     # ------------------------------------------------------------------

@@ -19,6 +19,10 @@ coordinates, journal/summary paths, retry policy, trace flag). A
 *failover* worker — spawned when another shard exhausted its launch cap
 — instead receives an explicit ``keys`` list (the dead shard's
 un-journaled chunks) and ``shard == -1``; everything else is identical.
+With stall detection on (:meth:`.work.RetryPolicy.stall_deadline`),
+the worker names each chunk before it executes it in
+``<journal>.inflight``, so a parent that stall-kills the worker knows
+which chunk to charge (:func:`inflight_path`).
 On success the worker atomically writes a JSON summary: fault
 accounting, its metrics registry (phase seconds and ``engine.*``
 counters — the parent's only source for this shard's measurements),
@@ -51,13 +55,29 @@ from typing import Optional
 from repro.applog import atomic_write_text
 from repro.feast import faultinject
 from repro.feast.backends.base import ChunkDriver
-from repro.feast.backends.work import shard_keys
+from repro.feast.backends.work import ChunkKey, shard_keys
 from repro.feast.instrumentation import Instrumentation
 from repro.feast.persistence import CheckpointJournal
 from repro.obs import runtime as obs
 
 #: Exit code of a deliberately injected kill (see module docstring).
 KILL_EXIT_CODE = 86
+
+
+def inflight_path(journal: str) -> str:
+    """Where the worker journaling into ``journal`` names the chunk it
+    is executing (see module docstring)."""
+    return journal + ".inflight"
+
+
+def read_inflight(journal: str) -> Optional[ChunkKey]:
+    """The chunk last named in ``journal``'s in-flight marker."""
+    try:
+        with open(inflight_path(journal)) as fp:
+            scenario, index = json.load(fp)
+    except (OSError, ValueError, TypeError):
+        return None
+    return str(scenario), int(index)
 
 
 class _InjectedKill(Exception):
@@ -112,11 +132,19 @@ def run_shard(payload: dict) -> int:
                 fp.write("killed once\n")
             raise _InjectedKill()
 
+    on_start = None
+    if payload["policy"].stall_deadline(config) is not None:
+        inflight = inflight_path(payload["journal"])
+
+        def on_start(key) -> None:
+            with open(inflight, "w") as fp:
+                json.dump(list(key), fp)
+
     journal = CheckpointJournal(payload["journal"], config)
     try:
         driver = ChunkDriver(
             config, inst, payload["policy"], journal=journal,
-            keys=keys, on_chunk=on_chunk,
+            keys=keys, on_chunk=on_chunk, on_start=on_start,
         )
         armed = True
         try:

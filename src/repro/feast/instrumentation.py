@@ -34,8 +34,11 @@ records into its own registry and ships it back with its records, and
 the parent calls :meth:`Instrumentation.absorb` as each chunk arrives —
 which merges the registry and fires the progress callbacks with the
 updated trial count. Progress granularity is therefore one chunk (all
-trials of one (scenario, graph) pair) on the serial backend, and one
-worker of the multi-process fleet.
+trials of one (scenario, graph) pair). A fleet worker's registry
+arrives only when the worker finishes, so the fleet parent reports each
+chunk a worker journals through :meth:`Instrumentation.heartbeat`
+ahead of it; the reported count never goes backwards, and a callback
+fires only when it moves.
 
 Progress callbacks are exception-safe: a callback that raises an
 :class:`Exception` is detached and reported as an
@@ -68,10 +71,10 @@ PHASE_METRICS: Dict[str, str] = {p: f"phase.{p}.seconds" for p in PHASES}
 
 #: Fault-event kinds the engine records.
 FAILURE_KINDS = (
-    # Worker deaths and stalls are supervision events now; these two
-    # kinds stay so results saved by earlier versions still load.
+    # Worker deaths are supervision events now; this kind stays so
+    # results saved by earlier versions still load.
     "crash",       # a worker process died
-    "timeout",     # the parent killed a chunk that overran its budget
+    "timeout",     # the parent killed a worker stalled on the chunk
     "exception",   # the chunk raised inside a worker
     "slow-trial",  # a trial finished but overran its cooperative budget
     "quarantine",  # the chunk was given up on after repeated failures
@@ -213,6 +216,10 @@ class Instrumentation:
         self._wall_started: Optional[float] = None
         self._wall_elapsed: Optional[float] = None
         self._callbacks: List[ProgressFn] = []
+        #: Trials reported by :meth:`heartbeat`, and the last ``done``
+        #: the callbacks were given.
+        self._heartbeat = 0
+        self._reported = 0
         if progress is not None:
             self.add_progress(progress)
 
@@ -236,6 +243,11 @@ class Instrumentation:
         """Register a ``(done, total)`` progress callback."""
         self._callbacks.append(callback)
 
+    @property
+    def reports_progress(self) -> bool:
+        """Whether any progress callback is registered."""
+        return bool(self._callbacks)
+
     def start(self, total_trials: int) -> None:
         """Begin a run of ``total_trials`` trials."""
         self.total_trials = total_trials
@@ -247,6 +259,7 @@ class Instrumentation:
         )
         self._wall_started = time.perf_counter()
         self._wall_elapsed = None
+        self._heartbeat = self._reported = 0
 
     def finish(self) -> None:
         """Freeze :attr:`wall_elapsed` at the run's end."""
@@ -322,6 +335,16 @@ class Instrumentation:
         self.failures.extend(failures)
         self.completed(n_trials)
 
+    def heartbeat(self, n_trials: int) -> None:
+        """Report ``n_trials`` done that a worker's registry will count
+        when it is absorbed (a chunk a fleet worker journaled).
+
+        Moves progress only: the counters wait for the registry. Capped
+        at the run's total, as a chunk journaled twice counts twice.
+        """
+        self._heartbeat += n_trials
+        self._progress()
+
     def replayed(self, n_trials: int) -> None:
         """Count a chunk replayed from a checkpoint journal: its trials
         are done, but no phase seconds were spent on them in this run."""
@@ -343,7 +366,9 @@ class Instrumentation:
 
     # ------------------------------------------------------------------
     def _progress(self) -> None:
-        """Fire the progress callbacks with the current trial count.
+        """Fire the progress callbacks with the current trial count,
+        the larger of the counted and the :meth:`heartbeat` trials, when
+        it moved.
 
         A callback raising an :class:`Exception` is detached and
         surfaced as an :class:`ExperimentWarning`; ``BaseException``
@@ -356,6 +381,10 @@ class Instrumentation:
                 f"{self.total_trials} were planned — the workload source "
                 "produced more graphs than ExperimentConfig.n_trials expects"
             )
+        done = max(done, min(self._heartbeat, self.total_trials))
+        if done <= self._reported:
+            return
+        self._reported = done
         for callback in list(self._callbacks):
             try:
                 callback(done, self.total_trials)

@@ -190,6 +190,9 @@ class ExperimentResult:
     timings: Optional[PhaseTimings] = None
     #: Worker processes the run used (1 = serial).
     jobs: int = 1
+    #: Name of the execution backend class that ran it (``"serial"``,
+    #: ``"subprocess"``, ...); ``None`` on results loaded from disk.
+    engine: Optional[str] = None
     #: Every fault event the run survived (crashes, timeouts, exceptions,
     #: slow trials, quarantines), in observation order. Empty on a clean
     #: run.
@@ -474,7 +477,8 @@ def run_experiment(
     carries no records; ``streamed_trials`` counts what flowed through.
 
     ``progress`` is a ``(done, total)`` callback fired once per completed
-    chunk; ``instrumentation`` optionally supplies a preconfigured
+    chunk (on the fleet, as the chunk's line lands in its worker's
+    journal); ``instrumentation`` optionally supplies a preconfigured
     :class:`Instrumentation` (extra callbacks, telemetry). Both may be
     given.
     """
@@ -591,6 +595,7 @@ def run_experiment(
         elapsed_seconds=time.perf_counter() - started,
         timings=inst.timings,
         jobs=n_jobs,
+        engine=engine.name,
         failures=list(outcome.failures),
         quarantined=quarantined,
         fallback_reason=fallback_reason or outcome.degraded_reason,

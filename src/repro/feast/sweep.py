@@ -114,7 +114,6 @@ def registry_record(
     run_id: str,
     result: ExperimentResult,
     inst: Instrumentation,
-    backend: Optional[str] = None,
     shards: int = 0,
     started: float = 0.0,
     trace: str = "",
@@ -126,7 +125,6 @@ def registry_record(
     config fingerprint (record-determining fields only) and the
     order-sensitive digest of the canonical records.
     """
-    from repro.feast.backends import make_backend
     from repro.feast.persistence import config_fingerprint
     from repro.obs.registry import RunRecord, records_digest
 
@@ -135,9 +133,7 @@ def registry_record(
         run_id=run_id,
         experiment=config.name,
         fingerprint=config_fingerprint(config),
-        backend=make_backend(
-            backend or ("serial" if result.jobs == 1 else "pool")
-        ).name,
+        backend=result.engine,
         jobs=result.jobs,
         shards=shards,
         started=started,

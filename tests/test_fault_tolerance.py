@@ -170,6 +170,38 @@ class TestTransientFaults:
         assert result.supervision.relaunches >= 1
 
 
+    def test_chunk_that_always_hangs_is_quarantined(self):
+        """Each stall costs the hanging chunk one attempt, not its
+        worker a launch; after ``max_attempts`` the chunk is quarantined
+        and the run finishes without it."""
+        cfg = ft_config(n_graphs=4, trial_timeout=0.25)
+        clean = run_experiment(ft_config(n_graphs=4))
+        plan = FaultPlan(faults=(
+            FaultSpec(scenario="MDET", index=2, kind="hang", attempts=None,
+                      seconds=60.0),
+        ))
+        policy = RetryPolicy(
+            max_attempts=3, backoff_base=0.01, backoff_max=0.05,
+            timeout_grace=0.25, stall_grace=0.5,
+        )
+        inst = Instrumentation()
+        with faultinject.active(plan):
+            with pytest.warns(ExperimentWarning, match="stalled"):
+                result = run_experiment(
+                    cfg, jobs=2, retry=policy, instrumentation=inst
+                )
+        assert result.quarantined == [("MDET", 2)]
+        assert record_dicts(result) == [
+            r for r in record_dicts(clean) if r["graph_index"] != 2
+        ]
+        assert result.supervision.stalls_detected == 3
+        assert result.supervision.shards_failed_over == 0
+        assert result.fallback_reason is None
+        kinds = [f.kind for f in result.failures]
+        assert kinds == ["timeout"] * 3 + ["quarantine"]
+        assert inst.quarantined == 1 and inst.retries == 2
+
+
 class TestQuarantine:
     def test_deterministic_exception_quarantines_fast(self):
         """The same exception twice marks the chunk deterministic — it is

@@ -67,7 +67,10 @@ def test_resumed_run_measures_nothing(backend, tmp_path):
     assert resumed.timings.total == 0
     assert inst.replayed_trials == inst.trials_completed == cfg.n_trials
     assert inst.parallel_efficiency(resumed.jobs) <= 1
-    record = registry_record("resumed", resumed, inst, backend=backend)
+    record = registry_record("resumed", resumed, inst)
+    assert record.backend == (
+        "subprocess" if backend == "pool" else backend
+    )
     assert record.phase_seconds == dict.fromkeys(PHASES, 0.0)
     assert record.replayed_trials == record.n_trials == cfg.n_trials
     assert record.throughput == 0.0

@@ -155,11 +155,25 @@ class TestProgress:
                        jobs=2)
         assert calls[-1] == (cfg.n_trials, cfg.n_trials)
         assert all(t == cfg.n_trials for _, t in calls)
-        # One event per worker (the fleet reports a worker's trials when
-        # it finishes), monotone, never past 100 %.
+        # One event per chunk, monotone, never past 100 %.
         assert [d for d, _ in calls] == sorted(d for d, _ in calls)
-        assert len(calls) == 2
+        assert len(calls) == len(cfg.scenarios) * cfg.n_graphs
         assert all(d <= t for d, t in calls)
+
+
+    def test_interrupting_callback_stops_the_fleet(self):
+        """A callback's ``KeyboardInterrupt`` aborts the run and takes
+        its worker processes down with it."""
+        import multiprocessing
+
+        cfg = tiny_config(n_graphs=4)
+
+        def interrupt(done, total):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg, progress=interrupt, jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestInstrumentation:
@@ -190,6 +204,22 @@ class TestInstrumentation:
         inst.completed(2)
         with pytest.raises(ExperimentError, match="planned"):
             inst.completed()
+
+    def test_heartbeat_leads_the_counters_without_repeating(self):
+        """Journaled chunks move progress before the worker's registry
+        arrives; a chunk journaled twice cannot push it past the total,
+        and absorbing the registry repeats no value already reported."""
+        calls = []
+        inst = Instrumentation(progress=lambda d, t: calls.append(d))
+        inst.start(4)
+        for _ in range(3):
+            inst.heartbeat(2)
+        assert inst.trials_completed == 0
+        worker = MetricsRegistry()
+        worker.count("engine.trials_completed", 4)
+        inst.absorb(worker)
+        assert calls == [2, 4]
+        assert inst.trials_completed == 4
 
     def test_serial_run_times_all_phases(self):
         inst = Instrumentation()

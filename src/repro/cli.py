@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", default="subprocess",
         help="execution backend under test: serial, or subprocess "
         "(default) or its alias pool, the worker fleet with "
-        "stall/failover supervision",
+        "stall and crash supervision",
     )
     chaos.add_argument(
         "--shards", type=int, default=3, metavar="N",
@@ -567,8 +567,6 @@ def _fault_summary(result) -> Optional[str]:
             ("stalls_detected", "stall(s) detected"),
             ("kills_escalated", "SIGKILL escalation(s)"),
             ("relaunches", "worker relaunch(es)"),
-            ("shards_failed_over", "shard(s) failed over"),
-            ("chunks_reassigned", "chunk(s) reassigned"),
             ("chunks_replayed", "chunk(s) replayed from journals"),
         )
         lines.append("  supervision: " + ", ".join(

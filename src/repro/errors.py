@@ -98,8 +98,8 @@ class ExperimentWarning(ReproError, UserWarning):
     """Non-fatal experiment-engine condition worth surfacing.
 
     Emitted via :func:`warnings.warn` when the engine degrades instead of
-    failing: silent serial fallback for unpicklable configs, worker
-    relaunches and failovers, or degradation to in-process execution.
+    failing: serial fallback for unpicklable configs, worker stalls and
+    relaunches.
     Derives from :class:`ReproError` so
     ``-W error::repro.errors.ExperimentWarning`` and blanket
     ``ReproError`` handling both work.

@@ -87,7 +87,7 @@ class ExecutionRequest:
 class SupervisionStats:
     """Fault-tolerance outcomes of one run, for operators.
 
-    Filled by the backends (liveness supervision, failover, journal
+    Filled by the backends (liveness supervision, relaunches, journal
     replay) and surfaced three ways: on
     :attr:`repro.feast.runner.ExperimentResult.supervision`, in the CLI
     fault report, and — on traced runs — as ``supervision.*`` obs
@@ -102,11 +102,6 @@ class SupervisionStats:
     kills_escalated: int = 0
     #: Worker relaunches (after a crash, injected kill, or stall kill).
     relaunches: int = 0
-    #: Shards that exhausted their launch cap and had their remaining
-    #: chunks reassigned to surviving shards.
-    shards_failed_over: int = 0
-    #: Chunk keys repartitioned onto failover workers.
-    chunks_reassigned: int = 0
     #: Chunks recovered from journals instead of re-running.
     chunks_replayed: int = 0
 
@@ -114,8 +109,6 @@ class SupervisionStats:
         self.stalls_detected += other.stalls_detected
         self.kills_escalated += other.kills_escalated
         self.relaunches += other.relaunches
-        self.shards_failed_over += other.shards_failed_over
-        self.chunks_reassigned += other.chunks_reassigned
         self.chunks_replayed += other.chunks_replayed
 
     def as_dict(self) -> Dict[str, int]:
@@ -123,8 +116,6 @@ class SupervisionStats:
             "stalls_detected": self.stalls_detected,
             "kills_escalated": self.kills_escalated,
             "relaunches": self.relaunches,
-            "shards_failed_over": self.shards_failed_over,
-            "chunks_reassigned": self.chunks_reassigned,
             "chunks_replayed": self.chunks_replayed,
         }
 
@@ -144,11 +135,9 @@ class BackendOutcome:
     quarantined: Dict[ChunkKey, str] = field(default_factory=dict)
     #: Every fault event observed, in observation order.
     failures: List[TrialFailure] = field(default_factory=list)
-    #: Why execution degraded below what was requested, if it did.
-    degraded_reason: Optional[str] = None
     #: Trials whose records were streamed (and possibly dropped).
     streamed_trials: int = 0
-    #: Liveness/failover accounting (see :class:`SupervisionStats`).
+    #: Liveness accounting (see :class:`SupervisionStats`).
     supervision: SupervisionStats = field(default_factory=SupervisionStats)
 
 
@@ -198,13 +187,13 @@ class ChunkDriver:
     retry/backoff, deterministic-failure quarantine, checkpoint-journal
     replay and append, telemetry adoption, instrumentation/progress, and
     the streaming hook. Backends use it through :meth:`run_in_process`,
-    the serial chunk loop that is also the fleet worker's engine and the
-    fleet parent's terminal sweep.
+    the serial chunk loop that is also the fleet worker's engine.
 
     ``keys`` restricts the driver to a subset of the config's chunks —
     the shard worker passes its partition; the default is every chunk.
     ``on_start`` is called with each chunk's key before it executes (the
-    shard worker names its in-flight chunk for the fleet's stall charge).
+    shard worker names its in-flight chunk, so the fleet can charge a
+    worker death to it).
     """
 
     def __init__(
@@ -336,8 +325,8 @@ class ChunkDriver:
 
         Exceptions get retry/quarantine treatment, unless ``fail_fast``
         re-raises the first one unchanged; crash/hang protection needs
-        worker processes and is the fleet's job (injected crashes are
-        parent-safe by design — see :mod:`repro.feast.faultinject`).
+        worker processes and is the fleet's job: a chunk that kills this
+        process kills the run.
         """
         while self.waiting:
             now = time.monotonic()

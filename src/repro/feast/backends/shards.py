@@ -32,14 +32,18 @@ at most the in-flight chunk is lost). With neither set, stall detection
 is off, because a legitimately long chunk produces no journal growth
 while it computes.
 
-A stall is charged to the chunk the worker was executing (it names it
-before it starts, :func:`.shardworker.inflight_path`) as one ``timeout``
-attempt, not to the worker's launch cap: the worker is relaunched, and a
-chunk that stalls ``RetryPolicy.max_attempts`` times is quarantined and
-dropped from its worker's keys. So a chunk that hangs on every attempt
-never reaches a failover worker or the parent's sweep, and the run
-finishes. A stall the worker named no unfinished chunk for counts as a
-failed launch.
+Every worker death is charged to the chunk the worker was executing:
+the worker names each chunk in ``<journal>.inflight`` before it starts
+it (:func:`.shardworker.inflight_path`), and a launch that dies — an
+exit, a signal, a stall kill — with an unjournaled chunk of its keys
+named there costs that chunk one attempt (a ``crash`` or ``timeout``
+fault event). The worker is relaunched, and a chunk charged
+``RetryPolicy.max_attempts`` times is quarantined and dropped from its
+worker's keys, so a chunk that kills or wedges every worker it runs in
+ends quarantined and the run finishes without it. A worker that dies
+``max_attempts`` times without naming such a chunk has an environment
+fault — it cannot start, or dies between chunks — and the run raises
+:class:`ExperimentError` naming its log; the journals stay for a resume.
 
 The same journal growth is the parent's progress signal: with progress
 callbacks registered, each chunk line a worker appends is reported
@@ -56,29 +60,18 @@ Shard-merge protocol
 * A shard that exits nonzero is relaunched (its journal makes the
   relaunch incremental) after a deterministic, jittered backoff —
   decorrelated per shard, so a fleet killed at once doesn't thunder
-  back against the shared journal directory in lockstep — up to
-  ``RetryPolicy.max_attempts`` launches.
-* **Failover**: a shard that exhausts its launch cap has its *remaining*
-  chunk keys (owned minus journaled) repartitioned round-robin across
-  as many fresh *failover workers* as there are surviving shards, each
-  journaling to ``failover-<shard>-<j>.ckpt`` in the same directory.
-  Failover workers are supervised like any shard but are not themselves
-  failed over.
+  back against the shared journal directory in lockstep.
 * The parent then merges **every** ``*.ckpt`` journal in the directory
-  (shards, failovers, the parent's own sweep journal, and files from an
-  earlier partitioning — fingerprints guard config identity), rejects
-  conflicting duplicate chunks (identical duplicates are tolerated and
-  expected: determinism makes re-executions byte-equal), folds worker
-  telemetry under the single run span, and hands the union to canonical
-  assembly — byte-identical records to a serial run, for any shard
-  count and any fault history.
-* Whatever is *still* missing — e.g. every failover path also died —
-  runs in-process in the parent against ``parent.ckpt``, so the run
-  terminates with every chunk done-or-quarantined no matter what the
-  fleet did. A poison chunk that kills every worker ends here; chunk
-  *exceptions* are retried and quarantined inside each worker's
-  :class:`~.base.ChunkDriver`, as on the serial backend, and chunks that
-  keep stalling are quarantined by the parent (above).
+  (this run's shards and files from an earlier partitioning —
+  fingerprints guard config identity), rejects conflicting duplicate
+  chunks (identical duplicates are tolerated and expected: determinism
+  makes re-executions byte-equal), folds worker telemetry under the
+  single run span, and hands the union to canonical assembly —
+  byte-identical records to a serial run, for any shard count and any
+  fault history. Chunk *exceptions* are retried and quarantined inside
+  each worker's :class:`~.base.ChunkDriver`, as on the serial backend;
+  chunks that kill their workers are quarantined by the parent (above).
+  No chunk ever runs in the parent.
 
 A checkpoint is a journal directory; a new path is created as one, and
 a single-file journal (a serial run's) raises :class:`CheckpointError`.
@@ -90,7 +83,7 @@ chunks are replayed (workers still re-execute chunks absent from their
 own journal; the digest dedupe arbitrates the resulting duplicates).
 
 Everything the supervisor observes — stalls, kill escalations,
-relaunches, failovers, reassigned and replayed chunks — is accounted in
+relaunches and replayed chunks — is accounted in
 :class:`~.base.SupervisionStats` on the outcome, surfaced as
 ``supervision.*`` obs counters and in the CLI fault report.
 """
@@ -117,7 +110,6 @@ from repro import budget
 from repro.errors import CheckpointError, ExperimentError, ExperimentWarning
 from repro.feast.backends.base import (
     BackendOutcome,
-    ChunkDriver,
     ExecutionBackend,
     ExecutionRequest,
     SupervisionStats,
@@ -127,7 +119,6 @@ from repro.feast.backends.shardworker import inflight_path, read_inflight
 from repro.feast.backends.work import ChunkKey, is_parallelizable, shard_keys
 from repro.feast.instrumentation import TrialFailure
 from repro.feast.persistence import (
-    CheckpointJournal,
     config_fingerprint,
     iter_journal,
     journal_paths,
@@ -158,9 +149,6 @@ _STARTUP_ALLOWANCE = 10.0
 #: imported everything they run.
 _FORK = multiprocessing.get_context("fork")
 
-#: Journal the parent's terminal in-process sweep appends to.
-_PARENT_JOURNAL = "parent.ckpt"
-
 
 def _shard_stem(shard: int, n_shards: int) -> str:
     return f"shard-{shard}-of-{n_shards}"
@@ -176,6 +164,16 @@ def _chunk_digest(chunk) -> str:
         sort_keys=True,
     )
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def _exit_text(returncode: int) -> str:
+    """A worker's exit status in words: ``exit code 3``, ``SIGKILL``."""
+    if returncode < 0:
+        try:
+            return signal.Signals(-returncode).name
+        except ValueError:
+            return f"signal {-returncode}"
+    return f"exit code {returncode}"
 
 
 def _log_tail(path: str, lines: int = 5) -> str:
@@ -243,20 +241,16 @@ class _ShardProcess(_FORK.Process):
 
 @dataclass
 class _Slot:
-    """One supervised worker: an original shard or a failover worker."""
+    """One supervised worker: a shard of the sweep."""
 
     ident: str
-    #: Shard index for originals; ``-1`` for failover workers.
     shard: int
-    #: The chunk keys this worker owns.
+    #: The chunk keys this worker owns (minus those quarantined).
     keys: List[ChunkKey]
     journal: str
     summary: str
     log: str
     payload: str
-    #: Whether this is an original shard (failover slots are not
-    #: themselves failed over — the parent sweep is their safety net).
-    original: bool = True
     launches: int = 0
     proc: Optional["_ShardProcess"] = None
     #: Monotonic time before which a (re)launch must not happen.
@@ -274,19 +268,18 @@ class _Slot:
     term_at: Optional[float] = None
     #: Whether this launch was declared stalled.
     stalled: bool = False
-    #: Launches that failed and were not charged to a stalled chunk.
+    #: Launches that died without naming a chunk to charge.
     failed_launches: int = 0
     done: bool = False
-    gave_up: bool = False
 
 
 class _Fleet:
-    """Supervises a set of worker slots to completion-or-give-up.
+    """Supervises a set of worker slots to completion.
 
-    Runs the poll loop: launch eligible slots, reap exits (relaunch
-    with jittered backoff, or give up and fail over), and watch journal
-    heartbeats for progress and stalls (SIGTERM → grace → SIGKILL,
-    charged to the stalled chunk). Collects :class:`SupervisionStats`,
+    Runs the poll loop: launch eligible slots, reap exits (charge the
+    death to the worker's in-flight chunk and relaunch with jittered
+    backoff), and watch journal heartbeats for progress and stalls
+    (SIGTERM → grace → SIGKILL). Collects :class:`SupervisionStats`,
     and the chunks it quarantined with their fault events, as it goes.
     """
 
@@ -301,32 +294,24 @@ class _Fleet:
             self.stall_timeout is not None
             or request.instrumentation.reports_progress
         )
-        #: Stalls charged per chunk, and the chunks that ran out.
-        self.timeouts: Dict[ChunkKey, int] = {}
+        #: Worker deaths charged per chunk, and the chunks that ran out.
+        self.charges: Dict[ChunkKey, int] = {}
         self.quarantined: Dict[ChunkKey, str] = {}
         self.failures: List[TrialFailure] = []
 
-    def add_slot(
-        self,
-        ident: str,
-        shard: int,
-        keys: List[ChunkKey],
-        original: bool,
-        explicit_keys: bool,
-    ) -> _Slot:
+    def add_slot(self, shard: int) -> None:
+        ident = _shard_stem(shard, self.request.workers)
         slot = _Slot(
             ident=ident,
             shard=shard,
-            keys=keys,
+            keys=shard_keys(self.request.config, shard, self.request.workers),
             journal=os.path.join(self.directory, ident + ".ckpt"),
             summary=os.path.join(self.directory, ident + ".summary.json"),
             log=os.path.join(self.directory, ident + ".log"),
             payload=os.path.join(self.directory, ident + ".payload.pkl"),
-            original=original,
         )
-        self._write_payload(slot, explicit_keys)
+        self._write_payload(slot, explicit_keys=False)
         self.slots.append(slot)
-        return slot
 
     def _write_payload(self, slot: _Slot, explicit_keys: bool) -> None:
         payload = {
@@ -337,10 +322,10 @@ class _Fleet:
             "summary": slot.summary,
             "policy": self.request.policy,
             "trace": self.request.trace,
-            # Failover workers, and workers that lost a quarantined
-            # chunk, get an explicit key list; other originals derive
-            # their partition from (shard, n_shards) so the payload
-            # stays oblivious to this run's fault history.
+            # A worker that lost a quarantined chunk gets an explicit
+            # key list; the others derive their partition from (shard,
+            # n_shards) so the payload stays oblivious to this run's
+            # fault history.
             "keys": slot.keys if explicit_keys else None,
         }
         with open(slot.payload, "wb") as fp:
@@ -354,13 +339,12 @@ class _Fleet:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-        if self.stall_timeout is not None:
-            # A marker left by the previous launch names no chunk of
-            # this one.
-            try:
-                os.unlink(inflight_path(slot.journal))
-            except OSError:
-                pass
+        # A marker left by the previous launch names no chunk of this
+        # one.
+        try:
+            os.unlink(inflight_path(slot.journal))
+        except OSError:
+            pass
         slot.proc = _ShardProcess(slot.payload, slot.log, name=slot.ident)
         slot.proc.start()
         # Heartbeat baseline: progress means growth beyond what the
@@ -388,8 +372,6 @@ class _Fleet:
         for slot in list(self.slots):
             if slot.done:
                 state = "done"
-            elif slot.gave_up:
-                state = "gave-up"
             elif slot.proc is None:
                 state = "waiting"
             elif slot.term_at is not None:
@@ -412,10 +394,11 @@ class _Fleet:
         return {"slots": rows}
 
     def drive(self) -> None:
-        """Supervise until every slot is done or given up.
+        """Supervise until every slot is done.
 
         Kills the live workers if the loop is interrupted (a progress
-        callback may raise ``KeyboardInterrupt``).
+        callback may raise ``KeyboardInterrupt``) or a worker has an
+        environment fault.
         """
         with obs_live.probe("fleet", self._probe):
             try:
@@ -429,7 +412,7 @@ class _Fleet:
 
     def _drive(self) -> None:
         while True:
-            live = [s for s in self.slots if not (s.done or s.gave_up)]
+            live = [s for s in self.slots if not s.done]
             if not live:
                 return
             now = time.monotonic()
@@ -452,7 +435,7 @@ class _Fleet:
         sentinels = []
         now = time.monotonic()
         for slot in self.slots:
-            if slot.done or slot.gave_up:
+            if slot.done:
                 continue
             if slot.proc is not None:
                 sentinels.append(slot.proc.sentinel)
@@ -570,24 +553,20 @@ class _Fleet:
             )
             return
         policy = self.request.policy
-        if not (stalled and self._charge_stall(slot)):
+        if not self._charge(slot, stalled, returncode):
             slot.failed_launches += 1
-        failed = f"{slot.failed_launches}/{policy.max_attempts}"
-        if slot.failed_launches >= policy.max_attempts:
-            slot.gave_up = True
-            obs_live.publish(
-                "supervision", event="gave-up", ident=slot.ident,
-                detail=f"exit {returncode}; {failed} launches failed",
-            )
-            warnings.warn(
-                f"{slot.ident} exited with code {returncode}; {failed} "
-                "launches failed, giving up on the worker. Last "
-                f"output:\n{_log_tail(slot.log)}",
-                ExperimentWarning,
-                stacklevel=6,
-            )
-            self._fail_over(slot)
-            return
+            if slot.failed_launches >= policy.max_attempts:
+                resume = (
+                    f"; its journals stay in {self.directory!r} for a resume"
+                    if self.request.checkpoint is not None else ""
+                )
+                raise ExperimentError(
+                    f"{slot.ident} died {slot.failed_launches} times "
+                    f"without naming a chunk to charge (last: "
+                    f"{_exit_text(returncode)}) — an environment fault, "
+                    f"not a chunk's{resume}. Its log {slot.log!r} ends:\n"
+                    f"{_log_tail(slot.log)}"
+                )
         delay = policy.backoff_jittered(
             slot.launches, self.request.config.seed, slot.ident
         )
@@ -595,15 +574,12 @@ class _Fleet:
         self.stats.relaunches += 1
         obs_live.publish(
             "supervision", event="relaunch", ident=slot.ident,
-            detail=(
-                f"exit {returncode}; relaunching in {delay:.2f}s "
-                f"({failed} launches failed)"
-            ),
+            detail=f"{_exit_text(returncode)}; relaunching in {delay:.2f}s",
         )
         warnings.warn(
-            f"{slot.ident} exited with code {returncode}; "
-            f"relaunching in {delay:.2f}s ({failed} launches failed) — "
-            "its journal makes the relaunch incremental",
+            f"{slot.ident} exited with {_exit_text(returncode)}; "
+            f"relaunching in {delay:.2f}s — its journal makes the "
+            "relaunch incremental",
             ExperimentWarning,
             stacklevel=6,
         )
@@ -618,12 +594,13 @@ class _Fleet:
             )
         }
 
-    def _charge_stall(self, slot: _Slot) -> bool:
-        """Charge a stall-killed launch to the chunk it was executing.
+    def _charge(self, slot: _Slot, stalled: bool, returncode: int) -> bool:
+        """Charge a dead launch to the chunk it was executing.
 
-        The chunk loses one attempt (a ``timeout`` fault event); after
+        The chunk loses one attempt (a ``timeout`` fault event for a
+        stall kill, ``crash`` for any other death); after
         ``max_attempts`` it is quarantined and leaves the slot's keys, so
-        the relaunch skips it. Returns whether the stall was charged —
+        the relaunch skips it. Returns whether the death was charged —
         ``False`` when the worker named no chunk it had not journaled.
         """
         key = read_inflight(slot.journal)
@@ -631,19 +608,24 @@ class _Fleet:
             return False
         inst = self.request.instrumentation
         policy = self.request.policy
-        attempt = self.timeouts[key] = self.timeouts.get(key, 0) + 1
-        message = (
-            f"{slot.ident} stalled on it: no journal progress for "
-            f"{self.stall_timeout:g}s"
-        )
+        attempt = self.charges[key] = self.charges.get(key, 0) + 1
+        if stalled:
+            kind, message = "timeout", (
+                f"{slot.ident} stalled on it: no journal progress for "
+                f"{self.stall_timeout:g}s"
+            )
+        else:
+            kind, message = "crash", (
+                f"{slot.ident} died running it ({_exit_text(returncode)})"
+            )
         self._record(TrialFailure(
-            scenario=key[0], index=key[1], kind="timeout",
+            scenario=key[0], index=key[1], kind=kind,
             message=message, attempt=attempt,
         ))
         if attempt < policy.max_attempts:
             inst.retried()
             return True
-        reason = f"timed out on {attempt} attempts; last: {message}"
+        reason = f"killed its worker on {attempt} attempts; last: {message}"
         self.quarantined[key] = reason
         inst.quarantine()
         self._record(TrialFailure(
@@ -661,55 +643,6 @@ class _Fleet:
     def _record(self, failure: TrialFailure) -> None:
         self.failures.append(failure)
         self.request.instrumentation.record_failure(failure)
-
-    def _fail_over(self, slot: _Slot) -> None:
-        """Repartition a dead shard's remaining keys across survivors.
-
-        Spawns one failover worker per surviving original shard (they
-        model the capacity still standing), each owning a round-robin
-        slice of the dead shard's un-journaled keys and journaling into
-        the same directory. Failover workers that give up are not
-        failed over again — the parent's terminal sweep catches
-        whatever remains.
-        """
-        if not slot.original:
-            return
-        journaled = self._journaled(slot)
-        remaining = [k for k in slot.keys if k not in journaled]
-        survivors = [
-            s for s in self.slots if s.original and not s.gave_up
-        ]
-        if not remaining or not survivors:
-            return
-        self.stats.shards_failed_over += 1
-        self.stats.chunks_reassigned += len(remaining)
-        obs_live.publish(
-            "supervision", event="failover", ident=slot.ident,
-            detail=(
-                f"{len(remaining)} chunk(s) reassigned across "
-                f"{len(survivors)} survivor(s)"
-            ),
-        )
-        warnings.warn(
-            f"failing over shard {slot.shard}: reassigning its "
-            f"{len(remaining)} remaining chunk(s) across "
-            f"{len(survivors)} surviving shard(s)",
-            ExperimentWarning,
-            stacklevel=7,
-        )
-        now = time.monotonic()
-        for j in range(len(survivors)):
-            keys = remaining[j::len(survivors)]
-            if not keys:
-                continue
-            failover = self.add_slot(
-                ident=f"failover-{slot.shard}-{j}",
-                shard=-1,
-                keys=keys,
-                original=False,
-                explicit_keys=True,
-            )
-            failover.eligible_at = now
 
 
 class SubprocessBackend(ExecutionBackend):
@@ -750,7 +683,6 @@ class SubprocessBackend(ExecutionBackend):
     ) -> BackendOutcome:
         config = request.config
         inst = request.instrumentation
-        n_shards = request.workers
         fingerprint = config_fingerprint(config)
 
         # Chunks already journaled before this run started are what the
@@ -766,14 +698,8 @@ class SubprocessBackend(ExecutionBackend):
             pre_existing |= keys
 
         fleet = _Fleet(request, directory)
-        for i in range(n_shards):
-            fleet.add_slot(
-                ident=_shard_stem(i, n_shards),
-                shard=i,
-                keys=shard_keys(config, i, n_shards),
-                original=True,
-                explicit_keys=False,
-            )
+        for i in range(request.workers):
+            fleet.add_slot(i)
         fleet.drive()
 
         outcome = BackendOutcome()
@@ -804,88 +730,30 @@ class SubprocessBackend(ExecutionBackend):
                 outcome.supervision.chunks_replayed += 1
 
         # Merge every journal in the directory: this run's shards and
-        # failover workers, the parent sweep journal, and any files
-        # from a previous partitioning of the same experiment. Journals
-        # carry records only; measurements come from worker summaries.
+        # any files from a previous partitioning of the same experiment.
+        # Journals carry records only; measurements come from worker
+        # summaries.
         for path in journal_paths(directory):
             for key, chunk in iter_journal(path, fingerprint=fingerprint):
                 merge_chunk(key, chunk)
         counted: Set[ChunkKey] = set()
         for slot in fleet.slots:
-            if slot.done:
-                counted |= self._merge_summary(
-                    request, slot, pre_by_journal, outcome
-                )
-        # Journaled chunks no reporting worker counted (a failed shard's,
-        # an earlier partitioning's) were read back, not measured.
+            counted |= self._merge_summary(
+                request, slot, pre_by_journal, outcome
+            )
+        # Journaled chunks no reporting worker counted (an earlier
+        # partitioning's) were read back, not measured.
         for key in seen:
             if key not in counted:
                 inst.replayed(config.trials_per_graph)
 
-        # A chunk quarantined for stalling stays so unless some journal
-        # (an earlier partitioning's) holds it after all.
+        # A chunk quarantined for killing its workers stays so unless
+        # some journal (an earlier partitioning's) holds it after all.
         for key, reason in fleet.quarantined.items():
             if key not in seen:
                 outcome.quarantined[key] = reason
         outcome.failures.extend(fleet.failures)
-        gave_up = sorted(
-            slot.ident for slot in fleet.slots if slot.gave_up
-        )
-        missing = [
-            key for key in config.chunk_keys()
-            if key not in seen and key not in outcome.quarantined
-        ]
-        if missing:
-            self._finish_in_process(request, missing, directory, outcome)
-        if gave_up:
-            outcome.degraded_reason = (
-                f"worker(s) {gave_up} kept failing after "
-                f"{request.policy.max_attempts} launch(es)"
-                + (
-                    f"; {len(missing)} chunk(s) ran in-process in the parent"
-                    if missing else
-                    "; failover workers completed their remaining chunks"
-                )
-            )
         return outcome
-
-    # ------------------------------------------------------------------
-    def _finish_in_process(
-        self,
-        request: ExecutionRequest,
-        missing: List[ChunkKey],
-        directory: str,
-        outcome: BackendOutcome,
-    ) -> None:
-        """Terminal sweep: the parent completes whatever no worker did.
-
-        Journals into ``parent.ckpt`` in the same directory, so even
-        this degraded path is incremental across resumes. Restricted to
-        the still-missing keys — chunks already merged from worker
-        journals are never re-streamed or re-run.
-        """
-        journal = CheckpointJournal(
-            os.path.join(directory, _PARENT_JOURNAL), request.config
-        )
-        driver = ChunkDriver(
-            request.config,
-            request.instrumentation,
-            request.policy,
-            journal=journal,
-            keys=missing,
-            on_chunk=request.on_chunk,
-            keep_records=request.keep_records,
-        )
-        try:
-            driver.run_in_process()
-        finally:
-            journal.close()
-        sub = driver.outcome()
-        outcome.chunks.update(sub.chunks)
-        outcome.quarantined.update(sub.quarantined)
-        outcome.failures.extend(sub.failures)
-        outcome.streamed_trials += sub.streamed_trials
-        outcome.supervision.merge(sub.supervision)
 
     def _merge_summary(
         self,

@@ -15,14 +15,12 @@ any point loses at most the chunk it was executing, and a relaunched
 worker replays its journal and re-runs only what is missing.
 
 The worker receives a pickled payload path on argv (config, shard
-coordinates, journal/summary paths, retry policy, trace flag). A
-*failover* worker — spawned when another shard exhausted its launch cap
-— instead receives an explicit ``keys`` list (the dead shard's
-un-journaled chunks) and ``shard == -1``; everything else is identical.
-With stall detection on (:meth:`.work.RetryPolicy.stall_deadline`),
-the worker names each chunk before it executes it in
-``<journal>.inflight``, so a parent that stall-kills the worker knows
-which chunk to charge (:func:`inflight_path`).
+coordinates, journal/summary paths, retry policy, trace flag). A worker
+whose partition lost a quarantined chunk instead receives an explicit
+``keys`` list; everything else is identical. The worker names each
+chunk before it executes it in ``<journal>.inflight``
+(:func:`inflight_path`), so a parent whose worker dies — any exit, any
+signal, a stall kill — knows which chunk to charge.
 On success the worker atomically writes a JSON summary: fault
 accounting, its metrics registry (phase seconds and ``engine.*``
 counters — the parent's only source for this shard's measurements),
@@ -100,8 +98,8 @@ def run_shard(payload: dict) -> int:
     config = payload["config"]
     shard = payload["shard"]
     n_shards = payload["n_shards"]
-    # Failover workers (shard == -1) receive an explicit key list;
-    # original shards derive their partition arithmetically.
+    # A worker that lost a quarantined chunk receives an explicit key
+    # list; the others derive their partition arithmetically.
     keys = payload.get("keys")
     if keys is None:
         keys = shard_keys(config, shard, n_shards)
@@ -132,13 +130,11 @@ def run_shard(payload: dict) -> int:
                 fp.write("killed once\n")
             raise _InjectedKill()
 
-    on_start = None
-    if payload["policy"].stall_deadline(config) is not None:
-        inflight = inflight_path(payload["journal"])
+    inflight = inflight_path(payload["journal"])
 
-        def on_start(key) -> None:
-            with open(inflight, "w") as fp:
-                json.dump(list(key), fp)
+    def on_start(key) -> None:
+        with open(inflight, "w") as fp:
+            json.dump(list(key), fp)
 
     journal = CheckpointJournal(payload["journal"], config)
     try:

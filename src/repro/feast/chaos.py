@@ -3,24 +3,27 @@
 A chaos campaign is the backend layer's end-to-end robustness proof:
 run a small schedulability sweep twice — once clean and serial, once on
 the backend under test while a seeded :class:`~.faultinject.FaultPlan`
-hangs, crashes, corrupts, and kills its workers — and assert the two
-runs produce **byte-identical** records. Determinism makes the
-assertion exact (no tolerances): every re-execution of a chunk, on any
-worker, after any fault, must reproduce the same bytes, so any
-divergence is an engine bug, not noise.
+hangs, crashes, corrupts, and kills its workers — and assert that
+exactly the chunks the plan kills on every attempt are quarantined and
+that every other chunk's records are **byte-identical** to the clean
+run's. Determinism makes the assertion exact (no tolerances): every
+re-execution of a chunk, on any worker, after any fault, must
+reproduce the same bytes, so any divergence is an engine bug, not
+noise.
 
 The campaign also asserts that the interesting recovery machinery
 actually *ran*: expectations derived from the plan (a ``hang`` spec ⇒
-stall detection fired; an always-on ``exit`` spec ⇒ a shard failed
-over; …) are checked against the run's
+stall detection fired; a ``truncate-journal`` spec ⇒ a relaunch
+replayed journaled chunks; …) are checked against the run's
 :class:`~.backends.base.SupervisionStats`, so a refactor that silently
 stops exercising a path fails the campaign even if the records stay
 correct.
 
 Plans are backend-aware. Worker-killing kinds need worker processes:
 the worker fleet (``subprocess`` and its alias ``pool``) gets the full
-menu (stall → escalation, journal truncation, failover-forcing exits);
-``serial`` gets only in-process kinds (``error``/``slow-io``/``spin``).
+menu (stall → escalation, journal truncation, a chunk that kills its
+worker on every attempt); ``serial`` gets only in-process kinds
+(``error``/``slow-io``/``spin``).
 Everything is derived from the seed — the same ``(seed, backend,
 shards)`` triple always injects the same faults at the same chunks.
 
@@ -86,9 +89,9 @@ def chaos_policy(backend: str) -> RetryPolicy:
     """The retry/supervision policy a campaign runs under.
 
     Fleet campaigns enable stall detection (2 s of journal silence
-    ⇒ SIGTERM, 1 s grace ⇒ SIGKILL) and enough launch attempts to climb
-    the whole recovery ladder: stall-kill, truncation repair, and still
-    one spare.
+    ⇒ SIGTERM, 1 s grace ⇒ SIGKILL). A chunk gets four attempts: the
+    fire-once faults cost a chunk one, so only the every-attempt poison
+    is quarantined.
     """
     return RetryPolicy(
         max_attempts=4,
@@ -119,10 +122,9 @@ def build_fault_plan(
       then two chunks are journaled, so the truncation tears a real
       record that the relaunch must repair and replay around;
     * an every-attempt ``exit`` on shard 1's second chunk — the shard
-      dies mid-sweep on every launch, exhausts its cap, and must fail
-      over its remaining chunks to the survivors (the parent's terminal
-      sweep absorbs the poisoned chunk itself, where the fault is
-      inert by the parent-pid guard).
+      dies there on every launch; each death is charged to the chunk,
+      which is quarantined after ``max_attempts`` charges, and the
+      relaunched shard finishes its other chunks.
 
     Every backend gets ``extra_faults`` additional seeded in-process
     faults (``error``/``slow-io``/``spin``) on coordinates drawn from
@@ -185,6 +187,15 @@ class Expectation:
         }
 
 
+def poisoned_chunks(plan: FaultPlan) -> List[Tuple[str, int]]:
+    """The chunks ``plan`` kills the worker on at every attempt: the
+    fleet must quarantine exactly these."""
+    return sorted({
+        (spec.scenario, spec.index) for spec in plan.faults
+        if spec.kind in ("exit", "crash") and spec.attempts is None
+    })
+
+
 def plan_expectations(plan: FaultPlan, backend: str) -> List[Expectation]:
     """The supervision outcomes ``plan`` must provoke on ``backend``."""
     if backend not in _FLEET:
@@ -195,23 +206,21 @@ def plan_expectations(plan: FaultPlan, backend: str) -> List[Expectation]:
         expectations.append(Expectation("stalls_detected", 1))
     if "stubborn-hang" in kinds:
         expectations.append(Expectation("kills_escalated", 1))
-    lethal = any(
-        spec.kind in ("exit", "crash") and spec.attempts is None
-        for spec in plan.faults
-    )
-    if lethal:
-        expectations.append(Expectation("shards_failed_over", 1))
-        expectations.append(Expectation("chunks_reassigned", 1))
     if any(k in kinds for k in ("hang", "truncate-journal", "exit", "crash")):
         expectations.append(Expectation("relaunches", 1))
-    if "truncate-journal" in kinds or lethal:
+    if "truncate-journal" in kinds or poisoned_chunks(plan):
         expectations.append(Expectation("chunks_replayed", 1))
     return expectations
 
 
 @dataclass
 class ChaosReport:
-    """The verdict of one campaign: identity + exercised machinery."""
+    """The verdict of one campaign: identity + exercised machinery.
+
+    ``identical`` compares the records of every chunk outside
+    ``expected_quarantine`` (the plan's poisoned chunks) with the clean
+    run's.
+    """
 
     backend: str
     seed: int
@@ -220,6 +229,7 @@ class ChaosReport:
     n_records: int
     identical: bool
     quarantined: List[Tuple[str, int]]
+    expected_quarantine: List[Tuple[str, int]]
     supervision: SupervisionStats
     expectations: List[Expectation] = field(default_factory=list)
     warnings_observed: List[str] = field(default_factory=list)
@@ -228,7 +238,7 @@ class ChaosReport:
     def ok(self) -> bool:
         return (
             self.identical
-            and not self.quarantined
+            and sorted(self.quarantined) == sorted(self.expected_quarantine)
             and all(e.met for e in self.expectations)
         )
 
@@ -241,6 +251,7 @@ class ChaosReport:
             "n_records": self.n_records,
             "identical": self.identical,
             "quarantined": [list(k) for k in self.quarantined],
+            "expected_quarantine": [list(k) for k in self.expected_quarantine],
             "supervision": self.supervision.as_dict(),
             "expectations": [e.as_dict() for e in self.expectations],
             "warnings_observed": self.warnings_observed,
@@ -261,9 +272,10 @@ def run_chaos(
     """Run one chaos campaign and return its report.
 
     Clean serial reference first, then the same sweep on ``backend``
-    under the seeded fault plan; the two record lists must be
-    byte-identical (compared as dicts) and the plan's expectations must
-    hold on the run's supervision stats. ``out`` (a directory) persists
+    under the seeded fault plan; the plan's poisoned chunks must be
+    quarantined, every other chunk's records must be byte-identical
+    (compared as dicts), and the plan's expectations must hold on the
+    run's supervision stats. ``out`` (a directory) persists
     the artifacts: the fault schedule, the campaign report, the chaotic
     run's telemetry event log, and its checkpoint journals.
     """
@@ -276,8 +288,12 @@ def run_chaos(
     )
     policy = policy if policy is not None else chaos_policy(backend)
 
+    poisoned = poisoned_chunks(plan)
     reference = run_experiment(config, jobs=1)
-    expected = [r.as_dict() for r in reference.records]
+    expected = [
+        r.as_dict() for r in reference.records
+        if (r.scenario, r.graph_index) not in poisoned
+    ]
 
     checkpoint = None
     if out is not None:
@@ -317,6 +333,7 @@ def run_chaos(
         n_records=len(actual),
         identical=actual == expected,
         quarantined=list(result.quarantined),
+        expected_quarantine=poisoned,
         supervision=result.supervision,
         expectations=expectations,
         warnings_observed=[
@@ -336,16 +353,18 @@ def run_chaos(
 
 def render_chaos_report(report: ChaosReport) -> str:
     """Human-readable campaign verdict for the CLI."""
+    verdict = "byte-identical to" if report.identical else "DIVERGED from"
+    scope = " outside the poisoned chunks" if report.expected_quarantine else ""
     lines = [
         f"chaos campaign: backend={report.backend} seed={report.seed} "
         f"shards={report.shards} faults={report.n_faults}",
-        f"  records: {report.n_records} "
-        f"({'byte-identical to clean serial' if report.identical else 'DIVERGED from clean serial'})",
+        f"  records: {report.n_records} ({verdict} clean serial{scope})",
     ]
-    if report.quarantined:
+    if report.quarantined or report.expected_quarantine:
         lines.append(
             f"  quarantined: {len(report.quarantined)} chunk(s) "
-            f"{report.quarantined} (chaos faults must never quarantine)"
+            f"{report.quarantined} (the plan poisons "
+            f"{report.expected_quarantine}; only those may be quarantined)"
         )
     stats = report.supervision.as_dict()
     if any(stats.values()):

@@ -55,14 +55,13 @@ the plan's ``state_dir`` (``O_CREAT | O_EXCL`` — race-free across
 shards) and later arrivals skip the fault. :func:`install` provisions a
 state directory automatically when a plan needs one.
 
-Safety: process-killing specs (``crash``, ``exit``,
-``truncate-journal``) and ``stubborn-hang`` never fire in the process
-that installed the plan (the parent records its pid at install time),
-so an engine that has degraded to in-process execution survives a
-crash-everything plan — the same way a real fleet-killing OOM cannot
-SIGKILL the coordinator. This is also what guarantees chaos campaigns
-terminate: however often a fault kills its worker, the chunk ultimately
-lands in the parent's failover sweep, where the fault is inert.
+Process-killing kinds (``crash``, ``exit``, ``truncate-journal``) and
+``stubborn-hang`` act on whatever process runs the chunk, like a real
+segfault or OOM kill. On the worker fleet that is always a worker: the
+parent charges each death to the chunk and quarantines a chunk that
+kills its worker on every allowed attempt, which is what guarantees
+chaos campaigns terminate. On a serial run they take the run down, so
+a serial campaign draws only in-process kinds.
 
 This is a test harness. Nothing here runs unless a plan is installed.
 """
@@ -90,9 +89,6 @@ ENV_VAR = "REPRO_FAULT_PLAN"
 #: docs/EXTENDING.md).
 PLUGIN_ENV_VAR = "REPRO_FAULT_PLUGIN"
 
-#: Fault kinds that terminate the executing process (parent-guarded).
-_LETHAL_KINDS = frozenset({"crash", "exit", "truncate-journal"})
-
 
 class InjectedFaultError(ExperimentError):
     """The exception an ``error`` fault spec raises inside a worker."""
@@ -104,10 +100,10 @@ class FaultSpec:
 
     ``attempts`` selects which execution attempts fire (0-based count of
     the chunk's prior failures); ``None`` fires on *every* attempt —
-    i.e. a deterministic fault the engine must quarantine (``error``)
-    or route around via failover (process-killing kinds). ``once=True``
-    makes the spec fire a single time per campaign regardless of
-    attempts (see module docstring).
+    i.e. a deterministic fault the engine must quarantine, inside the
+    worker (``error``) or from the fleet parent (process-killing kinds).
+    ``once=True`` makes the spec fire a single time per campaign
+    regardless of attempts (see module docstring).
     """
 
     scenario: str
@@ -136,10 +132,9 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A set of fault specs plus the installing (parent) pid."""
+    """A set of fault specs."""
 
     faults: Tuple[FaultSpec, ...] = ()
-    parent_pid: int = 0
     #: Directory holding fire-once marker files; provisioned by
     #: :func:`install` when any spec has ``once=True``.
     state_dir: str = ""
@@ -159,7 +154,6 @@ class FaultPlan:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "parent_pid": self.parent_pid,
                 "state_dir": self.state_dir,
                 "faults": [
                     {
@@ -200,7 +194,6 @@ class FaultPlan:
                 )
                 for f in data["faults"]
             ),
-            parent_pid=int(data.get("parent_pid", 0)),
             state_dir=str(data.get("state_dir", "")),
         )
 
@@ -253,12 +246,9 @@ def set_journal_context(path: Optional[str]) -> None:
 def install(plan: FaultPlan) -> FaultPlan:
     """Activate ``plan`` for this process and all (future) workers.
 
-    Fills in the installing pid and — when any spec is fire-once — a
-    state directory for the markers; returns the (possibly augmented)
-    plan actually installed.
+    Fills in — when any spec is fire-once — a state directory for the
+    markers; returns the (possibly augmented) plan actually installed.
     """
-    if plan.parent_pid == 0:
-        plan = replace(plan, parent_pid=os.getpid())
     if not plan.state_dir and any(s.once for s in plan.faults):
         plan = replace(
             plan, state_dir=tempfile.mkdtemp(prefix="repro-faults-")
@@ -385,23 +375,18 @@ KINDS = ("crash", "hang", "error")
 
 
 def register_fault_kind(
-    name: str, handler: Callable[[FaultSpec], None], lethal: bool = False
+    name: str, handler: Callable[[FaultSpec], None]
 ) -> None:
     """Register a custom fault kind under ``name``.
 
-    ``handler(spec)`` runs inside the injected-into process.
-    ``lethal=True`` adds the parent-pid guard: the kind never fires in
-    the process that installed the plan (do this for anything that
-    kills or corrupts its process). Forked shard workers inherit
-    registrations made before the run; for a worker started as a fresh
-    interpreter (``python -m repro.feast.backends.shardworker``), put
-    the registration in an importable module and point
-    ``REPRO_FAULT_PLUGIN`` at it — see docs/EXTENDING.md.
+    ``handler(spec)`` runs inside the process executing the chunk.
+    Forked shard workers inherit registrations made before the run; for
+    a worker started as a fresh interpreter (``python -m
+    repro.feast.backends.shardworker``), put the registration in an
+    importable module and point ``REPRO_FAULT_PLUGIN`` at it — see
+    docs/EXTENDING.md.
     """
     FAULT_KINDS[name] = handler
-    if lethal:
-        global _LETHAL_KINDS
-        _LETHAL_KINDS = _LETHAL_KINDS | {name}
 
 
 def _load_plugin() -> None:
@@ -424,9 +409,6 @@ def maybe_inject(scenario: str, index: int, attempt: int) -> None:
     spec = plan.find(scenario, index, attempt)
     if spec is None:
         return
-    in_parent = os.getpid() == plan.parent_pid
-    if in_parent and (spec.kind in _LETHAL_KINDS or spec.kind == "stubborn-hang"):
-        return  # never kill or wedge the coordinating process
     if spec.once and not _claim_once(plan, spec):
         return
     handler = FAULT_KINDS[spec.kind]

@@ -200,17 +200,15 @@ class ExperimentResult:
     #: (scenario, graph index) chunks that exhausted their retry budget;
     #: their trials are *missing* from ``records``. Empty on a clean run.
     quarantined: List[Tuple[str, int]] = field(default_factory=list)
-    #: Why the run executed on fewer workers than requested (unpicklable
-    #: config, workers that kept failing); ``None`` when
-    #: nothing degraded.
+    #: Why the run executed in-process instead of on the requested
+    #: workers (an unpicklable config); ``None`` when nothing degraded.
     fallback_reason: Optional[str] = None
     #: Trials whose records were streamed into a ``record_sink`` instead
     #: of being kept on ``records`` (0 for non-streaming runs).
     streamed_trials: int = 0
-    #: Liveness/failover accounting from the execution backend
+    #: Liveness accounting from the execution backend
     #: (:class:`repro.feast.backends.SupervisionStats`): stalls detected,
-    #: kill escalations, relaunches, failovers, reassigned and replayed
-    #: chunks. All zero on a clean run; ``None`` only on results loaded
+    #: kill escalations, relaunches and replayed chunks. All zero on a clean run; ``None`` only on results loaded
     #: from disk, which do not persist it.
     supervision: Optional["SupervisionStats"] = None
 
@@ -463,9 +461,10 @@ def run_experiment(
     is fail-fast — it raises the first trial error and runs no later
     chunk. Every other run is supervised: a chunk that raises is retried
     per the retry policy, then quarantined and listed on
-    ``result.quarantined`` while the sweep goes on. A chunk that kills
-    every worker process it runs in ends in the parent, which runs it
-    in-process after the fleet gave up (``result.fallback_reason``).
+    ``result.quarantined`` while the sweep goes on. On a multi-process
+    run the same holds for a chunk that kills or wedges its worker
+    process: each death costs it one attempt. A worker that keeps dying
+    outside any chunk raises :class:`~repro.errors.ExperimentError`.
 
     ``record_sink`` switches to streaming: every completed chunk's
     records (including chunks replayed from a checkpoint) are passed to
@@ -598,7 +597,7 @@ def run_experiment(
         engine=engine.name,
         failures=list(outcome.failures),
         quarantined=quarantined,
-        fallback_reason=fallback_reason or outcome.degraded_reason,
+        fallback_reason=fallback_reason,
         streamed_trials=outcome.streamed_trials,
         supervision=outcome.supervision,
     )

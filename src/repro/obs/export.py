@@ -268,12 +268,12 @@ def chrome_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     pids = sorted(
         {e["pid"] for e in spans} | {e["pid"] for e in resources}
     )
-    parent_pid = min(
+    run_pid = min(
         (e["pid"] for e in spans if e.get("parent") is None),
         default=pids[0] if pids else 0,
     )
     for pid in pids:
-        name = "experiment" if pid == parent_pid else f"worker-{pid}"
+        name = "experiment" if pid == run_pid else f"worker-{pid}"
         trace_events.append({
             "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
             "args": {"name": name},
@@ -315,7 +315,7 @@ def chrome_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             if not name.startswith("supervision."):
                 continue
             trace_events.append({
-                "ph": "C", "name": name, "pid": parent_pid, "tid": 0,
+                "ph": "C", "name": name, "pid": run_pid, "tid": 0,
                 "ts": end, "args": {"count": value},
             })
     return {

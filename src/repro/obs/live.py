@@ -17,7 +17,7 @@ Three producers feed one stream:
   ``progress`` line per completed chunk through the ambient
   :func:`publish` hook;
 * the shard fleet supervisor publishes ``supervision`` lines on every
-  liveness transition (stall, kill escalation, relaunch, failover).
+  liveness transition (stall, kill escalation, relaunch, quarantine).
 
 No participation
 ----------------

@@ -120,8 +120,6 @@ def render_run_report(events: List[Dict[str, Any]]) -> str:
             "stalls_detected": "shards stalled (no journal progress)",
             "kills_escalated": "SIGTERM ignored, escalated to SIGKILL",
             "relaunches": "worker relaunches",
-            "shards_failed_over": "shards failed over to survivors",
-            "chunks_reassigned": "chunks reassigned by failover",
             "chunks_replayed": "chunks replayed from journals",
         }
         lines.append("")

@@ -314,24 +314,26 @@ class TestStreaming:
         assert resumed.streamed_trials == cfg.n_trials
         assert agg.n_records == cfg.n_trials
 
-    def test_streaming_exact_under_kill_relaunch_and_failover(
+    def test_streaming_exact_under_kill_relaunch_and_quarantine(
         self, tmp_path
     ):
         """Aggregates streamed through a chaotic run — one shard killed
         and relaunched (its journaled chunk replays), the other poisoned
-        until failover — must *equal* the clean serial aggregates: every
-        chunk is folded exactly once no matter which worker, relaunch,
-        or the parent sweep finally delivered it."""
+        on one chunk until it is quarantined — must *equal* the clean
+        serial aggregates of every other chunk: each chunk is folded
+        exactly once no matter which launch finally delivered it."""
         from repro.feast import faultinject
         from repro.feast.backends.work import RetryPolicy
         from repro.feast.faultinject import FaultPlan, FaultSpec
 
         cfg = tiny_config(n_graphs=6)
         serial = run_experiment(cfg, jobs=1)
-        expected = group_means(serial.records)
+        expected = group_means(
+            [r for r in serial.records if r.graph_index != 3]
+        )
         # Shard 0 (chunks 0,2,4): crash once mid-run, relaunch replays
         # chunk 0. Shard 1 (chunks 1,3,5): dies at chunk 3 on every
-        # launch, so its remaining chunks fail over.
+        # launch, so chunk 3 is quarantined.
         plan = FaultPlan(faults=(
             FaultSpec(scenario="MDET", index=2, kind="crash", once=True),
             FaultSpec(scenario="MDET", index=3, kind="exit",
@@ -340,20 +342,25 @@ class TestStreaming:
         agg = StreamingAggregator()
         policy = RetryPolicy(max_attempts=3, backoff_base=0.01,
                              backoff_factor=2.0, backoff_max=0.05)
+        ck = tmp_path / "ck"
         with faultinject.active(plan):
-            with pytest.warns(ExperimentWarning, match="failing over"):
+            with pytest.warns(ExperimentWarning, match="relaunching"):
                 result = run_experiment(
                     cfg, backend="subprocess", shards=2,
-                    checkpoint=str(tmp_path / "ck"), retry=policy,
+                    checkpoint=str(ck), retry=policy,
                     record_sink=agg,
                 )
+        kept = cfg.n_trials - cfg.trials_per_graph
         assert result.records == []
-        assert result.streamed_trials == cfg.n_trials
-        assert agg.n_records == cfg.n_trials
+        assert result.quarantined == [("MDET", 3)]
+        assert result.streamed_trials == kept
+        assert agg.n_records == kept
         assert agg.means() == expected  # exact, not approx
         assert result.supervision.relaunches >= 1
-        assert result.supervision.shards_failed_over == 1
         assert result.supervision.chunks_replayed >= 1
+        names = os.listdir(ck)
+        assert not any(name.startswith("failover-") for name in names)
+        assert "parent.ckpt" not in names
 
 
 class TestForkedWorkerStartsClean:

@@ -1,9 +1,9 @@
 """Chaos engine: new fault kinds, supervision (stall/escalation/
-failover), and the seeded chaos campaigns.
+crash quarantine), and the seeded chaos campaigns.
 
 Like test_fault_tolerance.py, everything here is deterministic: plans
 are seeded, fire-once markers make process-killing faults converge, and
-the parent-pid guard bounds every campaign. Supervision timeouts are
+the fleet quarantines a chunk that kills every worker it runs in. Supervision timeouts are
 shortened far below the CLI defaults so the suite stays fast.
 """
 
@@ -77,42 +77,31 @@ class TestNewFaultKinds:
         plan = FaultPlan(faults=(
             FaultSpec(scenario="MDET", index=1, kind="truncate-journal",
                       once=True, amount=37),
-        ), parent_pid=9, state_dir="/tmp/x")
+        ), state_dir="/tmp/x")
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_spin_and_slow_io_delay_without_failing(self):
         for kind in ("spin", "slow-io"):
             spec = FaultSpec(scenario="MDET", index=0, kind=kind,
                              seconds=0.05)
-            plan = FaultPlan(faults=(spec,), parent_pid=1)
+            plan = FaultPlan(faults=(spec,))
             with faultinject.active(plan):
                 began = time.monotonic()
                 faultinject.maybe_inject("MDET", 0, 0)
                 assert time.monotonic() - began >= 0.04
-
-    def test_lethal_kinds_never_fire_in_parent(self):
-        for kind in ("exit", "truncate-journal", "stubborn-hang"):
-            plan = FaultPlan(faults=(
-                FaultSpec(scenario="MDET", index=0, kind=kind,
-                          attempts=None, seconds=30.0),
-            ))
-            with faultinject.active(plan):
-                # We ARE the installing process: must be a no-op.
-                faultinject.maybe_inject("MDET", 0, 0)
 
     def test_truncate_without_journal_context_is_noop(self):
         faultinject.set_journal_context(None)
         plan = FaultPlan(faults=(
             FaultSpec(scenario="MDET", index=0, kind="truncate-journal",
                       attempts=None),
-        ), parent_pid=1)
+        ))
         with faultinject.active(plan):
             faultinject.maybe_inject("MDET", 0, 0)  # no os._exit, no error
 
     def test_once_fault_fires_exactly_once(self, tmp_path):
         spec = FaultSpec(scenario="MDET", index=0, kind="error", once=True)
-        plan = FaultPlan(faults=(spec,), parent_pid=1,
-                         state_dir=str(tmp_path))
+        plan = FaultPlan(faults=(spec,), state_dir=str(tmp_path))
         with faultinject.active(plan):
             with pytest.raises(faultinject.InjectedFaultError):
                 faultinject.maybe_inject("MDET", 0, 0)
@@ -140,7 +129,7 @@ class TestNewFaultKinds:
             plan = FaultPlan(faults=(
                 FaultSpec(scenario="MDET", index=0, kind="note",
                           message="hello"),
-            ), parent_pid=1)
+            ))
             with faultinject.active(plan):
                 faultinject.maybe_inject("MDET", 0, 0)
             assert fired == ["hello"]
@@ -149,7 +138,8 @@ class TestNewFaultKinds:
 
 
 class TestSupervision:
-    """Stall detection, escalation, and failover on the shard fleet."""
+    """Stall detection, escalation, and crash quarantine on the shard
+    fleet."""
 
     def test_hang_is_stall_detected_and_recovered(self, tmp_path):
         cfg = chaos_test_config()
@@ -188,32 +178,33 @@ class TestSupervision:
         assert result.supervision.stalls_detected >= 1
         assert result.supervision.kills_escalated >= 1
 
-    def test_poisoned_shard_fails_over_to_survivors(self, tmp_path):
+    def test_poisoned_chunk_is_quarantined(self, tmp_path):
         cfg = chaos_test_config()
-        expected = dicts(run_experiment(cfg, jobs=1))
         # Shard 1's second chunk (2 shards): dies there on every launch.
         scenario, index = list(cfg.chunk_keys())[3]
+        expected = [
+            r for r in dicts(run_experiment(cfg, jobs=1))
+            if r["graph_index"] != index
+        ]
         plan = FaultPlan(faults=(
             FaultSpec(scenario=scenario, index=index, kind="exit",
                       attempts=None),
         ))
         with faultinject.active(plan):
-            with pytest.warns(ExperimentWarning, match="failing over"):
+            with pytest.warns(ExperimentWarning, match="relaunching"):
                 result = run_experiment(
                     cfg, backend="subprocess", shards=2,
                     checkpoint=str(tmp_path / "ck"), retry=SUPERVISED,
                 )
         assert dicts(result) == expected
-        assert result.supervision.shards_failed_over == 1
-        assert result.supervision.chunks_reassigned >= 1
-        # The poisoned chunk itself ran in the parent, where the fault
-        # is inert; nothing may be quarantined or lost.
-        assert result.quarantined == []
-        assert result.fallback_reason is not None
-        ck = tmp_path / "ck"
-        assert any(
-            name.startswith("failover-1-") for name in os.listdir(ck)
-        )
+        assert result.quarantined == [(scenario, index)]
+        crashes = [f for f in result.failures if f.kind == "crash"]
+        assert len(crashes) == SUPERVISED.max_attempts
+        assert all("exit code 17" in f.message for f in crashes)
+        assert result.fallback_reason is None
+        names = os.listdir(tmp_path / "ck")
+        assert not any(name.startswith("failover-") for name in names)
+        assert "parent.ckpt" not in names
 
     def test_journal_truncation_is_repaired_and_replayed(self, tmp_path):
         cfg = chaos_test_config()
@@ -274,8 +265,7 @@ class TestChaosCampaign:
         cfg = chaos_config(0)
         plan = build_fault_plan(0, cfg, "subprocess", 3)
         names = {e.counter for e in plan_expectations(plan, "subprocess")}
-        assert {"stalls_detected", "shards_failed_over",
-                "chunks_replayed", "relaunches"} <= names
+        assert names == {"stalls_detected", "chunks_replayed", "relaunches"}
         assert plan_expectations(plan, "serial") == []
 
     def test_pool_campaign_plans_for_the_fleet(self):
@@ -306,9 +296,20 @@ class TestChaosCampaign:
         assert report.as_dict()["ok"] is False
         assert "FAIL" in render_chaos_report(report)
 
+    def test_campaign_report_flags_an_unplanned_quarantine(self):
+        report = run_chaos(
+            seed=1, backend="serial",
+            config=chaos_test_config(name="chaos"),
+        )
+        assert report.expected_quarantine == []
+        report.quarantined = [("MDET", 0)]
+        assert not report.ok
+        assert "FAIL" in render_chaos_report(report)
+
     def test_subprocess_campaign_end_to_end(self, tmp_path):
         """The acceptance campaign: hang + exit + truncation across
-        shards, byte-identical records, stall + failover exercised."""
+        shards, the poisoned chunk quarantined, every other record
+        byte-identical, stall and relaunch exercised."""
         report = run_chaos(
             seed=2, backend="subprocess", shards=3,
             out=str(tmp_path / "artifacts"),
@@ -316,9 +317,15 @@ class TestChaosCampaign:
             policy=SUPERVISED,
         )
         assert report.identical
-        assert report.quarantined == []
+        poisoned = [
+            (s.scenario, s.index) for s in build_fault_plan(
+                2, chaos_test_config(name="chaos", n_graphs=9),
+                "subprocess", 3,
+            ).faults if s.kind == "exit"
+        ]
+        assert report.quarantined == report.expected_quarantine == poisoned
         assert report.supervision.stalls_detected >= 1
-        assert report.supervision.shards_failed_over >= 1
+        assert report.supervision.relaunches >= 1
         assert all(e.met for e in report.expectations)
         assert report.ok
         artifacts = tmp_path / "artifacts"

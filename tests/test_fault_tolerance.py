@@ -11,11 +11,16 @@ the suite stays fast even on one core.
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
 from repro.errors import (
     CheckpointError,
+    ExperimentError,
     ExperimentWarning,
     QuarantinedTrialError,
 )
@@ -24,9 +29,16 @@ from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.faultinject import FaultPlan, FaultSpec, InjectedFaultError
 from repro.feast.instrumentation import Instrumentation
 from repro.feast.backends import RetryPolicy
-from repro.feast.persistence import CheckpointJournal, config_fingerprint
+from repro.feast.persistence import (
+    CheckpointJournal,
+    config_fingerprint,
+    iter_journal,
+    journal_paths,
+)
 from repro.feast.runner import run_experiment
 from repro.graph.generator import RandomGraphConfig
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def ft_config(**kwargs):
@@ -71,7 +83,6 @@ class TestFaultPlan:
                 FaultSpec(scenario="LDET", index=0, kind="hang",
                           attempts=None, seconds=2.5),
             ),
-            parent_pid=123,
         )
         back = FaultPlan.from_json(plan.to_json())
         assert back == plan
@@ -94,15 +105,6 @@ class TestFaultPlan:
         every = FaultSpec(scenario="MDET", index=0, kind="error",
                           attempts=None)
         assert all(every.fires_on(i) for i in range(5))
-
-    def test_crash_never_fires_in_parent(self):
-        plan = FaultPlan(
-            faults=(FaultSpec(scenario="MDET", index=0, kind="crash",
-                              attempts=None),),
-        )
-        with faultinject.active(plan):
-            # We ARE the parent: must be a no-op, not a SIGKILL.
-            faultinject.maybe_inject("MDET", 0, 0)
 
     def test_no_plan_is_a_noop(self):
         faultinject.maybe_inject("MDET", 0, 0)
@@ -195,7 +197,9 @@ class TestTransientFaults:
             r for r in record_dicts(clean) if r["graph_index"] != 2
         ]
         assert result.supervision.stalls_detected == 3
-        assert result.supervision.shards_failed_over == 0
+        # Three stall kills, three relaunches: the last one without
+        # the quarantined chunk.
+        assert result.supervision.relaunches == 3
         assert result.fallback_reason is None
         kinds = [f.kind for f in result.failures]
         assert kinds == ["timeout"] * 3 + ["quarantine"]
@@ -274,28 +278,186 @@ class TestQuarantine:
         assert [r.graph_index for r in result.records] == [1, 2, 3]
 
 
-class TestDegradation:
-    def test_poison_chunk_ends_in_the_parent_sweep(self):
-        """A chunk that kills every worker it runs in exhausts its
-        worker's launches, then its failover worker's, and finally runs
-        in the parent's terminal sweep — never quarantined for a crash."""
-        cfg = ft_config(n_graphs=2)
+class TestWorkerDeaths:
+    """Every worker death is charged to the chunk it was running; a
+    worker that dies outside any chunk is an environment fault."""
+
+    def test_poison_chunk_is_quarantined(self, tmp_path):
+        """A chunk that kills every worker it runs in costs one attempt
+        per death and is quarantined after ``max_attempts``; the rest of
+        the sweep equals serial and nothing runs in the parent."""
+        cfg = ft_config(n_graphs=4)
         clean = run_experiment(cfg)
         plan = FaultPlan(faults=(
-            FaultSpec(scenario="MDET", index=0, kind="crash",
+            FaultSpec(scenario="MDET", index=2, kind="crash",
                       attempts=None),
         ))
         policy = RetryPolicy(max_attempts=2, backoff_base=0.01,
                              backoff_max=0.02)
+        ck = tmp_path / "ck"
+        inst = Instrumentation()
         with faultinject.active(plan):
-            with pytest.warns(ExperimentWarning, match="giving up"):
-                result = run_experiment(cfg, jobs=2, retry=policy)
-        # In the parent the crash spec is inert, so the sweep finishes
-        # completely.
-        assert record_dicts(result) == record_dicts(clean)
-        assert result.complete
-        assert result.supervision.shards_failed_over == 1
-        assert "ran in-process in the parent" in result.fallback_reason
+            with pytest.warns(ExperimentWarning, match="relaunching"):
+                result = run_experiment(
+                    cfg, jobs=2, retry=policy, checkpoint=str(ck),
+                    instrumentation=inst,
+                )
+        assert result.quarantined == [("MDET", 2)]
+        assert record_dicts(result) == [
+            r for r in record_dicts(clean) if r["graph_index"] != 2
+        ]
+        kinds = [f.kind for f in result.failures]
+        assert kinds == ["crash"] * 2 + ["quarantine"]
+        assert "SIGKILL" in result.failures[0].message
+        assert inst.quarantined == 1 and inst.retries == 1
+        assert result.fallback_reason is None
+        assert sorted(
+            name for name in os.listdir(ck) if name.endswith(".ckpt")
+        ) == ["shard-0-of-2.ckpt", "shard-1-of-2.ckpt"]
+
+    def test_environment_fault_raises_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that dies on every launch before it names a chunk
+        raises, naming its log; the journals stay, and a rerun resumes
+        from them."""
+        from repro.feast.backends import shardworker
+
+        cfg = ft_config(n_graphs=4)
+        clean = run_experiment(cfg)
+        ck = tmp_path / "ck"
+        real_run_shard = shardworker.run_shard
+
+        def broken(payload):
+            if payload["shard"] == 0:
+                return real_run_shard(payload)
+            # Shard 1 cannot start. It waits for shard 0 to finish, so
+            # the failed run leaves journaled chunks, then dies.
+            summary = ck / "shard-0-of-2.summary.json"
+            deadline = time.monotonic() + 30
+            while not summary.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return 3
+
+        # Forked workers inherit the patched module.
+        monkeypatch.setattr(shardworker, "run_shard", broken)
+        with pytest.warns(ExperimentWarning, match="relaunching"):
+            with pytest.raises(
+                ExperimentError, match=r"shard-1-of-2\.log"
+            ) as raised:
+                run_experiment(cfg, jobs=2, retry=FAST, checkpoint=str(ck))
+        assert "environment fault" in str(raised.value)
+        assert "exit code 3" in str(raised.value)
+        journaled = {
+            key for path in journal_paths(str(ck))
+            for key, _ in iter_journal(path)
+        }
+        assert journaled == {("MDET", 0), ("MDET", 2)}
+
+        monkeypatch.setattr(shardworker, "run_shard", real_run_shard)
+        inst = Instrumentation()
+        resumed = run_experiment(cfg, jobs=2, checkpoint=str(ck),
+                                 instrumentation=inst)
+        assert record_dicts(resumed) == record_dicts(clean)
+        assert resumed.supervision.chunks_replayed == len(journaled)
+        assert inst.replayed_trials == len(journaled) * cfg.trials_per_graph
+
+    def test_self_killing_chunk_spares_the_parent(self, tmp_path):
+        """A chunk that really SIGKILLs the process it runs in, with no
+        fault plan at all: the parent (a child interpreter here, so a
+        regression cannot take pytest down) survives, quarantines it,
+        and returns every other record as serial does."""
+        script = textwrap.dedent('''
+            import json, os, signal, sys
+            import repro.feast.backends.base as base
+            from repro.feast.backends import RetryPolicy
+            from repro.feast.config import ExperimentConfig, MethodSpec
+            from repro.feast.runner import run_experiment
+            from repro.graph.generator import RandomGraphConfig
+
+            cfg = ExperimentConfig(
+                name="ft", description="self-kill",
+                methods=(MethodSpec(label="PURE", metric="PURE"),),
+                graph_config=RandomGraphConfig(
+                    n_subtasks_range=(6, 8), depth_range=(2, 3)),
+                scenarios=("MDET",), n_graphs=4, system_sizes=(2,),
+                seed=11,
+            )
+            serial = [r.as_dict() for r in run_experiment(cfg).records]
+            real = base.execute_chunk
+
+            def poison(spec, *args):
+                if spec.index == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(spec, *args)
+
+            base.execute_chunk = poison
+            result = run_experiment(cfg, jobs=2, retry=RetryPolicy(
+                max_attempts=2, backoff_base=0.01, backoff_max=0.02))
+            json.dump({
+                "quarantined": result.quarantined,
+                "identical": [r.as_dict() for r in result.records] == [
+                    r for r in serial if r["graph_index"] != 1],
+            }, sys.stdout)
+        ''')
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True,
+            text=True, env=env, cwd=str(tmp_path), timeout=240,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+        assert json.loads(proc.stdout) == {
+            "quarantined": [["MDET", 1]], "identical": True,
+        }
+
+    def test_self_killing_chunk_fails_its_serve_job_only(
+        self, tmp_path, monkeypatch
+    ):
+        """The same poison in a ``repro serve --backend subprocess``
+        job: the job ends ``failed`` naming the chunk, and the server
+        keeps serving."""
+        from repro.serve.jobs import JobState
+        from tests.serve_client import (
+            ServerProcess,
+            direct_records,
+            fetch_records,
+            request_json,
+            submit,
+            tiny_job,
+            wait_terminal,
+        )
+
+        # The server inherits this environment: every attempt at
+        # (LDET, 1) SIGKILLs the process running it.
+        plan = FaultPlan(faults=(
+            FaultSpec(scenario="LDET", index=1, kind="crash",
+                      attempts=None),
+        ))
+        monkeypatch.setenv(faultinject.ENV_VAR, plan.to_json())
+        with ServerProcess(
+            str(tmp_path / "data"), "--backend", "subprocess",
+            "--shards", "2",
+        ) as server:
+            poisoned = submit(server.port, tiny_job(
+                name="poisoned", n_graphs=3, scenarios=("LDET",)
+            ))
+            final = wait_terminal(server.port, poisoned)
+            assert final["state"] == JobState.FAILED
+            assert "(LDET, 1)" in final["error"]
+            assert "SIGKILL" in final["error"]
+
+            status, health = request_json(server.port, "GET", "/v1/healthz")
+            assert status == 200 and health["status"] == "ok"
+            document = tiny_job(name="healthy", n_graphs=3)
+            healthy = submit(server.port, document)
+            assert wait_terminal(server.port, healthy)["state"] == (
+                JobState.DONE
+            )
+            assert fetch_records(server.port, healthy) == (
+                direct_records(document)
+            )
+            assert server.proc.poll() is None
 
 
 class TestCheckpoint:

@@ -111,11 +111,20 @@ def _min_candidate(candidates, lex_rank: List[int]) -> Optional[_Candidate]:
 def _node_best(
     kept: List[_State], deadline: Time, ratio_of, lex_rank: List[int]
 ) -> Optional[_Candidate]:
-    """The best candidate among a node's states, ended at ``deadline``."""
-    return _min_candidate(
-        [(ratio_of(deadline - s[0], s[1], s[2]), s[2], s) for s in kept],
-        lex_rank,
-    )
+    """The best candidate among a node's states, ended at ``deadline``:
+    :func:`_min_candidate` folded over ``kept`` without a candidate
+    list."""
+    best = None
+    for s in kept:
+        r = ratio_of(deadline - s[0], s[1], s[2])
+        if best is None or r < best[0]:
+            best = (r, s[2], s)
+        elif r == best[0] and (
+            s[2] < best[1]
+            or s[2] == best[1] and _lex_less(s, best[2], lex_rank)
+        ):
+            best = (r, s[2], s)
+    return best
 
 
 def find_critical_path_indexed(

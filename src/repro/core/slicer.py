@@ -28,7 +28,12 @@ from repro.core.annotations import DeadlineAssignment, SliceRecord, Window
 from repro.core.commcost import CCNE, CommCostEstimator
 from repro.core.criticalpath import CriticalPath, find_critical_path_indexed
 from repro.core.expanded import ExpandedGraph
-from repro.core.metrics import MetricContext, SlicingMetric, make_metric
+from repro.core.metrics import (
+    MetricContext,
+    PureLaxityRatio,
+    SlicingMetric,
+    make_metric,
+)
 from repro.errors import DistributionError
 from repro.graph.taskgraph import TaskGraph
 from repro.obs import runtime as obs
@@ -117,6 +122,14 @@ class DeadlineDistributor:
         vcost: List[Time] = [
             self.metric.virtual_cost(nd) for nd in expanded.by_index
         ]
+        # PURE's relative deadline is the virtual cost plus R, so the
+        # PURE family (PURE, THRES, ADAPT) slices from ``vcost``.
+        pure_vcost = (
+            vcost
+            if type(self.metric).relative_deadline
+            is PureLaxityRatio.relative_deadline
+            else None
+        )
         states: list = [None] * n
         best: dict = {}
         mark = bytearray(n)
@@ -147,7 +160,7 @@ class DeadlineDistributor:
                 expanded, path,
                 has_release, release_anchor,
                 has_deadline, deadline_anchor,
-                windows,
+                windows, pure_vcost,
             )
             for i in path.indices:
                 unassigned[i] = 0
@@ -181,14 +194,26 @@ class DeadlineDistributor:
         has_deadline: bytearray,
         deadline_anchor: List[Time],
         windows: Dict[int, Window],
+        pure_vcost: Optional[List[Time]] = None,
     ) -> None:
-        """Figure 1 step 4: consecutive windows along the critical path."""
+        """Figure 1 step 4: consecutive windows along the critical path.
+
+        ``pure_vcost``, the virtual costs of a metric whose relative
+        deadline is PURE's, replaces a ``relative_deadline`` call per
+        node with ``pure_vcost[i] + R``, the same float.
+        """
         ratio = path.ratio
         clock = path.release
-        by_index = expanded.by_index
+        if pure_vcost is not None:
+            relative = [pure_vcost[i] + ratio for i in path.indices]
+        else:
+            by_index = expanded.by_index
+            relative_deadline = self.metric.relative_deadline
+            relative = [
+                relative_deadline(by_index[i], ratio) for i in path.indices
+            ]
         raw = []
-        for i in path.indices:
-            d = self.metric.relative_deadline(by_index[i], ratio)
+        for i, d in zip(path.indices, relative):
             raw.append((i, clock, clock + d))
             clock += d
         # The metric's telescoping property lands the last deadline on the

@@ -430,20 +430,27 @@ class _Fleet:
 
     def _wait(self) -> None:
         """Sleep until a worker exits, the next relaunch comes due, or —
-        while polling — the next journal-heartbeat poll."""
+        while polling — the next journal-heartbeat poll.
+
+        A worker whose sentinel is ready is exiting; it is reaped here
+        with a blocking join, so the next :meth:`_ShardProcess.poll`
+        sees its exit code instead of the loop spinning until
+        ``waitpid`` can collect it.
+        """
         timeout = _POLL_INTERVAL if self.polling else None
-        sentinels = []
+        procs = {}
         now = time.monotonic()
         for slot in self.slots:
             if slot.done:
                 continue
             if slot.proc is not None:
-                sentinels.append(slot.proc.sentinel)
+                procs[slot.proc.sentinel] = slot.proc
             else:
                 due = max(0.0, slot.eligible_at - now)
                 timeout = due if timeout is None else min(timeout, due)
-        if sentinels or timeout is not None:
-            wait_for_exit(sentinels, timeout)
+        if procs or timeout is not None:
+            for sentinel in wait_for_exit(list(procs), timeout):
+                procs[sentinel].join()
 
     def _observe(self, slot: _Slot, now: float) -> bool:
         """Read one journal's heartbeat: whether it changed since the

@@ -248,16 +248,17 @@ def run_chunk(
     record order. Two reuse layers skip work across the size sweep, each
     leaving the records bit-identical. Size-independent *distributions*
     are computed once per method (:func:`distribute_for_trial`). And once
-    a size-independent method's schedule at size P leaves a processor
-    idle on a route-uniform interconnect, every larger size P' whose
-    first P speeds are the same reuses that *saturated schedule*: only
-    :func:`schedule_metrics` reruns, on the size-P' system (DESIGN.md
-    §3.4). ``config.batch`` prefetches the chunk's distributions through
-    the batch kernel first (bit-identical records either way). Each
-    (size × method) trial runs under a cooperative wall-clock budget of
-    ``trial_timeout`` seconds (default: the config's); a trial that
-    completes past its budget is kept but flagged with a ``slow-trial``
-    failure event.
+    a size-independent method's schedule at size P is *saturated* — on a
+    route-uniform interconnect, no extra empty processor would have won
+    any of its placements (:attr:`Placements.saturated`; a processor
+    left idle is one way) — every larger size P' whose first P speeds
+    are the same reuses it: only :func:`schedule_metrics` reruns, on the
+    size-P' system (DESIGN.md §3.4). ``config.batch`` prefetches the
+    chunk's distributions through the batch kernel first (bit-identical
+    records either way). Each (size × method) trial runs under a
+    cooperative wall-clock budget of ``trial_timeout`` seconds (default:
+    the config's); a trial that completes past its budget is kept but
+    flagged with a ``slow-trial`` failure event.
 
     The chunk always records its phase seconds and fault counters into
     its own registry and ships it on the :class:`ChunkResult`. With
@@ -307,7 +308,6 @@ def run_chunk(
                     ),
                     speeds=speeds,
                 )
-                uniform = system.interconnect.route_uniform
                 total_capacity = float(sum(speeds))
                 for method in config.methods:
                     with obs.span("trial", n_processors=n_processors,
@@ -325,7 +325,7 @@ def run_chunk(
                                 prefetched,
                             )
                         with inst.phase("schedule"):
-                            hit = saturated.get(method.label) if uniform else None
+                            hit = saturated.get(method.label)
                             if (hit is not None and hit[0] < n_processors
                                     and speeds[:hit[0]] == hit[1]):
                                 schedule = Schedule(graph, system, hit[2])
@@ -341,10 +341,8 @@ def run_chunk(
                                     ),
                                 )
                                 placements = schedule.dense()
-                                if (uniform and hit is None
-                                        and not method.needs_system_size
-                                        and len(set(placements.proc_of))
-                                        < n_processors):
+                                if (hit is None and placements.saturated
+                                        and not method.needs_system_size):
                                     saturated[method.label] = (
                                         n_processors, speeds, placements
                                     )

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -506,13 +507,25 @@ def journal_paths(directory: str) -> List[str]:
     ]
 
 
+#: A fleet worker's journal, and the files the fleet keeps beside it.
+_SHARD_JOURNAL = re.compile(r"shard-\d+-of-\d+\.ckpt")
+_SHARD_SIDECARS = (
+    ".log", ".payload.pkl", ".summary.json", ".ckpt.inflight",
+    ".ckpt.killmark",
+)
+
+
 def compact_journals(directory: str) -> str:
     """Merge every journal in ``directory`` into one deduplicated file.
 
     The merged journal is written atomically as ``shard-0-of-1.ckpt``
     (so both a ``--shards 1`` resume and a serial resume pointed at the
     file pick it up), chunks in canonical first-seen order, then the
-    source journals are removed. Identical duplicate chunks collapse;
+    source journals are removed. So are the sidecars a fleet run leaves
+    next to a ``shard-i-of-N.ckpt`` (``.log``, ``.payload.pkl``,
+    ``.summary.json``, ``.ckpt.inflight``, ``.ckpt.killmark``): they
+    describe the old partitioning, and a stale kill marker would disarm
+    a later injected kill. Identical duplicate chunks collapse;
     conflicting duplicates (same key, different records) raise
     :class:`CheckpointError` — compaction never guesses which side is
     right. Returns the merged journal's path.
@@ -552,8 +565,18 @@ def compact_journals(directory: str) -> str:
     merged = os.path.join(directory, "shard-0-of-1.ckpt")
     applog.atomic_write_text(merged, "".join(lines))
     for path in paths:
+        stem = path[:-len(".ckpt")]
+        doomed = (
+            [stem + suffix for suffix in _SHARD_SIDECARS]
+            if _SHARD_JOURNAL.fullmatch(os.path.basename(path)) else []
+        )
         if os.path.abspath(path) != os.path.abspath(merged):
-            os.remove(path)
+            doomed.append(path)
+        for name in doomed:
+            try:
+                os.remove(name)
+            except FileNotFoundError:
+                pass
     return merged
 
 

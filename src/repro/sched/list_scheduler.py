@@ -105,6 +105,9 @@ class ListScheduler:
         )
         links = LinkTimelines(system.interconnect)
         commit = links.commit_transfer
+        route_uniform = system.interconnect.route_uniform
+        closed_form = route_uniform and system.n_processors > 1
+        saturated = route_uniform
         available: List[Time] = [0.0] * system.n_processors
         speeds = [p.speed for p in system.processors]
         subtasks = index.subtasks
@@ -131,10 +134,24 @@ class ListScheduler:
                     arcs.append((proc_of[p], pred_size[k], finish_of[p], p))
                 elif finish_of[p] > lower:
                     lower = finish_of[p]
-            proc, _, n_probes = choose_processor(
-                links, subtasks[j].pinned_to, available, lower, arcs
-            )
-            probes += n_probes
+            # A pinned subtask goes straight to its pin: there is nothing
+            # to probe, and no extra processor could win it. An extra
+            # empty processor would win an unpinned one iff its start,
+            # ``idle``, is strictly below the best (DESIGN.md §3.4).
+            proc = subtasks[j].pinned_to
+            if proc is None:
+                if closed_form:
+                    proc, best, n_probes, idle = _choose_uniform(
+                        links, available, lower, arcs
+                    )
+                    if idle < best:
+                        saturated = False
+                else:
+                    proc, _, n_probes = choose_processor(
+                        links, None, available, lower, arcs
+                    )
+                    saturated = False
+                probes += n_probes
 
             # The start is the latest of the lower bound, the processor's
             # availability and every arrival. Transfers are committed in
@@ -176,6 +193,7 @@ class ListScheduler:
                 "scheduler finished with unplaced subtasks; "
                 "the task graph is corrupt"
             )
+        state.saturated = saturated
         obs.count("list.schedules")
         obs.count("list.tasks_placed", len(order))
         obs.count("list.messages_placed", len(msg_src))
@@ -208,7 +226,7 @@ def choose_processor(
     """
     n_processors = len(available)
     if pinned_to is None and n_processors > 1 and links.interconnect.route_uniform:
-        return _choose_uniform(links, available, lower, arcs)
+        return _choose_uniform(links, available, lower, arcs)[:3]
     candidates = range(n_processors) if pinned_to is None else (pinned_to,)
     paths_from = links.interconnect.paths_from
     memos: Dict[Tuple[Time, Time], Dict[Tuple[str, ...], Time]] = {}
@@ -246,9 +264,10 @@ def _choose_uniform(
     available: Sequence[Time],
     lower: Time,
     arcs: Sequence[Arc],
-) -> Tuple[ProcessorId, Time, int]:
+) -> Tuple[ProcessorId, Time, int, Time]:
     """:func:`choose_processor` over all of at least two processors of a
-    route-uniform interconnect, in O(P + arcs).
+    route-uniform interconnect, in O(P + arcs), plus the start an empty
+    processor would get.
 
     Each (size, ready) has one remote arrival, probed once. A local arc
     never raises a start: its producer finished by its processor's
@@ -256,7 +275,8 @@ def _choose_uniform(
     availability, ``lower`` and the remote arrivals of every producer
     processor but its own: the latest arrival overall (``first``, from
     ``first_src``), or on ``first_src`` the latest from elsewhere
-    (``second``).
+    (``second``). An empty processor holds no producer, so it would
+    start at ``max(0, first)``.
     """
     probed: Dict[Tuple[Time, Time], Time] = {}
     first = second = lower
@@ -282,4 +302,4 @@ def _choose_uniform(
             start = bound
         if best_proc < 0 or start < best_start:
             best_proc, best_start = proc, start
-    return best_proc, best_start, len(probed)
+    return best_proc, best_start, len(probed), first if first > 0.0 else 0.0

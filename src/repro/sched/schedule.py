@@ -80,13 +80,17 @@ class Placements:
     ``m`` owns hops ``msg_hops[m]:msg_hops[m + 1]``. Per hop: link, start
     and finish. ``deadline`` holds each node's distributed absolute
     deadline, read from the ``windows`` dict of the producer's assignment.
+    ``saturated`` is set by the list scheduler: the interconnect is
+    route-uniform and no extra empty processor appended to the system
+    would have won any placement (DESIGN.md §3.4). ``False`` when
+    unknown.
     """
 
     __slots__ = (
         "index", "order", "proc_of", "start_of", "finish_of",
         "msg_src", "msg_dst", "msg_size", "msg_hops",
         "hop_link", "hop_start", "hop_finish",
-        "windows", "deadline",
+        "windows", "deadline", "saturated",
     )
 
     def __init__(self, index: "GraphIndex") -> None:
@@ -105,6 +109,7 @@ class Placements:
         self.hop_finish: List[Time] = []
         self.windows: Optional[Dict[NodeId, "Window"]] = None
         self.deadline: Optional[List[Time]] = None
+        self.saturated = False
 
     @classmethod
     def of(

@@ -532,3 +532,31 @@ class TestJournalRepair:
         keys = [k for k, _ in iter_journal(ck)]
         assert len(keys) == len(cfg.chunk_keys()) - 1
         assert len(set(keys)) == len(keys)
+
+
+class TestSupervisorWakeups:
+    def test_worker_exits_wake_the_parent_once_each(self, monkeypatch):
+        """Without stall supervision or progress callbacks the parent
+        sleeps on the workers' exit sentinels. A worker whose sentinel
+        is ready is reaped at once, so each exit costs a wake-up or two
+        instead of a spin until ``waitpid`` can collect it."""
+        from repro.feast.backends import shards
+
+        wakeups, launches = [], []
+        wait, launch = shards.wait_for_exit, shards._Fleet._launch
+
+        def counting_wait(*args):
+            wakeups.append(args)
+            return wait(*args)
+
+        def counting_launch(self, slot):
+            launches.append(slot.ident)
+            return launch(self, slot)
+
+        monkeypatch.setattr(shards, "wait_for_exit", counting_wait)
+        monkeypatch.setattr(shards._Fleet, "_launch", counting_launch)
+        cfg = tiny_config(n_graphs=4)
+        result = run_experiment(cfg, jobs=2)
+        assert dicts(result) == dicts(run_experiment(cfg, jobs=1))
+        assert len(launches) == 2
+        assert 1 <= len(wakeups) <= 2 * len(launches)

@@ -1,14 +1,21 @@
 """The deadline-driven list scheduler."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.core.annotations import DeadlineAssignment, Window
+from repro.core.pinning import pin_subtasks
 from repro.core.slicer import bst
 from repro.errors import SchedulingError, ValidationError
+from repro.graph.generator import RandomGraphConfig, generate_task_graph
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
-from repro.machine.topology import IdealNetwork
+from repro.machine.topology import IdealNetwork, make_interconnect
 from repro.obs import runtime as obs
+from repro.sched import list_scheduler
 from repro.sched.bus import LinkTimelines
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.policies import make_policy
@@ -225,3 +232,59 @@ class TestProbeCounters:
         )
         assert len(calls) == expected
         assert all(src != dst for src, dst, _, _ in calls)
+
+
+def _fully_pinned_schedules():
+    """Schedules of fully pinned generated graphs on the bus, the ideal
+    network and a ring (every placement, message hop and their order),
+    with each run's ``bus.probes``."""
+    rng = random.Random(2718)
+    config = RandomGraphConfig(n_subtasks_range=(20, 30))
+    graphs = [generate_task_graph(config, rng=rng) for _ in range(3)]
+    dumps, probes = [], []
+    for graph in graphs:
+        for n, topology in ((2, "bus"), (3, "bus"), (4, "ideal"), (4, "ring")):
+            pinned = pin_subtasks(graph, {
+                node_id: (i * 7) % n
+                for i, node_id in enumerate(graph.node_ids())
+            })
+            system = System(n, interconnect=make_interconnect(topology, n))
+            session = obs.Telemetry()
+            with obs.activate(session):
+                schedule = ListScheduler(system).schedule(
+                    pinned, assign(pinned)
+                )
+            probes.append(session.metrics.counters.get("bus.probes", 0))
+            dumps.append([
+                [[t.node_id, t.processor, t.start, t.finish]
+                 for t in schedule.tasks.values()],
+                [[m.src, m.dst, [[h.link, h.start, h.finish] for h in m.hops]]
+                 for m in schedule.messages.values()],
+            ])
+    digest = hashlib.blake2b(
+        json.dumps(dumps).encode(), digest_size=16
+    ).hexdigest()
+    return digest, probes
+
+
+class TestPinnedPlacement:
+    #: :func:`_fully_pinned_schedules`' digest, recorded while every
+    #: pinned subtask still went through ``choose_processor``.
+    DIGEST = "b2f9fb1c89a9bee23ec9cd36333f66c1"
+
+    def test_pinned_subtasks_skip_the_candidate_search(self, monkeypatch):
+        """A pinned subtask goes straight to its pin: no probe, no
+        ``choose_processor`` call, and the schedule the candidate search
+        gave."""
+        calls = []
+        choose = list_scheduler.choose_processor
+
+        def counting(*args):
+            calls.append(args)
+            return choose(*args)
+
+        monkeypatch.setattr(list_scheduler, "choose_processor", counting)
+        digest, probes = _fully_pinned_schedules()
+        assert calls == []
+        assert probes == [0] * len(probes)
+        assert digest == self.DIGEST

@@ -1,10 +1,13 @@
 """Result persistence and run comparison."""
 
+import os
+
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import ExperimentWarning, SerializationError
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.persistence import (
+    compact_journals,
     compare,
     load_result,
     result_from_dict,
@@ -208,3 +211,31 @@ class TestCompare:
     def test_disjoint_keys_ignored(self, result):
         empty = ExperimentResult(config=small_config())
         assert compare(result, empty) == []
+
+
+class TestCompactJournals:
+    def test_compaction_removes_the_fleet_sidecars(self, tmp_path,
+                                                   monkeypatch):
+        """Compaction leaves the merged journal and nothing of the old
+        partitioning, so a stale kill marker cannot disarm the next
+        injected kill in that directory; files it did not write stay."""
+        cfg = small_config()
+        expected = [r.as_dict() for r in run_experiment(cfg).records]
+        monkeypatch.setenv("REPRO_SHARD_KILL_AFTER", "1")
+        monkeypatch.setenv("REPRO_SHARD_KILL_SHARD", "0")
+        ck = tmp_path / "ck"
+
+        def killed_run():
+            with pytest.warns(ExperimentWarning, match="code 86"):
+                result = run_experiment(cfg, backend="subprocess", shards=2,
+                                        checkpoint=str(ck))
+            assert [r.as_dict() for r in result.records] == expected
+            return result
+
+        assert killed_run().supervision.relaunches == 1
+        assert (ck / "shard-0-of-2.ckpt.killmark").exists()
+        (ck / "notes.log").write_text("kept\n")
+        merged = compact_journals(str(ck))
+        assert sorted(os.listdir(ck)) == ["notes.log", "shard-0-of-1.ckpt"]
+        os.remove(merged)
+        assert killed_run().supervision.relaunches == 1

@@ -1,9 +1,10 @@
 """Differential: saturated-schedule reuse in ``run_chunk`` vs fresh trials.
 
-Once a size-independent method's schedule at size P leaves a processor
-idle on a route-uniform interconnect, ``run_chunk`` reuses its
-placements at every larger size whose first P speeds match, and reruns
-only ``schedule_metrics`` (DESIGN.md §3.4). Here every record of a chunk
+Once a size-independent method's schedule at size P is saturated — on a
+route-uniform interconnect, no extra empty processor would have won any
+of its placements — ``run_chunk`` reuses its placements at every larger
+size whose first P speeds match, and reruns only ``schedule_metrics``
+(DESIGN.md §3.4). Here every record of a chunk
 must equal, byte for byte, the record of a reuse-free reference that
 distributes and schedules each (size, method) trial from scratch through
 ``run_trial``. The ring is a control on which nothing may be reused.
@@ -58,6 +59,29 @@ def _chain(n: int = 6) -> TaskGraph:
         graph.add_edge(f"c{i - 1}", f"c{i}", message_size=1.5)
     graph.node("c0").release = 0.0
     graph.node(f"c{n - 1}").end_to_end_deadline = 80.0
+    return graph
+
+
+def _independent(n: int, wcet: float = 4.0) -> TaskGraph:
+    """``n`` independent subtasks: each takes the first processor that
+    is free, so the (n+1)-th processor is never needed and the n-th wins
+    only the last placement."""
+    graph = TaskGraph(name="independent")
+    for i in range(n):
+        graph.add_subtask(f"t{i}", wcet=wcet, release=0.0,
+                          end_to_end_deadline=40.0)
+    return graph
+
+
+def _fork() -> TaskGraph:
+    """A root feeding two subtasks over empty messages: at size 2 both
+    processors are busy, yet an extra processor starts each placement no
+    earlier than the winner."""
+    graph = TaskGraph(name="fork")
+    graph.add_subtask("r", wcet=2.0, release=0.0)
+    for leaf in ("a", "b"):
+        graph.add_subtask(leaf, wcet=3.0, end_to_end_deadline=30.0)
+        graph.add_edge("r", leaf, message_size=0.0)
     return graph
 
 
@@ -185,6 +209,51 @@ class TestSweepOrder:
         with mock.patch.dict(SPEED_PROFILES, {"scaled": scaled}):
             counters = _run(_chain(), (2, 4), "EDF", "scaled", "bus", False)
         assert counters["sched.reused"] == 0
+
+
+#: Profiles whose speeds at a size are a prefix of those at every larger
+#: size; the extra processors' speeds never matter.
+PREFIX_PROFILES = ("uniform", "mixed", "one-fast")
+
+
+class TestSaturation:
+    """Saturation is "no extra processor would win", not "some processor
+    is idle". Four size-independent methods reuse per later size; ADAPT
+    is scheduled at every size."""
+
+    @pytest.mark.parametrize("profile", PREFIX_PROFILES)
+    def test_fully_pinned_graph_on_two_busy_processors_is_reused(
+        self, profile
+    ):
+        graph = _pinned(_chain(), [0, 1, 0, 1, 0, 1], 2)
+        counters = _run(graph, (2, 3, 4, 8), "EDF", profile, "bus", False)
+        assert counters["sched.reused"] == 4 * 3
+        assert counters["list.schedules"] == 4 + 4
+
+    @pytest.mark.parametrize("profile", PREFIX_PROFILES)
+    def test_busy_processors_that_no_extra_one_beats_are_reused(
+        self, profile
+    ):
+        counters = _run(_fork(), (2, 3, 5), "EDF", profile, "ideal", False)
+        assert counters["sched.reused"] == 4 * 2
+        assert counters["list.schedules"] == 4 + 3
+
+    @pytest.mark.parametrize("profile", PREFIX_PROFILES)
+    def test_extra_processor_winning_the_last_placement_blocks_reuse(
+        self, profile
+    ):
+        """Three independent subtasks on two processors: the third
+        would start at 0 on a third processor, so size 3 is scheduled
+        afresh; that schedule leaves a processor free at size 4."""
+        counters = _run(_independent(3), (2, 3, 4), "EDF", profile, "bus",
+                        False)
+        assert counters["sched.reused"] == 4
+        assert counters["list.schedules"] == 5 + 5 + 1
+
+    def test_pinned_graph_on_one_processor_is_reused(self):
+        graph = _pinned(_chain(), [0] * 6, 1)
+        counters = _run(graph, (1, 2, 4), "EDF", "one-fast", "bus", True)
+        assert counters["sched.reused"] == 4 * 2
 
 
 def test_every_trial_is_a_schedule_or_a_reuse():

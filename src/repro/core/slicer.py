@@ -17,11 +17,17 @@ The technique is selected by the metric / estimator combination:
 
 The convenience constructors :func:`bst` and :func:`ast` encode those
 pairings.
+
+A distributor handed a :class:`DistributionMemo` serves a distribution
+whose inputs it has already seen from the memo (DESIGN.md §3.2): the
+engine shares one memo across the methods of a chunk, so THRES and ADAPT
+reuse PURE's windows wherever no subtask reaches their threshold.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.annotations import DeadlineAssignment, SliceRecord, Window
@@ -30,6 +36,7 @@ from repro.core.criticalpath import CriticalPath, find_critical_path_indexed
 from repro.core.expanded import ExpandedGraph
 from repro.core.metrics import (
     MetricContext,
+    NormalizedLaxityRatio,
     PureLaxityRatio,
     SlicingMetric,
     make_metric,
@@ -39,6 +46,61 @@ from repro.graph.taskgraph import TaskGraph
 from repro.obs import runtime as obs
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.types import TIME_EPS, Time
+
+
+class DistributionMemo(dict):
+    """Distributions keyed by what determines them, and a hit count.
+
+    A key is ``(expansion, family, clamp_to_anchors, virtual costs)``:
+    the slicing loop reads the metric only through its virtual costs,
+    ``uses_count``, ``ratio`` and ``relative_deadline``, and the family
+    (:func:`slicing_family`) names the last three. The key holds the
+    expansion itself, so its identity cannot be recycled while the memo
+    lives. Scope one memo to one chunk: hung on the expansion, it would
+    live as long as the graph's index does.
+    """
+
+    __slots__ = ("hits",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Distributions served from the memo.
+        self.hits = 0
+
+    def forget_sized(self) -> None:
+        """Drop the distributions made for a platform (``n_processors``
+        set), keeping the size-free ones.
+
+        Call it when a size sweep moves on. ADAPT, the size-dependent
+        metric, inflates by ``ξ / N``, so its distribution at one size
+        comes back at another only when it inflates nothing, and then it
+        is PURE's, which a sweep that also runs PURE holds size-free.
+        Held to the end of a chunk, the others only cost garbage
+        collection and memory traffic.
+        """
+        for key in [k for k, a in self.items() if a.n_processors is not None]:
+            del self[key]
+
+
+_FAMILIES = (("PURE", PureLaxityRatio), ("NORM", NormalizedLaxityRatio))
+
+
+def slicing_family(metric: SlicingMetric) -> Optional[str]:
+    """``"PURE"`` or ``"NORM"`` when ``metric`` slices with that class's
+    own ``ratio``, ``relative_deadline`` and ``uses_count``, else ``None``.
+
+    THRES and ADAPT are PURE over other virtual costs. A subclass that
+    overrides either method may read anything (the node, its own state),
+    so two of its distributions with equal virtual costs need not be
+    equal: it is never memoized.
+    """
+    cls = type(metric)
+    for family, base in _FAMILIES:
+        if (cls.ratio is base.ratio
+                and cls.relative_deadline is base.relative_deadline
+                and metric.uses_count == base.uses_count):
+            return family
+    return None
 
 
 class DeadlineDistributor:
@@ -57,6 +119,12 @@ class DeadlineDistributor:
         When True (default), windows are clamped into the node's pending
         anchors, which guarantees precedence-consistent windows:
         ``deadline(pred) <= release(succ)`` on every arc. See DESIGN.md §5.
+    memo:
+        Optional :class:`DistributionMemo`, shared with other
+        distributors: a distribution whose expansion, slicing family,
+        clamp setting and virtual costs match a stored one is the stored
+        one, re-stamped with this distributor's metric and estimator
+        names and the platform.
 
     Over-constrained graphs
     -----------------------
@@ -79,10 +147,12 @@ class DeadlineDistributor:
         metric: SlicingMetric,
         estimator: Optional[CommCostEstimator] = None,
         clamp_to_anchors: bool = True,
+        memo: Optional[DistributionMemo] = None,
     ) -> None:
         self.metric = metric
         self.estimator = estimator if estimator is not None else CCNE()
         self.clamp_to_anchors = clamp_to_anchors
+        self.memo = memo
 
     def distribute(
         self,
@@ -96,6 +166,11 @@ class DeadlineDistributor:
         the result either way; ``total_capacity`` (the platform's speed
         sum) additionally feeds the capacity-aware ADAPT variant on
         heterogeneous platforms.
+
+        With a :attr:`memo`, a memoizable distribution (one of the two
+        slicing families, over a cached expansion) is looked up once its
+        virtual costs are known; a distribution that raises is never
+        stored.
         """
         graph.validate()
         expanded = ExpandedGraph.for_graph(graph, self.estimator)
@@ -122,6 +197,21 @@ class DeadlineDistributor:
         vcost: List[Time] = [
             self.metric.virtual_cost(nd) for nd in expanded.by_index
         ]
+        key = None
+        memo = self.memo
+        if memo is not None and self.estimator.cache_key() is not None:
+            family = slicing_family(self.metric)
+            if family is not None:
+                key = (expanded, family, self.clamp_to_anchors, tuple(vcost))
+                stored = memo.get(key)
+                if stored is not None:
+                    memo.hits += 1
+                    return replace(
+                        stored,
+                        metric_name=self.metric.name,
+                        comm_strategy_name=self.estimator.name,
+                        n_processors=n_processors,
+                    )
         # PURE's relative deadline is the virtual cost plus R, so the
         # PURE family (PURE, THRES, ADAPT) slices from ``vcost``.
         pure_vcost = (
@@ -182,7 +272,12 @@ class DeadlineDistributor:
             "slicer.slices_per_distribution", len(slices),
             buckets=COUNT_BUCKETS,
         )
-        return self._build_assignment(expanded, windows, slices, n_processors)
+        assignment = self._build_assignment(
+            expanded, windows, slices, n_processors
+        )
+        if key is not None:
+            memo[key] = assignment
+        return assignment
 
     # ------------------------------------------------------------------
     def _slice(

@@ -18,10 +18,11 @@ import hashlib
 import os
 import pickle
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro import budget
+from repro.core.slicer import DistributionMemo
 from repro.errors import ExperimentError
 from repro.feast import faultinject
 from repro.obs import runtime as obs
@@ -235,6 +236,24 @@ class ChunkResult:
         return len(self.records)
 
 
+class _Distinct:
+    """What :func:`run_chunk` keeps per distinct ``windows`` dict."""
+
+    __slots__ = ("windows", "min_laxity", "saturated", "record")
+
+    def __init__(self, assignment) -> None:
+        #: Held so the dict's id, the entry's key, is not recycled.
+        self.windows = assignment.windows
+        self.min_laxity = assignment.min_laxity()
+        #: (size, speeds, placements) of the sweep's first saturated
+        #: schedule of these windows.
+        self.saturated: Optional[
+            Tuple[int, Tuple[float, ...], Placements]
+        ] = None
+        #: The latest record measured from these windows.
+        self.record: Optional[TrialRecord] = None
+
+
 def run_chunk(
     spec: TrialSpec,
     trial_timeout: Optional[float] = None,
@@ -245,15 +264,24 @@ def run_chunk(
 
     Generates the graph from its seed, distributes deadlines and
     schedules each trial; the parent reorders chunks into the canonical
-    record order. Two reuse layers skip work across the size sweep, each
-    leaving the records bit-identical. Size-independent *distributions*
-    are computed once per method (:func:`distribute_for_trial`). And once
-    a size-independent method's schedule at size P is *saturated* — on a
-    route-uniform interconnect, no extra empty processor would have won
-    any of its placements (:attr:`Placements.saturated`; a processor
-    left idle is one way) — every larger size P' whose first P speeds
-    are the same reuses it: only :func:`schedule_metrics` reruns, on the
-    size-P' system (DESIGN.md §3.4). ``config.batch`` prefetches the
+    record order. Every reuse is keyed on what determines the result,
+    not on which method asked, and leaves the records bit-identical
+    (DESIGN.md §3.2, §3.4). The chunk's distributors share one
+    :class:`DistributionMemo`, so methods whose distribution inputs
+    match get one ``windows`` dict (:func:`distribute_for_trial`).
+    Schedules are keyed on that dict, the only part of an assignment
+    the list scheduler reads. At the same size, the dict's record is
+    reused relabelled: its schedule, its metrics (which also read the
+    message windows, produced with the dict) and its ``min_laxity``
+    depend on nothing else. At a larger size, once the dict's schedule
+    at size P is *saturated* — on a route-uniform interconnect, no extra
+    empty processor would have won any of its placements
+    (:attr:`Placements.saturated`; a processor left idle is one way) —
+    every size P' whose first P speeds are the same reuses it: only
+    :func:`schedule_metrics` reruns, on the size-P' system. When the
+    sweep moves on, only size-free distributions and their entries are
+    kept: nothing else comes back at a later size.
+    ``min_laxity`` is computed once per dict. ``config.batch`` prefetches the
     chunk's distributions through the batch kernel first (bit-identical
     records either way). Each (size × method) trial runs under a
     cooperative wall-clock budget of ``trial_timeout`` seconds (default:
@@ -285,8 +313,9 @@ def run_chunk(
                 graph = graph_for_trial(
                     config, graph_config, spec.scenario, spec.index
                 )
+            memo = DistributionMemo()
             distributors = {
-                method.label: method.build() for method in config.methods
+                method.label: method.build(memo) for method in config.methods
             }
             reusable: Dict[object, object] = {}
             prefetched: Optional[Dict[object, object]] = None
@@ -295,9 +324,9 @@ def run_chunk(
                     prefetched = prefetch_distributions(
                         config, [graph], reusable, indices=[spec.index]
                     )
-            # Per method label: the size, its speeds and the placements
-            # of the sweep's first saturated schedule.
-            saturated: Dict[str, Tuple[int, Tuple[float, ...], Placements]] = {}
+            # Per distinct windows dict, by id: each entry holds its dict,
+            # so no id is recycled while the chunk runs.
+            seen: Dict[int, _Distinct] = {}
             reused = 0
             for n_processors in config.system_sizes:
                 speeds = speeds_for(config.speed_profile, n_processors)
@@ -325,10 +354,20 @@ def run_chunk(
                                 prefetched,
                             )
                         with inst.phase("schedule"):
-                            hit = saturated.get(method.label)
-                            if (hit is not None and hit[0] < n_processors
+                            entry = seen.get(id(assignment.windows))
+                            if entry is None:
+                                entry = _Distinct(assignment)
+                                seen[id(assignment.windows)] = entry
+                            done = entry.record
+                            hit = entry.saturated
+                            if (done is not None
+                                    and done.n_processors == n_processors):
+                                record = replace(done, method=method.label)
+                                reused += 1
+                            elif (hit is not None and hit[0] < n_processors
                                     and speeds[:hit[0]] == hit[1]):
                                 schedule = Schedule(graph, system, hit[2])
+                                record = None
                                 reused += 1
                             else:
                                 schedule = schedule_trial(
@@ -341,12 +380,18 @@ def run_chunk(
                                     ),
                                 )
                                 placements = schedule.dense()
-                                if (hit is None and placements.saturated
-                                        and not method.needs_system_size):
-                                    saturated[method.label] = (
+                                if hit is None and placements.saturated:
+                                    entry.saturated = (
                                         n_processors, speeds, placements
                                     )
-                            metrics = schedule_metrics(schedule, assignment)
+                                record = None
+                            if record is None:
+                                record = entry.record = make_record(
+                                    config, spec.scenario, n_processors,
+                                    method, spec.index, assignment,
+                                    schedule_metrics(schedule, assignment),
+                                    entry.min_laxity,
+                                )
                         if budget.expired():
                             inst.record_failure(TrialFailure(
                                 scenario=spec.scenario,
@@ -358,10 +403,13 @@ def run_chunk(
                                     f"{timeout:g}s budget; result kept"
                                 ),
                             ))
-                    chunk.records[(n_processors, method.label)] = make_record(
-                        config, spec.scenario, n_processors, method,
-                        spec.index, assignment, metrics,
-                    )
+                    chunk.records[(n_processors, method.label)] = record
+                # Only size-free distributions come back at a later size:
+                # keep theirs, the label-cached windows, and drop the rest.
+                memo.forget_sized()
+                lasting = {id(a.windows) for a in reusable.values()}
+                seen = {k: e for k, e in seen.items() if k in lasting}
+            obs.count("slicer.reused", memo.hits)
             obs.count("sched.reused", reused)
             inst.metrics.count("engine.chunks_completed")
             inst.metrics.count("engine.trials_measured", len(chunk.records))

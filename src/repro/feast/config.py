@@ -106,8 +106,13 @@ class MethodSpec:
         distribution cannot be reused across system sizes."""
         return self.baseline is None and self.metric.upper() == "ADAPT"
 
-    def build(self):
-        """Instantiate the distributor this spec describes."""
+    def build(self, memo=None):
+        """Instantiate the distributor this spec describes.
+
+        ``memo``, a :class:`~repro.core.slicer.DistributionMemo`, is
+        shared by the slicing distributors built with it; baselines
+        ignore it.
+        """
         if self.baseline is not None:
             from repro.core.baselines import make_baseline
 
@@ -124,6 +129,7 @@ class MethodSpec:
             metric=make_metric(metric, **kwargs),
             estimator=make_estimator(self.comm, cost_per_item=self.cost_per_item),
             clamp_to_anchors=self.clamp_to_anchors,
+            memo=memo,
         )
 
 

@@ -25,11 +25,15 @@ the experiment seed. Consequences, relied on throughout the harness:
 * custom ``graph_factory`` callables receive exactly the same seeded rng
   stream as the built-in generator would for that (scenario, index).
 
-Deadline distributions that do not depend on the system size (everything
-except ADAPT) are computed once per (method, scenario, graph) — with *no*
-platform arguments, so the cache cannot capture one sweep size's platform
-— and re-stamped with the current platform when reused across the size
-sweep.
+Inside one chunk (every size × method trial of one graph) work is
+reused by content, not by method label: a distribution is computed once
+per distinct input — the expansion, the slicing family, the clamp setting
+and the virtual costs — however many methods or sizes ask for it, and a
+schedule and its record once per distinct ``windows`` dict and size
+(:func:`repro.feast.backends.work.run_chunk`, DESIGN.md §3.2 and §3.4).
+A size-independent method is distributed with *no* platform arguments,
+so no cache can capture one sweep size's platform, and every reuse is
+re-stamped with the current one.
 """
 
 from __future__ import annotations
@@ -296,23 +300,24 @@ def distribute_for_trial(
 ) -> DeadlineAssignment:
     """The deadline assignment of ``method`` on ``graph`` at one size.
 
-    Size-dependent methods (ADAPT) are computed fresh for every platform,
+    Size-dependent methods (ADAPT) are distributed for every platform,
     unless ``prefetched`` (the batch engine's per-chunk prefetch, see
     :func:`prefetch_distributions`) already holds the result under
     ``(cache_key, n_processors)``.
-    Size-independent methods are computed once *without* platform
+    Size-independent methods are distributed once *without* platform
     arguments and cached under ``cache_key``; reuses re-stamp the cached
     windows with the current platform, so the recorded
-    ``DeadlineAssignment.n_processors`` always matches the trial's system
-    (previously the cache froze the first sweep size's platform into
-    every later size's metadata).
+    ``DeadlineAssignment.n_processors`` always matches the trial's system.
 
-    Two reuse layers compose here: this cache skips whole *distributions*
-    per (graph, method) across the size sweep, while below it the graph's
+    Three reuse layers compose here. This cache skips a method's repeat
+    calls across the size sweep. Below it, a distributor built with the
+    chunk's :class:`~repro.core.slicer.DistributionMemo` returns a stored
+    distribution whenever its content key matches, whichever method
+    stored it: ADAPT at a size where no subtask reaches its threshold
+    gets PURE's windows, and shares their dict. Below that, the graph's
     :class:`~repro.graph.indexed.GraphIndex` shares one compiled structure
     and one :class:`~repro.core.expanded.ExpandedGraph` per estimator
-    across *all* methods of the trial (so the size-dependent recomputes
-    ADAPT forces still skip re-expanding the graph).
+    across *all* methods of the trial.
     """
     if method.needs_system_size:
         if prefetched is not None:
@@ -397,8 +402,15 @@ def make_record(
     index: int,
     assignment: DeadlineAssignment,
     metrics: ScheduleMetrics,
+    min_laxity: Optional[float] = None,
 ) -> TrialRecord:
-    """Package one trial's measurements."""
+    """Package one trial's measurements.
+
+    ``min_laxity`` is ``assignment.min_laxity()``, when the caller
+    already has it (it depends on the windows alone).
+    """
+    if min_laxity is None:
+        min_laxity = assignment.min_laxity()
     return TrialRecord(
         experiment=config.name,
         scenario=scenario,
@@ -410,7 +422,7 @@ def make_record(
         n_late=metrics.n_late,
         makespan=metrics.makespan,
         mean_utilization=metrics.mean_utilization,
-        min_laxity=assignment.min_laxity(),
+        min_laxity=min_laxity,
         max_end_to_end_lateness=metrics.max_end_to_end_lateness,
     )
 

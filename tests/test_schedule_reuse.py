@@ -1,13 +1,17 @@
-"""Differential: saturated-schedule reuse in ``run_chunk`` vs fresh trials.
+"""Differential: content-keyed reuse in ``run_chunk`` vs fresh trials.
 
-Once a size-independent method's schedule at size P is saturated — on a
+``run_chunk`` reuses by content, not by method label (DESIGN.md §3.2,
+§3.4). Its distributors share one ``DistributionMemo``, so two methods
+whose expansion, slicing family, clamp setting and virtual costs match
+get one ``windows`` dict. At the same size, a dict's record is reused
+relabelled. Once a dict's schedule at size P is saturated — on a
 route-uniform interconnect, no extra empty processor would have won any
-of its placements — ``run_chunk`` reuses its placements at every larger
-size whose first P speeds match, and reruns only ``schedule_metrics``
-(DESIGN.md §3.4). Here every record of a chunk
-must equal, byte for byte, the record of a reuse-free reference that
-distributes and schedules each (size, method) trial from scratch through
-``run_trial``. The ring is a control on which nothing may be reused.
+of its placements — its placements are reused at every larger size whose
+first P speeds match, and only ``schedule_metrics`` reruns. Here every
+record of a chunk must equal, byte for byte, the record of a reuse-free
+reference that distributes and schedules each (size, method) trial from
+scratch through ``run_trial``. The ring is a control on which nothing is
+reused across sizes.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.core.commcost import Oracle
+from repro.core.metrics import (
+    NormalizedLaxityRatio,
+    PureLaxityRatio,
+    ThresholdLaxityRatio,
+)
 from repro.core.pinning import pin_subtasks
+from repro.core.slicer import DeadlineDistributor, DistributionMemo
 from repro.errors import ExperimentError
 from repro.feast.backends.work import TrialSpec, run_chunk
 from repro.feast.config import (
@@ -28,6 +39,7 @@ from repro.feast.config import (
     MethodSpec,
     speeds_for,
 )
+from repro.feast.experiments import figure5
 from repro.feast.runner import (
     distribute_for_trial,
     graph_for_trial,
@@ -40,7 +52,8 @@ from repro.machine.topology import make_interconnect
 from repro.sched.policies import POLICIES
 from tests.strategies import default_settings, generated_graphs
 
-#: Size-independent methods (reusable) plus ADAPT (never reused).
+#: Four size-independent methods plus ADAPT, whose windows are shared
+#: only where its virtual costs match another method's.
 METHODS = (
     MethodSpec(label="PURE", metric="PURE"),
     MethodSpec(label="NORM", metric="NORM"),
@@ -73,6 +86,19 @@ def _independent(n: int, wcet: float = 4.0) -> TaskGraph:
     return graph
 
 
+def _uniform() -> TaskGraph:
+    """A diamond of equal WCETs: no subtask reaches 1.25 × MET, so THRES
+    and ADAPT have PURE's virtual costs at every size."""
+    graph = TaskGraph(name="uniform")
+    for node in ("s", "a", "b", "t"):
+        graph.add_subtask(node, wcet=4.0)
+    for src, dst in (("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")):
+        graph.add_edge(src, dst, message_size=1.0)
+    graph.node("s").release = 0.0
+    graph.node("t").end_to_end_deadline = 40.0
+    return graph
+
+
 def _fork() -> TaskGraph:
     """A root feeding two subtasks over empty messages: at size 2 both
     processors are busy, yet an extra processor starts each placement no
@@ -85,11 +111,12 @@ def _fork() -> TaskGraph:
     return graph
 
 
-def _config(graph, sizes, policy, profile, topology, respect):
+def _config(graph, sizes, policy, profile, topology, respect,
+            methods=METHODS):
     return ExperimentConfig(
         name="reuse",
-        description="saturated-schedule reuse differential",
-        methods=METHODS,
+        description="content-keyed reuse differential",
+        methods=methods,
         scenarios=("MDET",),
         n_graphs=1,
         system_sizes=tuple(sizes),
@@ -135,8 +162,10 @@ def _dump(records):
     )
 
 
-def _run(graph, sizes, policy, profile, topology, respect):
-    config = _config(graph, sizes, policy, profile, topology, respect)
+def _run(graph, sizes, policy, profile, topology, respect,
+         methods=METHODS):
+    config = _config(graph, sizes, policy, profile, topology, respect,
+                     methods)
     chunk = run_chunk(TrialSpec(config, "MDET", 0), trace=True)
     assert _dump(chunk.records) == _dump(_reference(config))
     return chunk.metrics.counters
@@ -174,15 +203,32 @@ _PINS = st.lists(st.one_of(st.none(), st.integers(0, 11)), max_size=30)
 # Unsorted sizes: nothing saturated at 8 may be reused at 2 or 3.
 @example(graph=_chain(), pins=[], sizes=[8, 2, 16, 3], policy="LLF",
          profile="one-fast", topology="ideal", respect=False)
+# Uniform WCETs: THRES and ADAPT share PURE's distribution at every size.
+@example(graph=_uniform(), pins=[], sizes=[3, 1, 2, 6], policy="EDF",
+         profile="mixed", topology="bus", respect=False)
 def test_reused_records_equal_fresh_records(
     graph, pins, sizes, policy, profile, topology, respect
 ):
     graph = _pinned(graph, pins, min(sizes))
-    counters = _run(graph, sizes, policy, profile, topology, respect)
+    inputs = []
+
+    def spy(method, distributor, graph, n_processors, *rest):
+        assignment = distribute_for_trial(
+            method, distributor, graph, n_processors, *rest
+        )
+        inputs.append((n_processors, assignment.windows))
+        return assignment
+
+    with mock.patch("repro.feast.backends.work.distribute_for_trial", spy):
+        counters = _run(graph, sizes, policy, profile, topology, respect)
     trials = len(sizes) * len(METHODS)
     assert counters["list.schedules"] + counters["sched.reused"] == trials
+    # ``inputs`` holds every windows dict, so no id below is recycled.
+    distinct = len({(n, id(windows)) for n, windows in inputs})
+    assert counters["list.schedules"] <= distinct
     if topology == "ring":
-        assert counters["sched.reused"] == 0
+        # Not route-uniform: one schedule per (size, distribution).
+        assert counters["list.schedules"] == distinct
 
 
 class TestSweepOrder:
@@ -234,9 +280,14 @@ class TestSaturation:
     def test_busy_processors_that_no_extra_one_beats_are_reused(
         self, profile
     ):
+        """MET is 8/3 and no WCET reaches 1.25 × MET, so THRES and ADAPT
+        share PURE's windows: at each size they reuse PURE's record (2
+        per size). PURE, NORM and EQS are scheduled at size 2 (3
+        schedules), saturate there and are reused at 3 and 5 (3 per
+        size): 3 schedules, 2 × 3 + 3 × 2 = 12 reuses."""
         counters = _run(_fork(), (2, 3, 5), "EDF", profile, "ideal", False)
-        assert counters["sched.reused"] == 4 * 2
-        assert counters["list.schedules"] == 4 + 3
+        assert counters["sched.reused"] == 2 * 3 + 3 * 2
+        assert counters["list.schedules"] == 3
 
     @pytest.mark.parametrize("profile", PREFIX_PROFILES)
     def test_extra_processor_winning_the_last_placement_blocks_reuse(
@@ -244,11 +295,15 @@ class TestSaturation:
     ):
         """Three independent subtasks on two processors: the third
         would start at 0 on a third processor, so size 3 is scheduled
-        afresh; that schedule leaves a processor free at size 4."""
+        afresh; that schedule leaves a processor free at size 4. Equal
+        WCETs stay below 1.25 × MET, so THRES and ADAPT share PURE's
+        windows and reuse its record at every size (2 per size). PURE,
+        NORM and EQS are scheduled at sizes 2 and 3 (3 + 3) and reused
+        at 4 (3): 6 schedules, 2 × 3 + 3 = 9 reuses."""
         counters = _run(_independent(3), (2, 3, 4), "EDF", profile, "bus",
                         False)
-        assert counters["sched.reused"] == 4
-        assert counters["list.schedules"] == 5 + 5 + 1
+        assert counters["sched.reused"] == 2 * 3 + 3
+        assert counters["list.schedules"] == 3 + 3
 
     def test_pinned_graph_on_one_processor_is_reused(self):
         graph = _pinned(_chain(), [0] * 6, 1)
@@ -265,3 +320,111 @@ def test_every_trial_is_a_schedule_or_a_reuse():
     assert counters["engine.trials_measured"] == 25
     assert counters["list.schedules"] + counters["sched.reused"] == 25
     assert counters["sched.reused"] == 16
+
+
+def test_figure5_methods_share_one_distribution_on_uniform_wcets():
+    """Under figure5's PURE, THRES and ADAPT, no subtask of the uniform
+    diamond reaches 1.25 × MET: PURE distributes once, THRES's
+    size-free distribution is one hit and ADAPT's four per-size ones are
+    four more. PURE is scheduled at size 1 (one processor cannot show
+    saturation) and at 2, where it saturates, and is reused at 4 and 8;
+    THRES and ADAPT reuse its record at every size: 2 schedules,
+    2 + 2 × 4 = 10 reuses."""
+    sizes = (1, 2, 4, 8)
+    methods = figure5()[0].methods
+    counters = _run(_uniform(), sizes, "EDF", "uniform", "bus", False,
+                    methods)
+    assert counters["slicer.distributions"] == 1
+    assert counters["slicer.reused"] == 1 + len(sizes)
+    assert counters["engine.trials_measured"] == len(sizes) * len(methods)
+    assert (counters["list.schedules"] + counters["sched.reused"]
+            == counters["engine.trials_measured"])
+    assert counters["list.schedules"] == 2
+    assert counters["sched.reused"] == 2 + 2 * len(sizes)
+
+
+class TestDistributionMemo:
+    """What ``DeadlineDistributor`` shares through a ``DistributionMemo``:
+    only distributions of one slicing family over one cached expansion
+    with equal virtual costs."""
+
+    #: One graph, so every distribution below shares its expansion.
+    GRAPH = _uniform()
+
+    def _distribute(self, metric, memo, estimator=None, n_processors=None):
+        distributor = DeadlineDistributor(metric, estimator, memo=memo)
+        return distributor.distribute(self.GRAPH, n_processors)
+
+    def test_thres_below_its_threshold_shares_pures_windows(self):
+        memo = DistributionMemo()
+        first = self._distribute(PureLaxityRatio(), memo)
+        again = self._distribute(ThresholdLaxityRatio(), memo, None, 4)
+        assert memo.hits == 1 and len(memo) == 1
+        assert again.windows is first.windows
+        assert again.message_windows is first.message_windows
+        assert (again.metric_name, again.n_processors) == ("THRES", 4)
+        assert (first.metric_name, first.n_processors) == ("PURE", None)
+
+    def test_norm_never_shares_pures_distribution(self):
+        """NORM's virtual costs are the WCETs, as PURE's are here, but
+        it slices with its own ratio and relative deadlines."""
+        memo = DistributionMemo()
+        pure = self._distribute(PureLaxityRatio(), memo)
+        norm = self._distribute(NormalizedLaxityRatio(), memo)
+        assert memo.hits == 0 and len(memo) == 2
+        assert norm.windows is not pure.windows
+        assert self._distribute(NormalizedLaxityRatio(), memo).windows \
+            is norm.windows
+
+    @pytest.mark.parametrize("method", ["ratio", "relative_deadline"])
+    def test_a_metric_overriding_the_slicing_rule_is_distributed_fresh(
+        self, method
+    ):
+        """The override may read anything, so equal virtual costs do not
+        make two of its distributions equal: none is stored."""
+        override = {
+            "ratio": lambda self, end_to_end, total, count:
+                PureLaxityRatio.ratio(self, end_to_end, total, count),
+            "relative_deadline": lambda self, node, ratio:
+                PureLaxityRatio.relative_deadline(self, node, ratio),
+        }[method]
+        custom = type("Custom", (PureLaxityRatio,), {method: override})
+        memo = DistributionMemo()
+        self._distribute(PureLaxityRatio(), memo)
+        first = self._distribute(custom(), memo)
+        second = self._distribute(custom(), memo)
+        assert memo.hits == 0 and len(memo) == 1
+        assert second.windows is not first.windows
+
+    def test_an_uncacheable_estimator_gets_no_hit(self):
+        """``cache_key() is None`` builds a fresh expansion per call, so
+        nothing it distributes is stored."""
+        oracle = Oracle({node: 0 for node in ("s", "a", "b", "t")})
+        assert oracle.cache_key() is None
+        memo = DistributionMemo()
+        self._distribute(PureLaxityRatio(), memo, oracle)
+        self._distribute(PureLaxityRatio(), memo, oracle)
+        assert memo.hits == 0 and len(memo) == 0
+
+    def test_moving_to_another_size_keeps_only_size_free_distributions(
+        self
+    ):
+        """An ADAPT distribution that inflates is made for one size;
+        PURE's, made without a platform, serves every size."""
+        memo = DistributionMemo()
+        self._distribute(PureLaxityRatio(), memo)
+        inflating = ThresholdLaxityRatio(threshold=0.0)
+        self._distribute(inflating, memo, None, 2)
+        assert len(memo) == 2
+        memo.forget_sized()
+        assert [a.n_processors for a in memo.values()] == [None]
+        self._distribute(ThresholdLaxityRatio(), memo, None, 3)
+        assert memo.hits == 1
+
+    def test_a_clamp_setting_is_part_of_the_key(self):
+        memo = DistributionMemo()
+        for clamp in (True, False):
+            DeadlineDistributor(
+                PureLaxityRatio(), clamp_to_anchors=clamp, memo=memo
+            ).distribute(self.GRAPH)
+        assert memo.hits == 0 and len(memo) == 2

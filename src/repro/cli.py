@@ -1186,6 +1186,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
     from repro.serve.app import ServiceConfig, run_service
 
     if not _known_backend(args.backend):
@@ -1211,7 +1212,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         auth_token=token,
         rate_limit=args.rate_limit,
     )
-    return run_service(config)
+    try:
+        return run_service(config)
+    except ReproError as exc:  # a data directory this server cannot boot on
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -115,7 +115,7 @@ def render_board(
             f"  no status snapshots yet "
             f"({len(progress_events)} progress events)"
         )
-        return "\n".join(lines)
+        return "\n".join(lines + _final_lines(final))
 
     trials = snap.get("trials", {})
     done, total = trials.get("done", 0), trials.get("total", 0)
@@ -193,15 +193,19 @@ def render_board(
                 f"    ... {len(incidents) - INCIDENT_TAIL} earlier"
             )
 
-    if final is not None:
-        lines.append("")
-        extras = {
-            k: v for k, v in final.items()
-            if k not in ("kind", "seq", "ts")
-        }
-        tail = "  ".join(f"{k}={v}" for k, v in sorted(extras.items()))
-        lines.append(f"  final: {tail}" if tail else "  final")
-    return "\n".join(lines)
+    return "\n".join(lines + _final_lines(final))
+
+
+def _final_lines(final: Optional[Dict[str, Any]]) -> List[str]:
+    """The board's closing lines: the ``final`` line's fields, if any."""
+    if final is None:
+        return []
+    extras = {
+        k: v for k, v in final.items()
+        if k not in ("kind", "seq", "ts")
+    }
+    tail = "  ".join(f"{k}={v}" for k, v in sorted(extras.items()))
+    return ["", f"  final: {tail}" if tail else "  final"]
 
 
 def follow(

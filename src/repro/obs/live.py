@@ -19,6 +19,10 @@ Three producers feed one stream:
 * the shard fleet supervisor publishes ``supervision`` lines on every
   liveness transition (stall, kill escalation, relaunch, quarantine).
 
+A ``repro serve`` job's stream is also the job's durable record:
+:class:`repro.serve.queue.JobLog` writes it, not :class:`StatusStream`,
+and syncs each transition line. Its readers are the same.
+
 No participation
 ----------------
 The stream is **observation only**, same contract as the rest of
@@ -51,8 +55,11 @@ STATUS_VERSION = 1
 #: Filename suffix of status streams (next to ``.events.jsonl``).
 STATUS_SUFFIX = ".status.jsonl"
 
-#: Line kinds a status stream may carry.
-STATUS_KINDS = ("header", "status", "progress", "supervision", "final")
+#: Line kinds a status stream may carry. ``running`` and ``cancel`` are
+#: serve job transitions (:class:`repro.serve.queue.JobLog`).
+STATUS_KINDS = (
+    "header", "status", "progress", "supervision", "running", "cancel", "final",
+)
 
 #: Default seconds between sampler snapshots.
 DEFAULT_INTERVAL = 1.0
@@ -131,42 +138,6 @@ class StatusStream:
         self.emit("final", **final_fields)
         with self._lock:
             self._close_fd()
-
-    @staticmethod
-    def final_line(path: str) -> Optional[Dict[str, Any]]:
-        """The ``final`` line ``path`` ends with; ``None`` when the
-        stream is missing, headerless or not finished."""
-        try:
-            last = read_status(path)[-1]
-        except SerializationError:
-            return None
-        return last if last["kind"] == "final" else None
-
-    @staticmethod
-    def close_orphan(path: str, **final_fields: Any) -> None:
-        """Append the ``final`` line a stream's dead writer never wrote.
-
-        Cuts a torn tail first and numbers the line after the last one.
-        Appends nothing when ``path`` is missing, has no complete
-        header, or already ends with ``final``.
-        """
-        if not os.path.exists(path):
-            return
-        applog.repair(path)
-        try:
-            last = read_status(path)[-1]
-        except SerializationError:
-            return
-        if last["kind"] == "final":
-            return
-        fd = applog.open_append(path)
-        try:
-            applog.append_line(fd, {
-                "kind": "final", "seq": last["seq"] + 1, "ts": time.time(),
-                **final_fields,
-            })
-        finally:
-            os.close(fd)
 
     def _close_fd(self) -> None:
         if self._fd is not None:

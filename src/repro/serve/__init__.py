@@ -3,8 +3,8 @@
 The batch engine answers "run this sweep and give me the records"; this
 package answers the same question over a socket, for many callers at
 once, with durability across server restarts. It is deliberately
-stdlib-only (``asyncio`` + ``sqlite3`` + ``json``): the service is part
-of the reproduction, so it must run anywhere the paper code runs.
+stdlib-only (``asyncio`` + ``json``): the service is part of the
+reproduction, so it must run anywhere the paper code runs.
 
 Layering (request flow, top to bottom):
 
@@ -19,10 +19,10 @@ Layering (request flow, top to bottom):
   compiler from documents to :class:`~repro.feast.config.ExperimentConfig`
   (which is what makes service results byte-identical to a direct
   :func:`~repro.feast.runner.run_experiment` call).
-* :mod:`repro.serve.store` — SQLite job store (WAL, fsync'd), the
-  control-plane sibling of the checkpoint journal data plane.
-* :mod:`repro.serve.queue` — bounded queue + worker pool over the
-  ExecutionBackend layer, with cooperative cancel and graceful drain.
+* :mod:`repro.serve.queue` — each job's record (its fsynced,
+  append-only status stream, indexed in memory), and a bounded queue +
+  worker pool over the ExecutionBackend layer, with cooperative cancel
+  and graceful drain.
 """
 
 from repro._lazy import lazy_exports

@@ -1,6 +1,6 @@
 """The service: routing, edge gates, and lifecycle.
 
-``ReproService`` owns every layer below it (store, worker pool,
+``ReproService`` owns every layer below it (job log, worker pool,
 metrics, auth, rate limiter) and exposes the versioned API:
 
 ========  ==========================  =====================================
@@ -33,6 +33,7 @@ background thread for tests and benchmarks.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import re
 import secrets
@@ -51,9 +52,8 @@ from repro.serve.auth import make_auth
 from repro.serve.http import HttpError, Request, Response
 from repro.serve.jobs import JobState, compile_job
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.queue import JobPaths, WorkerPool
+from repro.serve.queue import JobLog, JobPaths, WorkerPool
 from repro.serve.ratelimit import RateLimiter
-from repro.serve.store import JobStore
 from repro.serve.validation import DocumentError, parse_json_strict, validate_job
 
 _JOB_ID = r"(?P<job_id>[0-9a-f]{16})"
@@ -132,7 +132,7 @@ class ReproService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.paths = JobPaths(config.data_dir)
-        self.store = JobStore(self.paths.db())
+        self.jobs = JobLog(self.paths)
         self.metrics = ServiceMetrics()
         self.auth = make_auth(config.auth, config.auth_token)
         self.limiter = (
@@ -141,8 +141,7 @@ class ReproService:
             else None
         )
         self.pool = WorkerPool(
-            self.store,
-            self.paths,
+            self.jobs,
             self.metrics,
             workers=config.workers,
             queue_size=config.queue_size,
@@ -175,7 +174,6 @@ class ReproService:
             self._server.close()
             await self._server.wait_closed()
         await self.pool.drain()
-        self.store.close()
 
     # -- connection handling -------------------------------------------
     async def _handle_connection(
@@ -274,17 +272,17 @@ class ReproService:
             self.metrics.rejected("invalid_document")
             raise HttpError(400, str(exc))
 
-        job_id = secrets.token_hex(8)
-        name = document.get("name") or "job"
-        self.store.create(job_id, name, document)
-        if not self.pool.try_enqueue(job_id):
-            self.store.delete(job_id)
+        if not self.pool.has_room():
             self.metrics.rejected("queue_full")
             raise HttpError(
                 503,
                 f"job queue is full ({self.config.queue_size} deep); retry later",
                 headers={"retry-after": "1"},
             )
+        job_id = secrets.token_hex(8)
+        name = document.get("name") or "job"
+        self.jobs.create(job_id, name, document)
+        self.pool.enqueue(job_id)
         self.metrics.job_submitted()
         location = f"/v1/jobs/{job_id}"
         return Response.json(
@@ -294,80 +292,68 @@ class ReproService:
         )
 
     async def _route_list(self, request: Request) -> Response:
-        rows = self.store.list(limit=100)
-        return Response.json(200, {"jobs": [row.summary() for row in rows]})
+        return Response.json(200, {"jobs": self.jobs.recent(100)})
+
+    def _summary(self, job_id: str) -> dict:
+        job = self.jobs.summary(job_id)
+        if job is None:
+            raise HttpError(404, f"unknown job {job_id}")
+        return job
 
     async def _route_job(self, request: Request, job_id: str) -> Response:
-        row = self.store.get(job_id)
-        if row is None:
-            raise HttpError(404, f"unknown job {job_id}")
-        return Response.json(200, row.summary())
+        return Response.json(200, self._summary(job_id))
 
     async def _route_result(self, request: Request, job_id: str) -> Response:
-        row = self.store.get(job_id)
-        if row is None:
-            raise HttpError(404, f"unknown job {job_id}")
-        if row.state != JobState.DONE:
+        job = self._summary(job_id)
+        if job["state"] != JobState.DONE:
             raise HttpError(
                 409,
-                f"job {job_id} is {row.state}, not done",
-                state=row.state,
-                **({"detail": row.error} if row.error else {}),
+                f"job {job_id} is {job['state']}, not done",
+                state=job["state"],
+                **({"detail": job["error"]} if "error" in job else {}),
             )
         with open(self.paths.result(job_id), "rb") as fp:
             body = fp.read()
         return Response(status=200, body=body, content_type=http.JSON_TYPE)
 
     async def _route_cancel(self, request: Request, job_id: str) -> Response:
-        row = self.store.get(job_id)
-        if row is None:
-            raise HttpError(404, f"unknown job {job_id}")
-        if row.state in JobState.TERMINAL:
-            raise HttpError(
-                409, f"job {job_id} is already {row.state}", state=row.state
-            )
-        state = self.store.request_cancel(job_id)
+        state = self._summary(job_id)["state"]
+        if state in JobState.TERMINAL:
+            raise HttpError(409, f"job {job_id} is already {state}", state=state)
+        state = self.jobs.cancel(job_id)
         return Response.json(
             202, {"id": job_id, "state": state, "cancel_requested": True}
         )
 
     async def _route_events(self, request: Request, job_id: str) -> Response:
-        if self.store.state_of(job_id) is None:
-            raise HttpError(404, f"unknown job {job_id}")
+        self._summary(job_id)  # 404 for an unknown id
         follow = request.query_flag("follow")
         stream = self._event_stream(job_id, follow)
         return Response(status=200, content_type=http.NDJSON_TYPE, stream=stream)
 
     async def _event_stream(self, job_id: str, follow: bool) -> AsyncIterator[bytes]:
-        """Yield whole status lines; with ``follow``, tail until terminal.
+        """Yield whole status lines; with ``follow``, tail until ``final``.
 
-        Reads only up to the last newline, so a concurrently appended
-        (torn) line is never forwarded half-written. The state is read
-        *before* the file: a job writes its ``final`` line before it
-        commits the terminal state, so the read after a terminal state
-        is seen always reaches ``final``.
+        Reads only up to the last newline, so a line being appended, or
+        one a crash tore, is never forwarded half-written. ``final`` is
+        the last line a stream ever gets, so a follower that has
+        forwarded it is done.
         """
         path = self.paths.status(job_id)
         position = 0
         deadline = time.monotonic() + self.config.follow_timeout
         while True:
-            state = self.store.state_of(job_id)
-            terminal = state is None or state in JobState.TERMINAL
-            chunk = b""
-            if os.path.exists(path):
-                with open(path, "rb") as fp:
-                    fp.seek(position)
-                    chunk = fp.read()
-                complete = chunk.rfind(b"\n") + 1
-                position += complete
-                chunk = chunk[:complete]
+            with open(path, "rb") as fp:
+                fp.seek(position)
+                chunk = fp.read()
+            chunk = chunk[: chunk.rfind(b"\n") + 1]
+            position += len(chunk)
             if chunk:
                 yield chunk
-            if terminal and not chunk:
-                return
-            if not follow and not terminal:
-                return
-            if time.monotonic() > deadline:
+                last = chunk[chunk.rfind(b"\n", 0, -1) + 1:]
+                if json.loads(last)["kind"] == "final":
+                    return
+            if not follow or time.monotonic() > deadline:
                 return
             if not chunk:
                 await asyncio.sleep(0.05)
@@ -382,7 +368,7 @@ class ReproService:
                 "workers": self.pool.workers,
                 "backend": self.pool.backend,
                 "queue_depth": self.pool.queue.qsize(),
-                "jobs": self.store.counts(),
+                "jobs": self.jobs.counts(),
             },
         )
 

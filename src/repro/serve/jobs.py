@@ -1,5 +1,10 @@
 """Job documents, the job state machine, and the document compiler.
 
+The state machine is folded from a job's status stream, its only
+durable record: :class:`JobEntry` applies its lines one by one, the
+same way at boot and after each live append
+(:class:`~repro.serve.queue.JobLog` writes them).
+
 A *job document* is the service's wire format: one JSON object naming a
 workload (either explicit task graphs in the ``repro-taskgraph`` schema
 or parameters for the random generator), a platform sweep, and the
@@ -50,9 +55,10 @@ class JobState:
     """The job lifecycle: ``queued → running → done|failed|cancelled``.
 
     ``queued → cancelled`` is the only shortcut (cancel before a worker
-    picks the job up). Terminal states have no outgoing edges; the store
-    enforces transitions with compare-and-swap updates so a cancel
-    racing a worker claim resolves to exactly one winner.
+    picks the job up). Terminal states have no outgoing edges. Each
+    transition is one line appended to the job's status stream, under
+    one in-process lock that first checks the current state, so a
+    cancel racing a worker claim resolves to exactly one winner.
     """
 
     QUEUED = "queued"
@@ -61,19 +67,76 @@ class JobState:
     FAILED = "failed"
     CANCELLED = "cancelled"
 
-    ALL = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
     TERMINAL = (DONE, FAILED, CANCELLED)
-    TRANSITIONS = {
-        QUEUED: (RUNNING, CANCELLED),
-        RUNNING: (DONE, FAILED, CANCELLED),
-        DONE: (),
-        FAILED: (),
-        CANCELLED: (),
-    }
 
     #: Monotonic rank for "states never regress" assertions: every legal
     #: transition strictly increases it.
     ORDER = {QUEUED: 0, RUNNING: 1, DONE: 2, FAILED: 2, CANCELLED: 2}
+
+
+class JobEntry:
+    """One job as the server indexes it: what its summary needs, not its
+    document (a worker reads that from the stream's header)."""
+
+    __slots__ = ("id", "name", "state", "created", "started", "finished",
+                 "attempts", "cancel_requested", "done_trials",
+                 "total_trials", "error", "seq")
+
+    def __init__(self, job_id: str, name: str, created: float) -> None:
+        self.id = job_id
+        self.name = name
+        self.state = JobState.QUEUED
+        self.created = created
+        self.started: Optional[float] = None
+        self.finished: Optional[float] = None
+        self.attempts = 0
+        self.cancel_requested = False
+        self.done_trials: Optional[int] = None
+        self.total_trials: Optional[int] = None
+        self.error: Optional[str] = None
+        #: ``seq`` of the next line appended to the stream.
+        self.seq = 0
+
+    def apply(self, event: Dict[str, Any]) -> None:
+        """Fold one status line into the entry."""
+        kind = event["kind"]
+        if kind == "running":
+            self.state = JobState.RUNNING
+            self.started = event["ts"]
+            self.attempts += 1
+        elif kind == "progress":
+            self.done_trials = event["done"]
+            self.total_trials = event["total"]
+        elif kind == "cancel":
+            self.cancel_requested = True
+        elif kind == "final":
+            self.state = event["state"]
+            self.finished = event["ts"]
+            self.error = event.get("error")
+            if self.state == JobState.CANCELLED:
+                self.cancel_requested = True
+        self.seq = event["seq"] + 1
+
+    def summary(self) -> Dict[str, Any]:
+        """The job's JSON summary (``GET /v1/jobs/{id}``)."""
+        out: Dict[str, Any] = {
+            "id": self.id,
+            "name": self.name,
+            "state": self.state,
+            "created": self.created,
+            "started": self.started,
+            "finished": self.finished,
+            "cancel_requested": self.cancel_requested,
+            "attempts": self.attempts,
+        }
+        if self.total_trials:
+            out["progress"] = {
+                "done": self.done_trials or 0,
+                "total": self.total_trials,
+            }
+        if self.error:
+            out["error"] = self.error
+        return out
 
 
 class JobCancelled(BaseException):

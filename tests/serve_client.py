@@ -24,9 +24,11 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import applog
 from repro.feast.runner import run_experiment
 from repro.graph.generator import RandomGraphConfig, generate_task_graph
 from repro.graph.serialization import graph_to_dict
+from repro.obs.live import STATUS_FORMAT, STATUS_VERSION
 from repro.serve.jobs import JobState, compile_job
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -107,6 +109,29 @@ def direct_records(document: Dict[str, Any]) -> List[Dict[str, Any]]:
     """What a batch caller gets for the same document — the identity oracle."""
     result = run_experiment(compile_job(document))
     return [record.as_dict() for record in result.records]
+
+
+def write_stream(
+    path: str,
+    job_id: str,
+    document: Dict[str, Any],
+    events: Sequence[Dict[str, Any]],
+    torn: bytes = b"",
+    created: float = 1000.0,
+) -> None:
+    """Write a job's status stream as a server would have left it: the
+    header holding ``document``, then ``events`` (``kind`` plus fields),
+    numbered on from it, then ``torn`` bytes of an append cut short."""
+    header = {
+        "kind": "header", "format": STATUS_FORMAT, "version": STATUS_VERSION,
+        "experiment": document["name"], "run_id": job_id, "created": created,
+        "pid": 0, "document": document,
+    }
+    with open(path, "wb") as fp:
+        for seq, event in enumerate([header, *events]):
+            line = {"seq": seq, "ts": created + seq, **event}
+            fp.write(applog.line(line).encode("utf-8"))
+        fp.write(torn)
 
 
 # -- HTTP client -------------------------------------------------------

@@ -184,7 +184,9 @@ class TestServeBoot:
     ):
         """``repro serve`` boot: the CLI module, then the service; by the
         first healthy answer the run path — with the configured backend,
-        which forks from job threads — is loaded, the rest is not."""
+        which forks from job threads — is loaded, the rest is not. A
+        job's record is its status stream: ``sqlite3`` is never loaded,
+        at boot or by a job."""
         out = run_fresh("""
             import json, socket, sys
             import repro.cli
@@ -197,9 +199,33 @@ class TestServeBoot:
                           b"Connection: close\\r\\n\\r\\n")
                 status = s.makefile("rb").readline().split()[1]
             loaded = sorted(sys.modules)
+            import http.client, time
+            def call(method, path, body=None):
+                conn = http.client.HTTPConnection("127.0.0.1", handle.port)
+                conn.request(method, path, body=body,
+                             headers={"Content-Type": "application/json"})
+                return json.loads(conn.getresponse().read())
+            job_id = call("POST", "/v1/jobs", json.dumps({
+                "format": "repro-job", "version": 1, "name": "one",
+                "workload": {"n_graphs": 1, "scenarios": ["MDET"], "seed": 5,
+                             "graph_config": {"n_subtasks_range": [4, 5],
+                                              "depth_range": [2, 3]}},
+                "platform": {"system_sizes": [2]},
+                "methods": [{"label": "PURE", "metric": "PURE",
+                             "comm": "CCNE"}]}))["id"]
+            for _ in range(600):
+                state = call("GET", "/v1/jobs/" + job_id)["state"]
+                if state in ("done", "failed", "cancelled"):
+                    break
+                time.sleep(0.05)
+            after_job = sorted(sys.modules)
             handle.stop()
-            print(json.dumps({"status": status.decode(), "loaded": loaded}))
+            print(json.dumps({"status": status.decode(), "loaded": loaded,
+                              "state": state, "after_job": after_job}))
         """, str(tmp_path / "data"), backend)
         assert out["status"] == "200"
         assert off_path(out["loaded"], allowed=("repro.serve", module)) == []
         assert set(RUN_PATH) | {module} <= set(out["loaded"])
+        assert out["state"] == "done"
+        assert "sqlite3" not in out["loaded"]
+        assert "sqlite3" not in out["after_job"]

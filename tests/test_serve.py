@@ -5,7 +5,8 @@ produces *exactly* what a direct :func:`~repro.feast.runner.run_experiment`
 call produces, survives server death, and can always be cancelled. These
 tests exercise that contract the way a client would — ephemeral port,
 real requests, no reaching into service internals except to assert on
-the durable artifacts (journal, store) the restart test depends on.
+the durable artifacts (journal, status stream) the restart tests
+depend on.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import time
 
 import pytest
 
-from repro.obs.live import StatusStream
+from repro.obs.live import read_status
 from repro.serve.app import ServiceConfig, ServiceHandle
 from repro.serve.jobs import JobState
-from repro.serve.queue import JobPaths
-from repro.serve.store import JobStore
+from repro.serve.queue import JobLog, JobPaths
 from tests.serve_client import (
     ServerProcess,
     direct_records,
@@ -34,6 +34,7 @@ from tests.serve_client import (
     tiny_job,
     wait_for,
     wait_terminal,
+    write_stream,
 )
 
 
@@ -146,16 +147,15 @@ class TestLifecycle:
     def test_events_follow_ends_with_final_when_close_is_slow(
         self, server, monkeypatch
     ):
-        """A slow ``final`` write must not let a follower stop short: the
-        terminal state is committed only after the ``final`` line, and
-        the follower reads once more after it sees that state."""
-        close = StatusStream.close
+        """A slow ``final`` append must not let a follower stop short: it
+        tails the stream until it has forwarded the ``final`` line."""
+        finish = JobLog.finish
 
-        def slow_close(stream, **final_fields):
+        def slow_finish(jobs, job_id, state, **fields):
             time.sleep(0.5)
-            close(stream, **final_fields)
+            return finish(jobs, job_id, state, **fields)
 
-        monkeypatch.setattr(StatusStream, "close", slow_close)
+        monkeypatch.setattr(JobLog, "finish", slow_finish)
         job_id = submit(server.port, tiny_job(name="slow-close", seed=19))
         status, _, body = request(
             server.port, "GET", f"/v1/jobs/{job_id}/events?follow=1"
@@ -294,27 +294,33 @@ class TestRestartResume:
         direct = direct_records(document)
         assert json.dumps(records, sort_keys=True) == json.dumps(direct, sort_keys=True)
 
+        # The restarted server appended to the killed server's stream
+        # (after cutting any torn tail), numbering on from its last line.
+        events = read_status(os.path.join(data_dir, "jobs", f"{job_id}.status.jsonl"))
+        kinds = [event["kind"] for event in events]
+        assert kinds.count("header") == 1 and kinds[0] == "header"
+        assert kinds.count("running") == 2
+        assert kinds[-1] == "final"
+        assert [event["seq"] for event in events] == list(range(len(events)))
+
     def test_restart_closes_the_stream_of_a_job_cancelled_while_down(
         self, tmp_path
     ):
         """A server killed while a cancel waits for the running job's next
-        checkpoint leaves a ``running`` row flagged for cancel, and a
-        status stream with no ``final`` line and perhaps a torn tail. The
-        restarted server cancels the job and ends its stream with
-        ``final`` before it commits the state, so a follower still ends
-        on ``final``."""
+        checkpoint leaves a stream with a ``cancel`` line, no ``final``
+        line and perhaps a torn tail. The restarted server cuts the tail
+        and ends the stream with ``final … cancelled``, so a follower
+        still ends on ``final``."""
         paths = JobPaths(str(tmp_path / "data"))
-        store = JobStore(paths.db())
         job_id = "00000000000000c1"
-        store.create(job_id, "cut-short", tiny_job(name="cut-short", seed=7))
-        assert store.mark_running(job_id)
-        stream = StatusStream(paths.status(job_id), "cut-short", job_id)
-        stream.emit("progress", done=1, total=4)
-        stream._close_fd()  # killed mid-run: no ``final`` line
-        with open(paths.status(job_id), "ab") as fp:
-            fp.write(b'{"kind": "progr')
-        assert store.request_cancel(job_id) == JobState.RUNNING
-        store.close()
+        write_stream(
+            paths.status(job_id), job_id,
+            tiny_job(name="cut-short", seed=7),
+            [{"kind": "running"},
+             {"kind": "progress", "done": 1, "total": 4},
+             {"kind": "cancel"}],
+            torn=b'{"kind": "progr',
+        )
 
         config = ServiceConfig(data_dir=paths.data_dir, workers=1)
         with ServiceHandle(config) as handle:
@@ -324,31 +330,33 @@ class TestRestartResume:
             )
         assert status == 200
         events = [json.loads(line) for line in body.decode().splitlines()]
-        assert [e["kind"] for e in events] == ["header", "progress", "final"]
-        assert [e["seq"] for e in events] == [0, 1, 2]
+        assert [e["kind"] for e in events] == [
+            "header", "running", "progress", "cancel", "final"]
+        assert [e["seq"] for e in events] == [0, 1, 2, 3, 4]
         assert events[-1]["state"] == JobState.CANCELLED
 
     def test_restart_keeps_a_job_that_finished_before_its_commit(
         self, tmp_path
     ):
-        """A server killed inside a job's finish, after the result file
-        and the ``final … done`` line but before the ``done`` commit,
-        leaves a ``running`` row — here also flagged for cancel. The
-        restarted server keeps the state the stream records: the job is
-        ``done`` and its result is served, not cancelled or re-run."""
+        """A job whose cancel arrived while it was finishing: its stream
+        holds a ``cancel`` line, and then the result file and
+        ``final … done``, the line that commits it. The restarted server
+        keeps the state the stream records: the job is ``done`` and its
+        result is served, not cancelled or re-run."""
         from repro.applog import atomic_write_text
 
         paths = JobPaths(str(tmp_path / "data"))
-        store = JobStore(paths.db())
         job_id = "00000000000000d1"
-        store.create(job_id, "finished", tiny_job(name="finished", seed=7))
-        assert store.mark_running(job_id)
-        assert store.request_cancel(job_id) == JobState.RUNNING
         result = json.dumps({"job": job_id, "records": []}) + "\n"
         atomic_write_text(paths.result(job_id), result)
-        stream = StatusStream(paths.status(job_id), "finished", job_id)
-        stream.close(state=JobState.DONE, error=None, records=0)
-        store.close()
+        write_stream(
+            paths.status(job_id), job_id,
+            tiny_job(name="finished", seed=7),
+            [{"kind": "running"},
+             {"kind": "cancel"},
+             {"kind": "final", "state": JobState.DONE, "error": None,
+              "records": 0}],
+        )
 
         config = ServiceConfig(data_dir=paths.data_dir, workers=1)
         with ServiceHandle(config) as handle:
@@ -363,5 +371,40 @@ class TestRestartResume:
             )
         assert status == 200
         events = [json.loads(line) for line in body.decode().splitlines()]
-        assert [e["kind"] for e in events] == ["header", "final"]
+        assert [e["kind"] for e in events] == [
+            "header", "running", "cancel", "final"]
         assert events[-1]["state"] == JobState.DONE
+
+
+class TestDurableWrites:
+    def test_fsyncs_per_reference_job(self, tmp_path, monkeypatch):
+        """One reference job (the ledger's closed-loop job: 2 graphs, 1
+        scenario, sizes 2 and 3) syncs exactly 10 times, in this order:
+
+        1. the status stream's ``header`` line, before the 202;
+        2. ``jobs/``, so the new stream's name survives a crash;
+        3. the ``running`` line, which claims the job;
+        4. the checkpoint journal's header line;
+        5. ``jobs/`` again, for the new journal's name;
+        6-7. one journal line per chunk (two graphs, two chunks);
+        8. the result file's temp file, before its rename;
+        9. ``results/``, for the renamed result's name;
+        10. the ``final … done`` line, which commits the job.
+
+        The two ``progress`` lines are not synced.
+        """
+        synced = []
+        fsync = os.fsync
+
+        def spy(fd):
+            synced.append(fd)
+            fsync(fd)
+
+        config = ServiceConfig(data_dir=str(tmp_path / "data"), workers=1)
+        with ServiceHandle(config) as handle:
+            monkeypatch.setattr(os, "fsync", spy)
+            job_id = submit(
+                handle.port, tiny_job(name="fsyncs", seed=7, sizes=(2, 3))
+            )
+            assert wait_terminal(handle.port, job_id)["state"] == JobState.DONE
+            assert len(synced) == 10

@@ -539,8 +539,6 @@ def _suffixed_path(path: str, name: str) -> str:
 def _fault_summary(result) -> Optional[str]:
     """One-paragraph account of what the run survived, if anything."""
     lines = []
-    if result.fallback_reason:
-        lines.append(f"  degraded: {result.fallback_reason}")
     fatal = [f for f in result.failures if f.kind != "slow-trial"]
     slow = len(result.failures) - len(fatal)
     if fatal:

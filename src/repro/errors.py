@@ -98,8 +98,7 @@ class ExperimentWarning(ReproError, UserWarning):
     """Non-fatal experiment-engine condition worth surfacing.
 
     Emitted via :func:`warnings.warn` when the engine degrades instead of
-    failing: serial fallback for unpicklable configs, worker stalls and
-    relaunches.
+    failing: worker stalls and relaunches, a telemetry stream that stops.
     Derives from :class:`ReproError` so
     ``-W error::repro.errors.ExperimentWarning`` and blanket
     ``ReproError`` handling both work.

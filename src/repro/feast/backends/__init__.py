@@ -48,7 +48,6 @@ __all__ += lazy_exports(__name__, {
         "TrialSpec",
         "default_jobs",
         "execute_chunk",
-        "is_parallelizable",
         "resolve_jobs",
         "run_chunk",
     ),

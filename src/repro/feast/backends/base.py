@@ -159,7 +159,7 @@ class ExecutionBackend(ABC):
         """Validate the request before the run span opens.
 
         Raise :class:`ExperimentError` for unsatisfiable requests (e.g.
-        an unpicklable config on a multi-process backend).
+        a worker count below one on a multi-process backend).
         """
 
     @abstractmethod

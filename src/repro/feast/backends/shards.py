@@ -4,16 +4,14 @@ The :class:`SubprocessBackend` is the engine's one multi-process
 supervisor (registered as ``subprocess`` and as its alias ``pool``, which
 ``run_experiment(jobs=N)`` selects for ``N > 1``). The sweep is split
 into ``request.workers`` disjoint partitions (shards), each executed by
-an independent worker process that talks to the parent through the
-filesystem only —
-a pickled payload file in, one config-fingerprinted checkpoint journal
-per shard and an atomic summary out. Workers are forked from the
-supervisor, which has already imported everything they run, and start
-by shedding the parent's live state (:func:`_clean_start`); the child
-then runs :func:`.shardworker.main`, the same entry point as ``python
--m repro.feast.backends.shardworker PAYLOAD``. So the protocol works
-unchanged when the "shards" are launched by hand or on different hosts
-sharing a filesystem: the journal directory is the coordination medium.
+an independent worker process forked from the supervisor. The fork
+hands the worker its shard in memory — config, keys, journal and
+summary paths, retry policy, trace flag — so any config runs on the
+fleet, a closure ``graph_factory`` included, and the supervisor has
+already imported everything the worker runs. The worker sheds the
+parent's live state (:func:`_clean_start`), runs :func:`run_shard`, and
+reports back through the filesystem only: one config-fingerprinted
+checkpoint journal per shard and an atomic summary.
 
 Liveness supervision
 --------------------
@@ -34,7 +32,7 @@ while it computes.
 
 Every worker death is charged to the chunk the worker was executing:
 the worker names each chunk in ``<journal>.inflight`` before it starts
-it (:func:`.shardworker.inflight_path`), and a launch that dies — an
+it (:func:`inflight_path`), and a launch that dies — an
 exit, a signal, a stall kill — with an unjournaled chunk of its keys
 named there costs that chunk one attempt (a ``crash`` or ``timeout``
 fault event). The worker is relaunched, and a chunk charged
@@ -52,8 +50,8 @@ through :meth:`~repro.feast.instrumentation.Instrumentation.heartbeat`.
 Shard-merge protocol
 --------------------
 * Partition: shard ``i`` of ``n`` owns the chunks whose ordinal in the
-  canonical ``config.chunk_keys()`` ordering is ``≡ i (mod n)`` —
-  computed independently (and identically) by parent and workers.
+  canonical ``config.chunk_keys()`` ordering is ``≡ i (mod n)``
+  (:func:`shard_keys`), minus the chunks the parent has quarantined.
 * Each shard appends completed chunks to ``shard-i-of-n.ckpt`` in the
   journal directory and finally writes an atomic JSON summary (fault
   accounting + serialized telemetry).
@@ -94,7 +92,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pickle
 import shutil
 import signal
 import sys
@@ -107,18 +104,21 @@ from multiprocessing.connection import wait as wait_for_exit
 from typing import Dict, List, Optional, Set
 
 from repro import budget
+from repro.applog import atomic_write_text
 from repro.errors import CheckpointError, ExperimentError, ExperimentWarning
+from repro.feast import faultinject
 from repro.feast.backends.base import (
     BackendOutcome,
+    ChunkDriver,
     ExecutionBackend,
     ExecutionRequest,
     SupervisionStats,
 )
-from repro.feast.backends import shardworker
-from repro.feast.backends.shardworker import inflight_path, read_inflight
-from repro.feast.backends.work import ChunkKey, is_parallelizable, shard_keys
-from repro.feast.instrumentation import TrialFailure
+from repro.feast.backends.work import ChunkKey, RetryPolicy
+from repro.feast.config import ExperimentConfig
+from repro.feast.instrumentation import Instrumentation, TrialFailure
 from repro.feast.persistence import (
+    CheckpointJournal,
     config_fingerprint,
     iter_journal,
     journal_paths,
@@ -136,13 +136,12 @@ from repro.obs.spans import Span
 _POLL_INTERVAL = 0.05
 
 #: Extra no-progress allowance before a launch's *first* journal growth.
-#: A forked worker skips interpreter boot and imports, but its start —
-#: unpickling the payload, replaying its journal (a relaunch re-reads
-#: every chunk it already journaled) — must still not count against the
-#: stall deadline, or a loaded host kill-storms healthy workers before
-#: they ever append: the liveness probe only arms once the startup
-#: probe has passed (the journal grew, or the worker named the chunk it
-#: started).
+#: A forked worker imports nothing, but its start — replaying its
+#: journal (a relaunch re-reads every chunk it already journaled) —
+#: must still not count against the stall deadline, or a loaded host
+#: kill-storms healthy workers before they ever append: the liveness
+#: probe only arms once the startup probe has passed (the journal grew,
+#: or the worker named the chunk it started).
 _STARTUP_ALLOWANCE = 10.0
 
 #: Shard workers are forked from the supervisor, which has already
@@ -152,6 +151,101 @@ _FORK = multiprocessing.get_context("fork")
 
 def _shard_stem(shard: int, n_shards: int) -> str:
     return f"shard-{shard}-of-{n_shards}"
+
+
+def shard_keys(
+    config: ExperimentConfig, shard: int, n_shards: int
+) -> List[ChunkKey]:
+    """The chunk keys shard ``shard`` of ``n_shards`` owns.
+
+    Round-robin over the canonical chunk ordering: ordinals congruent
+    to ``shard`` mod ``n_shards``, so the partitions are disjoint and
+    the same on every run of the config.
+    """
+    return list(config.chunk_keys())[shard::n_shards]
+
+
+def inflight_path(journal: str) -> str:
+    """Where the worker journaling into ``journal`` names the chunk it
+    is executing (see module docstring)."""
+    return journal + ".inflight"
+
+
+def read_inflight(journal: str) -> Optional[ChunkKey]:
+    """The chunk last named in ``journal``'s in-flight marker."""
+    try:
+        with open(inflight_path(journal)) as fp:
+            scenario, index = json.load(fp)
+    except (OSError, ValueError, TypeError):
+        return None
+    return str(scenario), int(index)
+
+
+def run_shard(
+    config: ExperimentConfig,
+    keys: List[ChunkKey],
+    journal: str,
+    summary: str,
+    policy: RetryPolicy,
+    trace: bool,
+    *,
+    shard: int,
+    n_shards: int,
+) -> int:
+    """Execute one shard's ``keys`` in this process; returns the exit
+    code (0 once the summary is written).
+
+    The chunks run through the same :class:`~.base.ChunkDriver` as on
+    every other backend, journaled into ``journal``: a relaunched
+    worker replays it and re-runs only what is missing. Each chunk is
+    named in :func:`inflight_path` before it runs, so the parent knows
+    which chunk to charge if this process dies. The summary holds the
+    fault accounting, the metrics registry (phase seconds and
+    ``engine.*`` counters — the parent's only source for this shard's
+    measurements) and, when tracing, the span trees and resource
+    samples the parent grafts under the run span
+    (:meth:`repro.obs.Telemetry.adopt_chunk`).
+    """
+    # Local-state fault kinds (journal truncation) need to know which
+    # journal this process owns; inert unless a plan injects them.
+    faultinject.set_journal_context(journal)
+    telemetry = obs_runtime.Telemetry() if trace else None
+    inst = Instrumentation(telemetry=telemetry)
+    inst.start(len(keys) * config.trials_per_graph)
+    inflight = inflight_path(journal)
+
+    def on_start(key: ChunkKey) -> None:
+        with open(inflight, "w") as fp:
+            json.dump(list(key), fp)
+
+    ckpt = CheckpointJournal(journal, config)
+    try:
+        driver = ChunkDriver(
+            config, inst, policy, journal=ckpt, keys=keys, on_start=on_start,
+        )
+        driver.run_in_process()
+    finally:
+        ckpt.close()
+    inst.finish()
+
+    report = {
+        "shard": shard,
+        "n_shards": n_shards,
+        "completed": sorted([s, i] for s, i in driver.done),
+        "quarantined": [
+            [s, i, reason]
+            for (s, i), reason in sorted(driver.quarantined.items())
+        ],
+        "failures": [f.as_dict() for f in driver.failures],
+        "metrics": inst.metrics.as_dict(),
+    }
+    if telemetry is not None:
+        report["telemetry"] = {
+            "spans": [s.as_dict() for s in telemetry.spans.finished()],
+            "resources": [r.as_dict() for r in telemetry.resources],
+        }
+    atomic_write_text(summary, json.dumps(report))
+    return 0
 
 
 def _chunk_digest(chunk) -> str:
@@ -220,23 +314,34 @@ class _ShardProcess(_FORK.Process):
 
     Offers the fleet the ``Popen`` surface it drives — ``pid``,
     :meth:`poll`, ``terminate()``, ``kill()`` — plus the ``sentinel``
-    it waits on. The child cleans its inherited state, runs
-    :func:`.shardworker.main` on the payload path and exits with its
-    return code, so the exit-code contract is that of
-    ``python -m repro.feast.backends.shardworker PAYLOAD``.
+    it waits on. It holds the shard as of this launch; the child cleans
+    its inherited state, runs :func:`run_shard` on it and exits with
+    its return code: 0 once the shard is complete, anything else (a
+    negative code is a signal) means relaunch.
     """
 
-    def __init__(self, payload: str, log: str, name: str) -> None:
-        super().__init__(name=name)
-        self._payload = payload
-        self._log = log
+    def __init__(self, request: ExecutionRequest, slot: "_Slot") -> None:
+        super().__init__(name=slot.ident)
+        self.config = request.config
+        self.keys = slot.keys
+        self.journal = slot.journal
+        self.summary = slot.summary
+        self.policy = request.policy
+        self.trace = request.trace
+        self.shard = slot.shard
+        self.n_shards = request.workers
+        self.log = slot.log
 
     def poll(self) -> Optional[int]:
         return self.exitcode
 
     def run(self) -> None:
-        _clean_start(self._log)
-        sys.exit(shardworker.main([self._payload]))
+        _clean_start(self.log)
+        sys.exit(run_shard(
+            self.config, self.keys, self.journal, self.summary,
+            self.policy, self.trace,
+            shard=self.shard, n_shards=self.n_shards,
+        ))
 
 
 @dataclass
@@ -250,7 +355,6 @@ class _Slot:
     journal: str
     summary: str
     log: str
-    payload: str
     launches: int = 0
     proc: Optional["_ShardProcess"] = None
     #: Monotonic time before which a (re)launch must not happen.
@@ -308,28 +412,8 @@ class _Fleet:
             journal=os.path.join(self.directory, ident + ".ckpt"),
             summary=os.path.join(self.directory, ident + ".summary.json"),
             log=os.path.join(self.directory, ident + ".log"),
-            payload=os.path.join(self.directory, ident + ".payload.pkl"),
         )
-        self._write_payload(slot, explicit_keys=False)
         self.slots.append(slot)
-
-    def _write_payload(self, slot: _Slot, explicit_keys: bool) -> None:
-        payload = {
-            "config": self.request.config,
-            "shard": slot.shard,
-            "n_shards": self.request.workers,
-            "journal": slot.journal,
-            "summary": slot.summary,
-            "policy": self.request.policy,
-            "trace": self.request.trace,
-            # A worker that lost a quarantined chunk gets an explicit
-            # key list; the others derive their partition from (shard,
-            # n_shards) so the payload stays oblivious to this run's
-            # fault history.
-            "keys": slot.keys if explicit_keys else None,
-        }
-        with open(slot.payload, "wb") as fp:
-            pickle.dump(payload, fp)
 
     # -- lifecycle -----------------------------------------------------
     def _launch(self, slot: _Slot) -> None:
@@ -345,7 +429,7 @@ class _Fleet:
             os.unlink(inflight_path(slot.journal))
         except OSError:
             pass
-        slot.proc = _ShardProcess(slot.payload, slot.log, name=slot.ident)
+        slot.proc = _ShardProcess(self.request, slot)
         slot.proc.start()
         # Heartbeat baseline: progress means growth beyond what the
         # journal already holds (relaunches start with a full journal).
@@ -640,7 +724,6 @@ class _Fleet:
             message=reason, attempt=attempt,
         ))
         slot.keys = [k for k in slot.keys if k != key]
-        self._write_payload(slot, explicit_keys=True)
         obs_live.publish(
             "supervision", event="quarantine", ident=slot.ident,
             detail=f"chunk ({key[0]}, {key[1]}): {reason}",
@@ -661,11 +744,6 @@ class SubprocessBackend(ExecutionBackend):
         if request.workers < 1:
             raise ExperimentError(
                 f"shards must be >= 1, got {request.workers}"
-            )
-        if not is_parallelizable(request.config):
-            raise ExperimentError(
-                f"experiment {request.config.name!r} carries an unpicklable "
-                "graph_factory; run it with jobs=1"
             )
         if request.checkpoint is not None and os.path.isfile(request.checkpoint):
             raise CheckpointError(

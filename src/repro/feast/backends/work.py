@@ -2,11 +2,11 @@
 
 One :class:`TrialSpec` is the unit of distributable work: all
 (size × method) trials of a single (scenario, graph-index) pair. The
-spec is tiny and picklable — it carries the experiment config plus the
-chunk coordinates, and the executing process regenerates the task graph
+spec is tiny — it carries the experiment config plus the chunk
+coordinates, and the executing process regenerates the task graph
 locally from the (seed, scenario, index) contract
 (:func:`repro.feast.runner.trial_seed`), so no task graph ever crosses a
-process or host boundary. :func:`run_chunk` executes one spec and
+process boundary. :func:`run_chunk` executes one spec and
 returns a :class:`ChunkResult`; backends differ only in *where* and
 *how many at a time* they call it. :func:`run_chunk` is the only trial
 body in the engine.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -64,21 +63,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs < 0:
         raise ExperimentError(f"jobs must be >= 0, got {jobs}")
     return jobs
-
-
-def is_parallelizable(config: ExperimentConfig) -> bool:
-    """Whether ``config`` can cross a process boundary.
-
-    Configs are plain data except ``graph_factory``, which may be an
-    unpicklable in-process closure; those run serially instead.
-    """
-    if config.graph_factory is None:
-        return True
-    try:
-        pickle.dumps(config)
-    except Exception:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -187,24 +171,11 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * rng.random())
 
 
-def shard_keys(
-    config: ExperimentConfig, shard: int, n_shards: int
-) -> List[ChunkKey]:
-    """The chunk keys shard ``shard`` of ``n_shards`` owns.
-
-    Round-robin over the canonical chunk ordering: ordinals congruent
-    to ``shard`` mod ``n_shards``. Pure arithmetic on
-    ``config.chunk_keys()``, so every process — parent, worker,
-    relaunched worker — computes identical disjoint partitions.
-    """
-    return list(config.chunk_keys())[shard::n_shards]
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     """One worker work unit: every (size × method) trial of one graph.
 
-    Carries only the (picklable) config plus the (scenario, index)
+    Carries only the config plus the (scenario, index)
     coordinates; the worker regenerates the graph from its seed.
     """
 

@@ -39,8 +39,9 @@ Add custom kinds with :func:`register_fault_kind` — see
 docs/EXTENDING.md ("Custom fault kinds").
 
 Plans activate through an environment variable rather than module state
-so that worker processes see them under both the ``fork`` and ``spawn``
-start methods, and so a relaunched worker inherits the active plan.
+so that a plan set in the shell (``REPRO_FAULT_PLAN=... repro run``)
+reaches a CLI-driven run, and every fleet worker — forked at each
+launch, relaunches included — reads the plan active at that moment.
 Injection is fully deterministic: the same plan against the same config
 fails the same chunks on the same attempts, every run.
 
@@ -84,9 +85,9 @@ from repro.errors import ExperimentError
 #: Environment variable carrying the active plan (JSON).
 ENV_VAR = "REPRO_FAULT_PLAN"
 
-#: Optional module imported before plan parsing, so workers started as
-#: fresh interpreters can register custom fault kinds (see
-#: docs/EXTENDING.md).
+#: Optional module imported before plan parsing, so a CLI-driven run
+#: (``repro run`` with a plan in its environment) can register custom
+#: fault kinds (see docs/EXTENDING.md).
 PLUGIN_ENV_VAR = "REPRO_FAULT_PLUGIN"
 
 
@@ -380,11 +381,10 @@ def register_fault_kind(
     """Register a custom fault kind under ``name``.
 
     ``handler(spec)`` runs inside the process executing the chunk.
-    Forked shard workers inherit registrations made before the run; for
-    a worker started as a fresh interpreter (``python -m
-    repro.feast.backends.shardworker``), put the registration in an
-    importable module and point ``REPRO_FAULT_PLUGIN`` at it — see
-    docs/EXTENDING.md.
+    Forked shard workers inherit registrations made before the run. For
+    a run driven from the CLI, where no code of yours runs first, put
+    the registration in an importable module and point
+    ``REPRO_FAULT_PLUGIN`` at it — see docs/EXTENDING.md.
     """
     FAULT_KINDS[name] = handler
 

@@ -93,7 +93,6 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
         ),
         "failures": [f.as_dict() for f in result.failures],
         "quarantined": [[s, i] for s, i in result.quarantined],
-        "fallback_reason": result.fallback_reason,
         "records": [r.as_dict() for r in result.records],
     }
 
@@ -106,7 +105,7 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     come back as ``None`` — fine for analysis, not for re-running factory
     experiments from the file alone. Documents written before the
     fault-tolerance fields existed decode with empty failure/quarantine
-    lists.
+    lists; an older document's ``fallback_reason`` key is ignored.
     """
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise SerializationError(f"not a {FORMAT} document")
@@ -156,7 +155,6 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     result.jobs = int(data.get("jobs", 1))
     result.failures = failures
     result.quarantined = quarantined
-    result.fallback_reason = data.get("fallback_reason")
     timings = data.get("timings")
     if timings is not None:
         result.timings = PhaseTimings.of(timings)
@@ -510,8 +508,7 @@ def journal_paths(directory: str) -> List[str]:
 #: A fleet worker's journal, and the files the fleet keeps beside it.
 _SHARD_JOURNAL = re.compile(r"shard-\d+-of-\d+\.ckpt")
 _SHARD_SIDECARS = (
-    ".log", ".payload.pkl", ".summary.json", ".ckpt.inflight",
-    ".ckpt.killmark",
+    ".log", ".summary.json", ".ckpt.inflight",
 )
 
 
@@ -522,10 +519,8 @@ def compact_journals(directory: str) -> str:
     (so both a ``--shards 1`` resume and a serial resume pointed at the
     file pick it up), chunks in canonical first-seen order, then the
     source journals are removed. So are the sidecars a fleet run leaves
-    next to a ``shard-i-of-N.ckpt`` (``.log``, ``.payload.pkl``,
-    ``.summary.json``, ``.ckpt.inflight``, ``.ckpt.killmark``): they
-    describe the old partitioning, and a stale kill marker would disarm
-    a later injected kill. Identical duplicate chunks collapse;
+    next to a ``shard-i-of-N.ckpt`` (``.log``, ``.summary.json``,
+    ``.ckpt.inflight``): they describe the old partitioning. Identical duplicate chunks collapse;
     conflicting duplicates (same key, different records) raise
     :class:`CheckpointError` — compaction never guesses which side is
     right. Returns the merged journal's path.

@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -51,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover — annotation-only import
 from repro.core.annotations import DeadlineAssignment
 from repro.errors import (
     ExperimentError,
-    ExperimentWarning,
     QuarantinedTrialError,
 )
 from repro.feast.config import ExperimentConfig, MethodSpec, speeds_for
@@ -204,9 +202,6 @@ class ExperimentResult:
     #: (scenario, graph index) chunks that exhausted their retry budget;
     #: their trials are *missing* from ``records``. Empty on a clean run.
     quarantined: List[Tuple[str, int]] = field(default_factory=list)
-    #: Why the run executed in-process instead of on the requested
-    #: workers (an unpicklable config); ``None`` when nothing degraded.
-    fallback_reason: Optional[str] = None
     #: Trials whose records were streamed into a ``record_sink`` instead
     #: of being kept on ``records`` (0 for non-streaming runs).
     streamed_trials: int = 0
@@ -445,10 +440,9 @@ def run_experiment(
     this process (``"serial"``); ``> 1`` fans them out over that many
     forked worker processes, at most one per chunk (``"pool"``, the
     worker fleet of the ``"subprocess"`` backend); ``0`` or ``None``
-    uses all CPU cores. A config whose ``graph_factory`` cannot be
-    pickled falls back to in-process execution regardless of ``jobs``,
-    with an :class:`ExperimentWarning` and the reason recorded on
-    ``result.fallback_reason``.
+    uses all CPU cores. Each worker is forked with its shard in memory,
+    so every config runs on the fleet, a closure ``graph_factory``
+    included.
 
     ``backend`` selects an execution backend by registry name
     (:mod:`repro.feast.backends`: ``"serial"``, ``"pool"``,
@@ -497,7 +491,6 @@ def run_experiment(
         ExecutionRequest,
         RetryPolicy,
         assemble_records,
-        is_parallelizable,
         make_backend,
         resolve_jobs,
     )
@@ -515,14 +508,6 @@ def run_experiment(
         or backend is not None
         or record_sink is not None
     )
-    fallback_reason = None
-    if n_jobs > 1 and backend is None and not is_parallelizable(config):
-        fallback_reason = (
-            f"experiment {config.name!r} carries an unpicklable "
-            f"graph_factory; ran in-process instead of on {n_jobs} workers"
-        )
-        warnings.warn(fallback_reason, ExperimentWarning, stacklevel=2)
-        n_jobs = 1
     backend_name = backend if backend is not None else (
         "serial" if n_jobs == 1 else "pool"
     )
@@ -609,7 +594,6 @@ def run_experiment(
         engine=engine.name,
         failures=list(outcome.failures),
         quarantined=quarantined,
-        fallback_reason=fallback_reason,
         streamed_trials=outcome.streamed_trials,
         supervision=outcome.supervision,
     )

@@ -275,6 +275,7 @@ class WorkerPool:
         make_backend(backend)
         self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=queue_size)
         self._tasks: List["asyncio.Task"] = []
+        self._admitting: Optional["asyncio.Task"] = None
         self._draining = False
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve-job"
@@ -283,17 +284,25 @@ class WorkerPool:
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> int:
         """Index every job, spawn workers and re-enqueue the unfinished
-        ones; returns how many were re-enqueued."""
+        ones; returns how many there are."""
         queued = self.jobs.load()
         for i in range(self.workers):
             self._tasks.append(asyncio.create_task(self._worker(), name=f"serve-worker-{i}"))
-        resumed = 0
-        for job_id in queued:
-            if not self.has_room():
-                break
-            self.enqueue(job_id)
-            resumed += 1
-        return resumed
+        if queued:
+            self._admitting = asyncio.create_task(
+                self._admit(queued), name="serve-boot-admit"
+            )
+            self._tasks.append(self._admitting)
+        return len(queued)
+
+    async def _admit(self, job_ids: List[str]) -> None:
+        """Put unfinished jobs on the queue in order, each as soon as
+        there is room: more of them than ``queue_size`` wait here, not
+        for the next boot. A drain cancels this; what it did not admit
+        stays queued on disk."""
+        for job_id in job_ids:
+            await self.queue.put(job_id)
+            self.metrics.queue_depth(self.queue.qsize())
 
     def has_room(self) -> bool:
         """Whether the queue admits a job now; a submit checks this
@@ -308,7 +317,9 @@ class WorkerPool:
     async def drain(self) -> None:
         """Stop claiming, finish in-flight jobs, leave the rest queued."""
         self._draining = True
-        for _ in self._tasks:
+        if self._admitting is not None:
+            self._admitting.cancel()
+        for _ in range(self.workers):
             # One wake-up token per worker; workers blocked on get()
             # see it immediately, busy workers see _draining after
             # finishing their current job.

@@ -47,3 +47,27 @@ def random_graph() -> TaskGraph:
 def small_config() -> RandomGraphConfig:
     """A small random-graph configuration for fast tests."""
     return RandomGraphConfig(n_subtasks_range=(12, 18), depth_range=(4, 6))
+
+
+@pytest.fixture
+def kill_shard_once(monkeypatch, tmp_path):
+    """Make fleet shard 0 die once: its first launch journals one chunk
+    and exits with code 3, and every later launch runs the real shard.
+
+    Forked workers inherit the patched :func:`run_shard`. The returned
+    marker file exists once the kill happened; remove it to re-arm.
+    """
+    from repro.feast.backends import shards
+
+    real = shards.run_shard
+    marker = tmp_path / "shard-killed-once"
+
+    def run_shard(config, keys, *args, shard, n_shards):
+        if shard != 0 or marker.exists():
+            return real(config, keys, *args, shard=shard, n_shards=n_shards)
+        marker.write_text("killed once\n")
+        real(config, keys[:1], *args, shard=shard, n_shards=n_shards)
+        return 3
+
+    monkeypatch.setattr(shards, "run_shard", run_shard)
+    return marker

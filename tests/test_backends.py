@@ -6,7 +6,6 @@ import signal
 import socket
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -31,6 +30,7 @@ from repro.feast.persistence import (
 )
 from repro.feast.runner import run_experiment
 from repro.graph.generator import RandomGraphConfig
+from repro.graph.structured import generate_pipeline
 from repro.obs import Telemetry
 from repro.obs.live import (
     StatusSampler,
@@ -124,22 +124,6 @@ class TestShardPartition:
             assert len(merged) == len(set(merged))
 
 
-class TestShardWorkerEntry:
-    def test_module_runs_once_under_python_m(self):
-        """The package never imports the worker module, so ``python -m``
-        does not re-execute an already-loaded module (runpy would warn)."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning",
-             "-m", "repro.feast.backends.shardworker"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("usage:"), proc.stderr
-
-
 class TestCrossBackendParity:
     """Every backend must reproduce the serial records byte-for-byte."""
 
@@ -172,20 +156,28 @@ class TestCrossBackendParity:
         assert result.timings.total > 0
 
     def test_pool_backend_rejects_unpicklable(self):
+        """``backend="pool"`` no longer rejects an unpicklable config: a
+        lambda ``graph_factory`` runs on the forked fleet."""
         cfg = tiny_config(
-            graph_factory=lambda gc, rng: None,
+            graph_factory=lambda gc, rng: generate_pipeline(
+                5, config=gc, rng=rng),
             methods=(MethodSpec(label="PURE", metric="PURE"),),
         )
-        with pytest.raises(ExperimentError, match="unpicklable"):
-            run_experiment(cfg, jobs=2, backend="pool")
+        result = run_experiment(cfg, jobs=2, backend="pool")
+        assert result.engine == "subprocess"
+        assert dicts(result) == dicts(run_experiment(cfg, jobs=1))
 
     def test_subprocess_backend_rejects_unpicklable(self):
+        """``backend="subprocess"`` no longer rejects an unpicklable
+        config: a lambda ``graph_factory`` runs on the forked fleet."""
         cfg = tiny_config(
-            graph_factory=lambda gc, rng: None,
+            graph_factory=lambda gc, rng: generate_pipeline(
+                5, config=gc, rng=rng),
             methods=(MethodSpec(label="PURE", metric="PURE"),),
         )
-        with pytest.raises(ExperimentError, match="unpicklable"):
-            run_experiment(cfg, backend="subprocess")
+        result = run_experiment(cfg, backend="subprocess")
+        assert result.engine == "subprocess"
+        assert dicts(result) == dicts(run_experiment(cfg, jobs=1))
 
     def test_subprocess_rejects_file_checkpoint(self, tmp_path):
         path = tmp_path / "journal.ckpt"
@@ -227,25 +219,19 @@ class TestShardJournalAndResume:
         assert inst.replayed_trials == cfg.n_trials
 
     def test_killed_shard_relaunches_incrementally(self, tmp_path,
-                                                   monkeypatch):
-        """The kill plan is set long after ``repro`` was imported; a
-        forked worker reads ``os.environ`` as it is at launch."""
+                                                   kill_shard_once):
         cfg = tiny_config(scenarios=("LDET", "MDET"), n_graphs=2)
         expected = dicts(run_experiment(cfg, jobs=1))
-        monkeypatch.setenv("REPRO_SHARD_KILL_AFTER", "1")
-        monkeypatch.setenv("REPRO_SHARD_KILL_SHARD", "0")
         ck = str(tmp_path / "ck")
-        with pytest.warns(ExperimentWarning, match="code 86; relaunching"):
+        with pytest.warns(ExperimentWarning, match="code 3; relaunching"):
             result = run_experiment(cfg, backend="subprocess", shards=2,
                                     checkpoint=ck)
         # The shard died after journaling one chunk; the relaunch must
         # replay that chunk and still merge to the serial records.
-        assert os.path.exists(
-            os.path.join(ck, "shard-0-of-2.ckpt.killmark")
-        )
+        assert kill_shard_once.exists()
         assert dicts(result) == expected
-        assert result.fallback_reason is None
         assert result.supervision.relaunches == 1
+        assert result.supervision.chunks_replayed == 1
         # ... and the journals it left resume byte-identical.
         inst = Instrumentation()
         resumed = run_experiment(cfg, backend="subprocess", shards=2,
@@ -447,7 +433,7 @@ class TestForkedWorkerStartsClean:
                 run_experiment, cfg, backend="subprocess", shards=2
             ).result()
         assert result.supervision.relaunches == 0
-        assert result.fallback_reason is None
+        assert result.engine == "subprocess"
         assert dicts(result) == expected
 
     def test_clean_start_drops_the_rest_of_the_parent_state(self, tmp_path):

@@ -158,7 +158,7 @@ class TestSupervision:
         assert dicts(result) == expected
         assert result.supervision.stalls_detected >= 1
         assert result.supervision.relaunches >= 1
-        assert result.fallback_reason is None
+        assert result.engine == "subprocess"
 
     def test_stubborn_hang_escalates_to_sigkill(self, tmp_path):
         cfg = chaos_test_config(n_graphs=4)
@@ -201,7 +201,7 @@ class TestSupervision:
         crashes = [f for f in result.failures if f.kind == "crash"]
         assert len(crashes) == SUPERVISED.max_attempts
         assert all("exit code 17" in f.message for f in crashes)
-        assert result.fallback_reason is None
+        assert result.engine == "subprocess"
         names = os.listdir(tmp_path / "ck")
         assert not any(name.startswith("failover-") for name in names)
         assert "parent.ckpt" not in names

@@ -144,7 +144,7 @@ class TestTransientFaults:
         assert record_dicts(result) == record_dicts(clean)
         assert result.complete
         assert result.supervision.relaunches == 1
-        assert result.fallback_reason is None
+        assert result.engine == "subprocess"
 
     def test_hang_is_killed_and_retried(self):
         """``trial_timeout`` bounds a wedged worker: with no
@@ -200,7 +200,7 @@ class TestTransientFaults:
         # Three stall kills, three relaunches: the last one without
         # the quarantined chunk.
         assert result.supervision.relaunches == 3
-        assert result.fallback_reason is None
+        assert result.engine == "subprocess"
         kinds = [f.kind for f in result.failures]
         assert kinds == ["timeout"] * 3 + ["quarantine"]
         assert inst.quarantined == 1 and inst.retries == 2
@@ -310,7 +310,7 @@ class TestWorkerDeaths:
         assert kinds == ["crash"] * 2 + ["quarantine"]
         assert "SIGKILL" in result.failures[0].message
         assert inst.quarantined == 1 and inst.retries == 1
-        assert result.fallback_reason is None
+        assert result.engine == "subprocess"
         assert sorted(
             name for name in os.listdir(ck) if name.endswith(".ckpt")
         ) == ["shard-0-of-2.ckpt", "shard-1-of-2.ckpt"]
@@ -321,16 +321,16 @@ class TestWorkerDeaths:
         """A worker that dies on every launch before it names a chunk
         raises, naming its log; the journals stay, and a rerun resumes
         from them."""
-        from repro.feast.backends import shardworker
+        from repro.feast.backends import shards
 
         cfg = ft_config(n_graphs=4)
         clean = run_experiment(cfg)
         ck = tmp_path / "ck"
-        real_run_shard = shardworker.run_shard
+        real_run_shard = shards.run_shard
 
-        def broken(payload):
-            if payload["shard"] == 0:
-                return real_run_shard(payload)
+        def broken(*args, shard, n_shards):
+            if shard == 0:
+                return real_run_shard(*args, shard=shard, n_shards=n_shards)
             # Shard 1 cannot start. It waits for shard 0 to finish, so
             # the failed run leaves journaled chunks, then dies.
             summary = ck / "shard-0-of-2.summary.json"
@@ -340,7 +340,7 @@ class TestWorkerDeaths:
             return 3
 
         # Forked workers inherit the patched module.
-        monkeypatch.setattr(shardworker, "run_shard", broken)
+        monkeypatch.setattr(shards, "run_shard", broken)
         with pytest.warns(ExperimentWarning, match="relaunching"):
             with pytest.raises(
                 ExperimentError, match=r"shard-1-of-2\.log"
@@ -354,7 +354,7 @@ class TestWorkerDeaths:
         }
         assert journaled == {("MDET", 0), ("MDET", 2)}
 
-        monkeypatch.setattr(shardworker, "run_shard", real_run_shard)
+        monkeypatch.setattr(shards, "run_shard", real_run_shard)
         inst = Instrumentation()
         resumed = run_experiment(cfg, jobs=2, checkpoint=str(ck),
                                  instrumentation=inst)

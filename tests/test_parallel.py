@@ -1,14 +1,15 @@
 """The parallel trial engine: record identity, dispatch, instrumentation."""
 
+import warnings
+
 import pytest
 
-from repro.errors import ExperimentError, ExperimentWarning
+from repro.errors import ExperimentError
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.instrumentation import Instrumentation, PhaseTimings
 from repro.feast.backends import (
     TrialSpec,
     default_jobs,
-    is_parallelizable,
     resolve_jobs,
     run_chunk,
 )
@@ -18,7 +19,7 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def pipeline_factory(graph_config, rng):
-    """Module-level (hence picklable) custom workload source."""
+    """Module-level custom workload source."""
     from repro.graph.structured import generate_pipeline
 
     return generate_pipeline(5, config=graph_config, rng=rng)
@@ -42,6 +43,16 @@ def tiny_config(**kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def closure_config():
+    """Four chunks from a lambda ``graph_factory``, which no pickle
+    can carry."""
+    return tiny_config(
+        n_graphs=4,
+        graph_factory=lambda gc, rng: pipeline_factory(gc, rng),
+        methods=(MethodSpec(label="PURE", metric="PURE"),),
+    )
 
 
 def dicts(result):
@@ -106,30 +117,30 @@ class TestDispatch:
         with pytest.raises(ExperimentError, match="jobs"):
             run_experiment(tiny_config(), jobs=-2)
 
-    def test_unpicklable_factory_falls_back_to_serial(self):
-        cfg = tiny_config(
-            graph_factory=lambda gc, rng: pipeline_factory(gc, rng),
-            methods=(MethodSpec(label="PURE", metric="PURE"),),
-        )
-        assert not is_parallelizable(cfg)
-        with pytest.warns(ExperimentWarning, match="unpicklable"):
+    def test_closure_factory_runs_on_the_fleet(self):
+        """Workers are forked with their shard in memory, so a closure
+        ``graph_factory`` runs on them, with no warning, and gives the
+        serial records."""
+        cfg = closure_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = run_experiment(cfg, jobs=4)
-        assert result.jobs == 1
-        assert result.fallback_reason is not None
-        assert "unpicklable" in result.fallback_reason
+        assert (result.engine, result.jobs) == ("subprocess", 4)
         assert dicts(result) == dicts(run_experiment(cfg, jobs=1))
 
     def test_run_parallel_rejects_unpicklable(self):
-        """An explicitly named pool backend never falls back."""
-        cfg = tiny_config(
-            graph_factory=lambda gc, rng: pipeline_factory(gc, rng),
-            methods=(MethodSpec(label="PURE", metric="PURE"),),
-        )
-        with pytest.raises(ExperimentError, match="unpicklable"):
-            run_experiment(cfg, jobs=2, backend="pool")
-
-    def test_plain_config_is_parallelizable(self):
-        assert is_parallelizable(tiny_config())
+        """An explicitly named backend no longer rejects an unpicklable
+        config: it runs a closure ``graph_factory`` on the fleet and
+        gives the serial records."""
+        cfg = closure_config()
+        expected = dicts(run_experiment(cfg, jobs=1))
+        for backend in ("pool", "subprocess"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run_experiment(cfg, jobs=4, backend=backend,
+                                        shards=4)
+            assert result.engine == "subprocess", backend
+            assert dicts(result) == expected, backend
 
 
 class TestChunk:

@@ -94,23 +94,33 @@ class TestRoundTrip:
                              message="gave up", attempt=3),
             ],
             quarantined=[("MDET", 1)],
-            fallback_reason="pool died too often",
         )
         path = str(tmp_path / "faults.json")
         save_result(annotated, path)
         back = load_result(path)
         assert back.failures == annotated.failures
         assert back.quarantined == [("MDET", 1)]
-        assert back.fallback_reason == "pool died too often"
         assert not back.complete
 
     def test_old_documents_decode_without_fault_fields(self, result):
         doc = result_to_dict(result)
-        for legacy_missing in ("failures", "quarantined", "fallback_reason"):
+        for legacy_missing in ("failures", "quarantined"):
             del doc[legacy_missing]
         back = result_from_dict(doc)
         assert back.failures == [] and back.quarantined == []
-        assert back.fallback_reason is None and back.complete
+        assert back.complete
+
+    def test_old_documents_with_a_fallback_reason_decode(self, result):
+        """Documents from before every config ran on the fleet carry a
+        ``fallback_reason`` key; it is read past, not kept."""
+        doc = result_to_dict(result)
+        assert "fallback_reason" not in doc
+        doc["fallback_reason"] = "unpicklable graph_factory"
+        back = result_from_dict(doc)
+        assert [r.as_dict() for r in back.records] == [
+            r.as_dict() for r in result.records
+        ]
+        assert result_to_dict(back)["records"] == doc["records"]
 
     def test_timeout_and_retry_config_roundtrip(self, tmp_path):
         from dataclasses import replace
@@ -215,27 +225,27 @@ class TestCompare:
 
 class TestCompactJournals:
     def test_compaction_removes_the_fleet_sidecars(self, tmp_path,
-                                                   monkeypatch):
+                                                   kill_shard_once):
         """Compaction leaves the merged journal and nothing of the old
-        partitioning, so a stale kill marker cannot disarm the next
-        injected kill in that directory; files it did not write stay."""
+        partitioning, after a killed and relaunched run too; files it
+        did not write stay, and the merged journal resumes."""
         cfg = small_config()
         expected = [r.as_dict() for r in run_experiment(cfg).records]
-        monkeypatch.setenv("REPRO_SHARD_KILL_AFTER", "1")
-        monkeypatch.setenv("REPRO_SHARD_KILL_SHARD", "0")
         ck = tmp_path / "ck"
 
-        def killed_run():
-            with pytest.warns(ExperimentWarning, match="code 86"):
-                result = run_experiment(cfg, backend="subprocess", shards=2,
-                                        checkpoint=str(ck))
-            assert [r.as_dict() for r in result.records] == expected
-            return result
+        def fleet_run():
+            return run_experiment(cfg, backend="subprocess", shards=2,
+                                  checkpoint=str(ck))
 
-        assert killed_run().supervision.relaunches == 1
-        assert (ck / "shard-0-of-2.ckpt.killmark").exists()
+        with pytest.warns(ExperimentWarning, match="code 3"):
+            killed = fleet_run()
+        assert [r.as_dict() for r in killed.records] == expected
+        assert killed.supervision.relaunches == 1
+        for sidecar in ("log", "summary.json", "ckpt.inflight"):
+            assert (ck / f"shard-1-of-2.{sidecar}").exists()
         (ck / "notes.log").write_text("kept\n")
-        merged = compact_journals(str(ck))
+        compact_journals(str(ck))
         assert sorted(os.listdir(ck)) == ["notes.log", "shard-0-of-1.ckpt"]
-        os.remove(merged)
-        assert killed_run().supervision.relaunches == 1
+        resumed = fleet_run()
+        assert [r.as_dict() for r in resumed.records] == expected
+        assert resumed.supervision.chunks_replayed == cfg.n_graphs

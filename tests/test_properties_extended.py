@@ -4,13 +4,16 @@ Covers the invariants of the baselines, the run-time simulator and the
 graph transformations on arbitrary workloads.
 """
 
+from dataclasses import replace
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.baselines import BASELINES, make_baseline
-from repro.core.slicer import bst
+from repro.core.slicer import ast, bst
 from repro.graph.transform import relabel, scale_workload
 from repro.machine.system import System
+from repro.machine.topology import make_interconnect
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.simulator import (
     JitterModel,
@@ -117,3 +120,56 @@ def test_relabel_is_structure_preserving(graph):
     for src, dst in graph.edges():
         assert out.has_edge(f"p:{src}", f"p:{dst}")
     out.validate()
+
+
+#: The paper's four slicing metrics, PURE and NORM under BST, THRES and
+#: ADAPT under AST.
+DISTRIBUTORS = {
+    "PURE": lambda: bst("PURE", "CCNE"),
+    "NORM": lambda: bst("NORM", "CCNE"),
+    "THRES": lambda: ast("THRES"),
+    "ADAPT": lambda: ast("ADAPT"),
+}
+
+
+@SETTINGS
+@given(
+    graph=workloads(),
+    method=st.sampled_from(sorted(DISTRIBUTORS)),
+    topology=st.sampled_from(["bus", "ideal"]),
+    n_processors=st.integers(1, 4),
+)
+def test_relabel_renames_windows_and_placements(
+    graph, method, topology, n_processors
+):
+    """Every tie-break is on id order, so an order-preserving renaming
+    (one prefix on every id) gives the same windows and the same
+    schedule, up to the renaming."""
+    runs = []
+    for g in (graph, relabel(graph, prefix="p:")):
+        assignment = DISTRIBUTORS[method]().distribute(
+            g, n_processors=n_processors
+        )
+        system = System(
+            n_processors,
+            interconnect=make_interconnect(topology, n_processors),
+        )
+        runs.append((assignment, ListScheduler(system).schedule(g, assignment)))
+    (windows, schedule), (renamed_windows, renamed_schedule) = runs
+
+    def p(node_id):
+        return f"p:{node_id}"
+
+    assert renamed_windows.windows == {
+        p(n): w for n, w in windows.windows.items()
+    }
+    assert renamed_windows.message_windows == {
+        (p(u), p(v)): w for (u, v), w in windows.message_windows.items()
+    }
+    assert renamed_schedule.tasks == {
+        p(n): replace(t, node_id=p(n)) for n, t in schedule.tasks.items()
+    }
+    assert renamed_schedule.messages == {
+        (p(u), p(v)): replace(m, src=p(u), dst=p(v))
+        for (u, v), m in schedule.messages.items()
+    }

@@ -376,6 +376,61 @@ class TestRestartResume:
         assert events[-1]["state"] == JobState.DONE
 
 
+    def test_restart_admits_more_queued_jobs_than_the_queue_holds(
+        self, tmp_path
+    ):
+        """A restarted server admits every unfinished job in submission
+        order as the queue frees room, not only the first
+        ``queue_size`` of them."""
+        paths = JobPaths(str(tmp_path / "data"))
+        job_ids = [f"00000000000000e{i}" for i in range(3)]
+        for i, job_id in enumerate(job_ids):
+            write_stream(paths.status(job_id), job_id,
+                         tiny_job(name=f"backlog-{i}", seed=20 + i), [],
+                         created=1000.0 + i)
+
+        config = ServiceConfig(data_dir=paths.data_dir, workers=1,
+                               queue_size=1)
+        with ServiceHandle(config) as handle:
+            finals = [wait_terminal(handle.port, job_id) for job_id in job_ids]
+        assert [job["state"] for job in finals] == [JobState.DONE] * 3
+        started = [job["started"] for job in finals]
+        assert started == sorted(started)
+
+    def test_drain_leaves_jobs_waiting_for_room_queued(self, tmp_path):
+        """A drain while restarted jobs still wait for queue room finishes
+        the running job and leaves the others queued on disk; the next
+        boot runs them."""
+        paths = JobPaths(str(tmp_path / "data"))
+        documents = [slow_job(name="backlog-slow", seed=30, n_graphs=4)] + [
+            tiny_job(name=f"backlog-{i}", seed=30 + i) for i in (1, 2)
+        ]
+        job_ids = [f"00000000000000f{i}" for i in range(3)]
+        for i, (job_id, document) in enumerate(zip(job_ids, documents)):
+            write_stream(paths.status(job_id), job_id, document, [],
+                         created=1000.0 + i)
+
+        config = ServiceConfig(data_dir=paths.data_dir, workers=1,
+                               queue_size=1)
+        with ServiceHandle(config) as handle:
+            wait_for(
+                lambda: poll_job(handle.port, job_ids[0])["state"]
+                == JobState.RUNNING,
+                message="the slow job to start",
+            )
+        kinds = [
+            [e["kind"] for e in read_status(paths.status(job_id))]
+            for job_id in job_ids
+        ]
+        assert kinds == [["header", "running", "progress", "progress",
+                          "progress", "progress", "final"],
+                         ["header"], ["header"]]
+
+        with ServiceHandle(config) as handle:
+            finals = [wait_terminal(handle.port, job_id) for job_id in job_ids]
+        assert [job["state"] for job in finals] == [JobState.DONE] * 3
+
+
 class TestDurableWrites:
     def test_fsyncs_per_reference_job(self, tmp_path, monkeypatch):
         """One reference job (the ledger's closed-loop job: 2 graphs, 1

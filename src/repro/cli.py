@@ -16,12 +16,13 @@ serial) with::
 
     repro run figure5 --jobs 8
 
-Shard a run across independent worker subprocesses, journaled to a
-checkpoint directory you can inspect, validate, and compact::
+Journal a run to a checkpoint directory you can inspect, validate,
+compact, and resume under any worker count::
 
-    repro run figure5 --backend subprocess --shards 4 --checkpoint ck/f5
+    repro run figure5 --jobs 4 --checkpoint ck/f5
     repro checkpoint ck/f5 --experiment figure5
     repro checkpoint ck/f5 --compact
+    repro run figure5 --jobs 1 --checkpoint ck/f5 --resume
 
 Record a run's telemetry (spans, metrics, resource samples), then
 inspect it or convert it for Perfetto / ``chrome://tracing``::
@@ -137,25 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend: serial, or subprocess (shards the "
-        "sweep over a fleet of worker processes merged through "
-        "checkpoint journals; pool is the same fleet sized by --jobs); "
-        "default: serial for --jobs 1, else pool",
+        help="execution backend: serial, or subprocess (alias: pool), "
+        "a fleet of --jobs worker processes merged through checkpoint "
+        "journals; default: serial for --jobs 1, else subprocess",
     )
     run.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="worker subprocesses for --backend subprocess (default: 2)",
-    )
-    run.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal completed work to PATH (a file for a serial run, "
-        "a directory for a multi-process one); pass --resume to "
-        "continue an interrupted sweep from it",
+        "--checkpoint", default=None, metavar="DIR",
+        help="journal completed work into the directory DIR (created if "
+        "new); pass --resume to continue an interrupted sweep from it, "
+        "with any --jobs",
     )
     run.add_argument(
         "--resume", action="store_true",
-        help="allow --checkpoint to reuse an existing journal "
-        "(without it, an existing checkpoint file is an error)",
+        help="allow --checkpoint to reuse an existing checkpoint "
+        "directory (without it, an existing one is an error)",
     )
     run.add_argument("--csv", default=None, help="write raw trials as CSV")
     run.add_argument(
@@ -309,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt = sub.add_parser(
         "checkpoint",
         help="inspect, validate, or compact checkpoint journals "
-        "(a single .ckpt file or a shard-journal directory)",
+        "(a checkpoint directory, or one .ckpt file in it)",
     )
     ckpt.add_argument(
-        "path", help="journal file, or directory of shard journals"
+        "path", help="checkpoint directory, or one journal file"
     )
     ckpt.add_argument(
         "--experiment", default=None, choices=sorted(EXPERIMENTS),
@@ -333,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ckpt.add_argument(
         "--compact", action="store_true",
-        help="merge a directory of shard journals into a single "
-        "shard-0-of-1.ckpt (resumable by any backend or shard count)",
+        help="merge a checkpoint directory's journals into a single "
+        "shard-0-of-1.ckpt (as any checkpoint, resumable under any "
+        "--jobs)",
     )
 
     chaos = sub.add_parser(
@@ -352,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         "stall and crash supervision",
     )
     chaos.add_argument(
-        "--shards", type=int, default=3, metavar="N",
-        help="fleet workers for --backend subprocess/pool "
-        "(default: 3; >= 2 required so faults span multiple shards)",
+        "--jobs", type=int, default=3, metavar="N",
+        help="fleet workers (default: 3; >= 2 required so faults span "
+        "multiple shards)",
     )
     chaos.add_argument(
         "--faults", type=int, default=3, metavar="N",
@@ -414,12 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend", default="serial",
-        help="execution backend per job: serial, pool, subprocess "
-        "(default: serial)",
+        help="execution backend per job: serial, or subprocess (alias: "
+        "pool), a fleet of --jobs worker processes (default: serial)",
     )
     serve.add_argument(
-        "--shards", type=int, default=2,
-        help="shard count for the subprocess backend",
+        "--jobs", type=int, default=2,
+        help="worker processes per job on a multi-process backend "
+        "(default: 2)",
     )
     serve.add_argument(
         "--queue-size", type=int, default=64,
@@ -427,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--data-dir", default="repro-serve-data",
-        help="durable state: job store, checkpoint journals, results",
+        help="durable state: job status streams, checkpoint "
+        "directories, results",
     )
     serve.add_argument(
         "--max-body-bytes", type=int, default=2 * 1024 * 1024,
@@ -618,9 +617,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     jobs = resolve_jobs(args.jobs)
     if args.backend is not None and not _known_backend(args.backend):
         return 2
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
@@ -698,7 +694,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 interval=args.status_interval,
                 metrics_out=metrics_out,
                 backend=args.backend or ("serial" if jobs == 1 else "pool"),
-                jobs=jobs, shards=args.shards,
+                jobs=jobs,
             )
         try:
             with activate_status(stream):
@@ -708,7 +704,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     config, progress=progress, jobs=jobs,
                     instrumentation=instrumentation,
                     checkpoint=checkpoints.get(config.name),
-                    backend=args.backend, shards=args.shards,
+                    backend=args.backend,
                     retry=retry,
                 )
         finally:
@@ -726,7 +722,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
             registry = RunRegistry(args.registry or DEFAULT_REGISTRY_DIR)
             registry.append(registry_record(
-                run_id, result, instrumentation, shards=args.shards,
+                run_id, result, instrumentation,
                 started=started_epoch,
                 trace=(
                     trace_path(args.trace, config) if args.trace else ""
@@ -792,7 +788,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
-    """Inspect/validate/compact a checkpoint journal or shard directory.
+    """Inspect/validate/compact a checkpoint directory (or one journal).
 
     Exit codes: 0 = valid, 1 = validation failure (mixed fingerprints,
     missing coverage, fingerprint not matching ``--experiment``),
@@ -838,7 +834,8 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
             more = " ..." if len(info.duplicates) > 5 else ""
             print(
                 f"  {len(info.duplicates)} duplicate chunk line(s) "
-                f"within this journal (last wins): {shown}{more}"
+                f"within this journal (identical copies collapse): "
+                f"{shown}{more}"
             )
         for key in info.chunks:
             covered.add(key)
@@ -1143,7 +1140,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         report = run_chaos(
             seed=args.seed,
             backend=args.backend,
-            shards=args.shards,
+            jobs=args.jobs,
             extra_faults=args.faults,
             out=args.out,
         )
@@ -1201,7 +1198,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         backend=args.backend,
-        shards=args.shards,
+        jobs=args.jobs,
         queue_size=args.queue_size,
         data_dir=args.data_dir,
         max_body=args.max_body_bytes,

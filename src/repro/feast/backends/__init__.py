@@ -8,15 +8,15 @@ in-tree:
 ``serial``              chunks run one at a time in this process
 ``subprocess``          a supervised fleet of forked worker
                         processes merged through checkpoint journals
-``pool``                the same fleet; ``run_experiment(jobs=N)``
-                        with ``N > 1`` selects it with ``N`` workers
+``pool``                another name of ``subprocess``
 ======================  ==========================================
 
-``run_experiment(..., backend="subprocess")`` / ``repro run --backend``
-select one by name; :func:`register_backend` adds custom ones (see
-docs/EXTENDING.md). Every backend produces byte-identical canonical
-records for the same config — the parity tests in
-``tests/test_backends.py`` hold them to it.
+``run_experiment(jobs=N)`` picks ``serial`` for ``N == 1`` and the
+fleet otherwise; ``backend=`` / ``repro run --backend`` names one, and
+``jobs`` sizes the fleet either way. :func:`register_backend` adds
+custom ones (see docs/EXTENDING.md). Every backend produces
+byte-identical canonical records — ``tests/test_backends.py`` holds
+them to it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Callable, Dict, List
 
 from repro._lazy import lazy_exports
 from repro.errors import ExperimentError
+from repro.feast import faultinject
 from repro.feast.backends.base import ExecutionBackend
 from repro.feast.backends.serial import SerialBackend
 
@@ -87,7 +88,12 @@ def backend_names() -> List[str]:
 
 
 def make_backend(name: str) -> ExecutionBackend:
-    """Instantiate the backend registered under ``name``."""
+    """Instantiate the backend registered under ``name``.
+
+    Also imports the ``REPRO_FAULT_PLUGIN`` module, if one is named, so
+    its fault kinds are registered before a run's first fork.
+    """
+    faultinject.load_plugin()
     try:
         factory = BACKENDS[name]
     except KeyError:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.obs import live
@@ -61,9 +61,9 @@ class ExecutionRequest:
     config: ExperimentConfig
     instrumentation: Instrumentation
     policy: RetryPolicy
-    #: Checkpoint location: a journal *file* for the serial backend, a
-    #: journal *directory* for the worker fleet; ``None`` disables
-    #: checkpointing (the fleet then manages a temporary directory).
+    #: Checkpoint directory of ``*.ckpt`` journals, created if new;
+    #: ``None`` disables checkpointing (the fleet then journals into a
+    #: temporary directory).
     checkpoint: Optional[str] = None
     #: Worker processes of a multi-process backend (>= 1).
     workers: int = 1
@@ -191,9 +191,11 @@ class ChunkDriver:
 
     ``keys`` restricts the driver to a subset of the config's chunks —
     the shard worker passes its partition; the default is every chunk.
-    ``on_start`` is called with each chunk's key before it executes (the
-    shard worker names its in-flight chunk, so the fleet can charge a
-    worker death to it).
+    ``replayed`` maps the chunks a checkpoint already holds to their
+    journaled results; they are filed without running. ``on_start`` is
+    called with each chunk's key before it executes (the shard worker
+    names its in-flight chunk, so the fleet can charge a worker death
+    to it).
     """
 
     def __init__(
@@ -202,6 +204,7 @@ class ChunkDriver:
         inst: Instrumentation,
         policy: RetryPolicy,
         journal=None,
+        replayed: Mapping[ChunkKey, object] = {},
         keys: Optional[List[ChunkKey]] = None,
         on_chunk: Optional[ChunkSink] = None,
         keep_records: bool = True,
@@ -225,12 +228,12 @@ class ChunkDriver:
         self.supervision = SupervisionStats()
         for key in (list(config.chunk_keys()) if keys is None else keys):
             scenario, index = key
-            if journal is not None and key in journal.replayed:
-                replayed = journal.replayed[key]
-                self.failures.extend(replayed.failures)
-                inst.replayed(replayed.n_trials)
+            chunk = replayed.get(key)
+            if chunk is not None:
+                self.failures.extend(chunk.failures)
+                inst.replayed(chunk.n_trials)
                 self.supervision.chunks_replayed += 1
-                self._store(key, replayed, journaled=True)
+                self._store(key, chunk, journaled=True)
                 continue
             self.states[key] = ChunkState(
                 spec=TrialSpec(config=config, scenario=scenario, index=index)

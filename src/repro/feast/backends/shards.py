@@ -1,17 +1,18 @@
 """Multi-process execution: a worker fleet coordinated through journals.
 
 The :class:`SubprocessBackend` is the engine's one multi-process
-supervisor (registered as ``subprocess`` and as its alias ``pool``, which
-``run_experiment(jobs=N)`` selects for ``N > 1``). The sweep is split
-into ``request.workers`` disjoint partitions (shards), each executed by
-an independent worker process forked from the supervisor. The fork
-hands the worker its shard in memory — config, keys, journal and
-summary paths, retry policy, trace flag — so any config runs on the
-fleet, a closure ``graph_factory`` included, and the supervisor has
-already imported everything the worker runs. The worker sheds the
-parent's live state (:func:`_clean_start`), runs :func:`run_shard`, and
-reports back through the filesystem only: one config-fingerprinted
-checkpoint journal per shard and an atomic summary.
+supervisor (registered as ``subprocess`` and as its alias ``pool``;
+``run_experiment(jobs=N)`` selects it for ``N > 1``). The chunks no
+journal in the checkpoint directory holds yet are split into
+``request.workers`` disjoint partitions (shards), each executed by an
+independent worker process forked from the supervisor. The fork hands
+the worker its shard in memory — config, keys, journal and summary
+paths, retry policy, trace flag — so any config runs on the fleet, a
+closure ``graph_factory`` included, and the supervisor has already
+imported everything the worker runs. The worker sheds the parent's
+live state (:func:`_clean_start`), runs :func:`run_shard`, and reports
+back through the filesystem only: one config-fingerprinted checkpoint
+journal per shard and an atomic summary.
 
 Liveness supervision
 --------------------
@@ -35,13 +36,14 @@ the worker names each chunk in ``<journal>.inflight`` before it starts
 it (:func:`inflight_path`), and a launch that dies — an
 exit, a signal, a stall kill — with an unjournaled chunk of its keys
 named there costs that chunk one attempt (a ``crash`` or ``timeout``
-fault event). The worker is relaunched, and a chunk charged
-``RetryPolicy.max_attempts`` times is quarantined and dropped from its
-worker's keys, so a chunk that kills or wedges every worker it runs in
-ends quarantined and the run finishes without it. A worker that dies
-``max_attempts`` times without naming such a chunk has an environment
-fault — it cannot start, or dies between chunks — and the run raises
-:class:`ExperimentError` naming its log; the journals stay for a resume.
+fault event). The worker is relaunched with the keys its journal does
+not hold yet, and a chunk charged ``RetryPolicy.max_attempts`` times is
+quarantined and dropped from its worker's keys, so a chunk that kills
+or wedges every worker it runs in ends quarantined and the run finishes
+without it. A worker that dies ``max_attempts`` times without naming
+such a chunk has an environment fault — it cannot start, or dies
+between chunks — and the run raises :class:`ExperimentError` naming its
+log; the journals stay for a resume.
 
 The same journal growth is the parent's progress signal: with progress
 callbacks registered, each chunk line a worker appends is reported
@@ -49,36 +51,33 @@ through :meth:`~repro.feast.instrumentation.Instrumentation.heartbeat`.
 
 Shard-merge protocol
 --------------------
-* Partition: shard ``i`` of ``n`` owns the chunks whose ordinal in the
-  canonical ``config.chunk_keys()`` ordering is ``≡ i (mod n)``
-  (:func:`shard_keys`), minus the chunks the parent has quarantined.
+* Partition: the parent first reads every journal in the directory
+  (:func:`repro.feast.persistence.read_journals`); the chunks they hold
+  are replayed, never executed again. Shard ``i`` of ``n`` owns the
+  rest whose ordinal among them is ``≡ i (mod n)`` (:func:`shard_keys`),
+  with ``n`` at most the number of such chunks.
 * Each shard appends completed chunks to ``shard-i-of-n.ckpt`` in the
   journal directory and finally writes an atomic JSON summary (fault
   accounting + serialized telemetry).
-* A shard that exits nonzero is relaunched (its journal makes the
-  relaunch incremental) after a deterministic, jittered backoff —
-  decorrelated per shard, so a fleet killed at once doesn't thunder
-  back against the shared journal directory in lockstep.
-* The parent then merges **every** ``*.ckpt`` journal in the directory
-  (this run's shards and files from an earlier partitioning —
-  fingerprints guard config identity), rejects conflicting duplicate
-  chunks (identical duplicates are tolerated and expected: determinism
-  makes re-executions byte-equal), folds worker telemetry under the
-  single run span, and hands the union to canonical assembly —
-  byte-identical records to a serial run, for any shard count and any
-  fault history. Chunk *exceptions* are retried and quarantined inside
-  each worker's :class:`~.base.ChunkDriver`, as on the serial backend;
-  chunks that kill their workers are quarantined by the parent (above).
-  No chunk ever runs in the parent.
+* A shard that exits nonzero is relaunched after a deterministic,
+  jittered backoff — decorrelated per shard, so a fleet killed at once
+  doesn't thunder back against the shared journal directory in
+  lockstep — with only the keys no launch has journaled.
+* The parent then merges every journal in the directory through the
+  same :func:`~repro.feast.persistence.read_journals` (identical
+  duplicate chunks collapse, conflicting ones raise), folds worker
+  telemetry under the single run span, and hands the union to
+  canonical assembly — byte-identical records to a serial run, for any
+  worker count and any fault history. Chunk *exceptions* are retried
+  and quarantined inside each worker's :class:`~.base.ChunkDriver`, as
+  on the serial backend; chunks that kill their workers are quarantined
+  by the parent (above). No chunk ever runs in the parent.
 
-A checkpoint is a journal directory; a new path is created as one, and
-a single-file journal (a serial run's) raises :class:`CheckpointError`.
-Without a checkpoint the fleet journals into a temporary directory it
-removes afterwards. Resuming a sharded sweep reuses the directory: pass
-the same ``checkpoint``. A directory journaled under a different shard count
-also resumes: the merge reads all journals, so previously completed
-chunks are replayed (workers still re-execute chunks absent from their
-own journal; the digest dedupe arbitrates the resulting duplicates).
+A checkpoint is a journal directory, created if new; a file is refused
+(:func:`repro.feast.persistence.checkpoint_directory`). Without a
+checkpoint the fleet journals into a temporary directory it removes
+afterwards. Any checkpoint directory resumes under any worker count,
+the serial backend's included.
 
 Everything the supervisor observes — stalls, kill escalations,
 relaunches and replayed chunks — is accounted in
@@ -88,7 +87,6 @@ relaunches and replayed chunks — is accounted in
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -101,7 +99,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from multiprocessing.connection import wait as wait_for_exit
-from typing import Dict, List, Optional, Set
+from typing import Collection, Dict, List, Optional, Set
 
 from repro import budget
 from repro.applog import atomic_write_text
@@ -119,9 +117,10 @@ from repro.feast.config import ExperimentConfig
 from repro.feast.instrumentation import Instrumentation, TrialFailure
 from repro.feast.persistence import (
     CheckpointJournal,
+    checkpoint_directory,
     config_fingerprint,
     iter_journal,
-    journal_paths,
+    read_journals,
 )
 from repro.obs import live as obs_live
 from repro.obs import runtime as obs_runtime
@@ -154,15 +153,20 @@ def _shard_stem(shard: int, n_shards: int) -> str:
 
 
 def shard_keys(
-    config: ExperimentConfig, shard: int, n_shards: int
+    config: ExperimentConfig,
+    shard: int,
+    n_shards: int,
+    held: Collection[ChunkKey] = (),
 ) -> List[ChunkKey]:
     """The chunk keys shard ``shard`` of ``n_shards`` owns.
 
-    Round-robin over the canonical chunk ordering: ordinals congruent
-    to ``shard`` mod ``n_shards``, so the partitions are disjoint and
-    the same on every run of the config.
+    Round-robin over the canonical chunk ordering of the chunks not in
+    ``held`` (those a checkpoint journal already holds): ordinals
+    congruent to ``shard`` mod ``n_shards``, so the partitions are
+    disjoint and the same on every run with the same journals.
     """
-    return list(config.chunk_keys())[shard::n_shards]
+    todo = [key for key in config.chunk_keys() if key not in held]
+    return todo[shard::n_shards]
 
 
 def inflight_path(journal: str) -> str:
@@ -196,8 +200,8 @@ def run_shard(
     code (0 once the summary is written).
 
     The chunks run through the same :class:`~.base.ChunkDriver` as on
-    every other backend, journaled into ``journal``: a relaunched
-    worker replays it and re-runs only what is missing. Each chunk is
+    every other backend, journaled into ``journal`` (a relaunched
+    worker is given only the keys its journal does not hold). Each chunk is
     named in :func:`inflight_path` before it runs, so the parent knows
     which chunk to charge if this process dies. The summary holds the
     fault accounting, the metrics registry (phase seconds and
@@ -231,7 +235,6 @@ def run_shard(
     report = {
         "shard": shard,
         "n_shards": n_shards,
-        "completed": sorted([s, i] for s, i in driver.done),
         "quarantined": [
             [s, i, reason]
             for (s, i), reason in sorted(driver.quarantined.items())
@@ -246,18 +249,6 @@ def run_shard(
         }
     atomic_write_text(summary, json.dumps(report))
     return 0
-
-
-def _chunk_digest(chunk) -> str:
-    """Content hash of a chunk's records, for duplicate arbitration."""
-    blob = json.dumps(
-        sorted(
-            [size, method, record.as_dict()]
-            for (size, method), record in chunk.records.items()
-        ),
-        sort_keys=True,
-    )
-    return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def _exit_text(returncode: int) -> str:
@@ -329,7 +320,7 @@ class _ShardProcess(_FORK.Process):
         self.policy = request.policy
         self.trace = request.trace
         self.shard = slot.shard
-        self.n_shards = request.workers
+        self.n_shards = slot.n_shards
         self.log = slot.log
 
     def poll(self) -> Optional[int]:
@@ -350,7 +341,9 @@ class _Slot:
 
     ident: str
     shard: int
-    #: The chunk keys this worker owns (minus those quarantined).
+    n_shards: int
+    #: The chunk keys this worker still owns: none quarantined, none
+    #: an earlier launch journaled.
     keys: List[ChunkKey]
     journal: str
     summary: str
@@ -403,12 +396,15 @@ class _Fleet:
         self.quarantined: Dict[ChunkKey, str] = {}
         self.failures: List[TrialFailure] = []
 
-    def add_slot(self, shard: int) -> None:
-        ident = _shard_stem(shard, self.request.workers)
+    def add_slot(
+        self, shard: int, n_shards: int, held: Collection[ChunkKey]
+    ) -> None:
+        ident = _shard_stem(shard, n_shards)
         slot = _Slot(
             ident=ident,
             shard=shard,
-            keys=shard_keys(self.request.config, shard, self.request.workers),
+            n_shards=n_shards,
+            keys=shard_keys(self.request.config, shard, n_shards, held),
             journal=os.path.join(self.directory, ident + ".ckpt"),
             summary=os.path.join(self.directory, ident + ".summary.json"),
             log=os.path.join(self.directory, ident + ".log"),
@@ -644,6 +640,12 @@ class _Fleet:
             )
             return
         policy = self.request.policy
+        # The relaunch runs only what no launch has journaled yet; the
+        # rest is read back, its measurements lost with the dead launch.
+        journaled = self._journaled(slot)
+        for key in [key for key in slot.keys if key in journaled]:
+            slot.keys.remove(key)
+            self.replayed(key)
         if not self._charge(slot, stalled, returncode):
             slot.failed_launches += 1
             if slot.failed_launches >= policy.max_attempts:
@@ -695,7 +697,7 @@ class _Fleet:
         ``False`` when the worker named no chunk it had not journaled.
         """
         key = read_inflight(slot.journal)
-        if key is None or key not in slot.keys or key in self._journaled(slot):
+        if key is None or key not in slot.keys:
             return False
         inst = self.request.instrumentation
         policy = self.request.policy
@@ -730,6 +732,13 @@ class _Fleet:
         )
         return True
 
+    def replayed(self, key: ChunkKey) -> None:
+        """Count a chunk a journal holds as replayed, not measured."""
+        self.stats.chunks_replayed += 1
+        self.request.instrumentation.replayed(
+            self.request.config.trials_per_graph
+        )
+
     def _record(self, failure: TrialFailure) -> None:
         self.failures.append(failure)
         self.request.instrumentation.record_failure(failure)
@@ -740,23 +749,9 @@ class SubprocessBackend(ExecutionBackend):
 
     name = "subprocess"
 
-    def prepare(self, request: ExecutionRequest) -> None:
-        if request.workers < 1:
-            raise ExperimentError(
-                f"shards must be >= 1, got {request.workers}"
-            )
-        if request.checkpoint is not None and os.path.isfile(request.checkpoint):
-            raise CheckpointError(
-                f"a multi-process run checkpoints into a journal "
-                f"*directory*, but {request.checkpoint!r} is a file "
-                "(a single-file journal from a serial run?)"
-            )
-
     def run(self, request: ExecutionRequest) -> BackendOutcome:
-        directory = request.checkpoint
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-            return self._run(request, directory)
+        if request.checkpoint is not None:
+            return self._run(request, checkpoint_directory(request.checkpoint))
         directory = tempfile.mkdtemp(prefix="repro-shards-")
         try:
             return self._run(request, directory)
@@ -767,76 +762,32 @@ class SubprocessBackend(ExecutionBackend):
         self, request: ExecutionRequest, directory: str
     ) -> BackendOutcome:
         config = request.config
-        inst = request.instrumentation
         fingerprint = config_fingerprint(config)
 
-        # Chunks already journaled before this run started are what the
-        # supervision stats call replayed; the per-journal breakdown
-        # calibrates each worker's own replay count (see _merge_summary).
-        pre_by_journal: Dict[str, Set[ChunkKey]] = {}
-        pre_existing: Set[ChunkKey] = set()
-        for path in journal_paths(directory):
-            keys = {
-                key for key, _ in iter_journal(path, fingerprint=fingerprint)
-            }
-            pre_by_journal[path] = keys
-            pre_existing |= keys
-
+        # Chunks some journal already holds are replayed, never run:
+        # only the rest is partitioned, over at most that many workers.
         fleet = _Fleet(request, directory)
-        for i in range(request.workers):
-            fleet.add_slot(i)
+        held = {key for key, _ in read_journals(directory, fingerprint)}
+        for key in held:
+            fleet.replayed(key)
+        todo = sum(1 for key in config.chunk_keys() if key not in held)
+        n_shards = min(request.workers, todo)
+        for i in range(n_shards):
+            fleet.add_slot(i, n_shards, held)
         fleet.drive()
 
         outcome = BackendOutcome()
         outcome.supervision.merge(fleet.stats)
-        # Key → its first chunk, or that chunk's digest when streaming
-        # drops records: a kept chunk is digested only if its key repeats,
-        # a streamed one up front, so memory stays bounded by chunk size.
-        seen: Dict[ChunkKey, object] = {}
-
-        def digest(first) -> str:
-            return first if isinstance(first, str) else _chunk_digest(first)
-
-        def merge_chunk(key: ChunkKey, chunk) -> None:
-            if key in seen:
-                if digest(seen[key]) != _chunk_digest(chunk):
-                    raise ExperimentError(
-                        f"conflicting duplicate chunk (scenario={key[0]}, "
-                        f"graph={key[1]}) across shard journals in "
-                        f"{directory!r} — records differ; refusing to merge"
-                    )
-                return
-            seen[key] = chunk if request.keep_records else _chunk_digest(chunk)
+        # Journals carry records only; measurements come from worker
+        # summaries.
+        for key, chunk in read_journals(directory, fingerprint):
             if request.on_chunk is not None:
                 request.on_chunk(key, chunk)
                 outcome.streamed_trials += chunk.n_trials
             outcome.chunks[key] = chunk if request.keep_records else None
-            if key in pre_existing:
-                outcome.supervision.chunks_replayed += 1
-
-        # Merge every journal in the directory: this run's shards and
-        # any files from a previous partitioning of the same experiment.
-        # Journals carry records only; measurements come from worker
-        # summaries.
-        for path in journal_paths(directory):
-            for key, chunk in iter_journal(path, fingerprint=fingerprint):
-                merge_chunk(key, chunk)
-        counted: Set[ChunkKey] = set()
         for slot in fleet.slots:
-            counted |= self._merge_summary(
-                request, slot, pre_by_journal, outcome
-            )
-        # Journaled chunks no reporting worker counted (an earlier
-        # partitioning's) were read back, not measured.
-        for key in seen:
-            if key not in counted:
-                inst.replayed(config.trials_per_graph)
-
-        # A chunk quarantined for killing its workers stays so unless
-        # some journal (an earlier partitioning's) holds it after all.
-        for key, reason in fleet.quarantined.items():
-            if key not in seen:
-                outcome.quarantined[key] = reason
+            self._merge_summary(request, slot, outcome)
+        outcome.quarantined.update(fleet.quarantined)
         outcome.failures.extend(fleet.failures)
         return outcome
 
@@ -844,12 +795,10 @@ class SubprocessBackend(ExecutionBackend):
         self,
         request: ExecutionRequest,
         slot: _Slot,
-        pre_by_journal: Dict[str, Set[ChunkKey]],
         outcome: BackendOutcome,
-    ) -> Set[ChunkKey]:
-        """Fold one worker's summary — faults, its metrics registry,
-        telemetry, replay count — and return the chunk keys its
-        registry already counts."""
+    ) -> None:
+        """Fold one worker's summary: faults, its metrics registry (the
+        chunks its final launch ran) and telemetry."""
         try:
             with open(slot.summary) as fp:
                 summary = json.load(fp)
@@ -863,16 +812,6 @@ class SubprocessBackend(ExecutionBackend):
         for scenario, index, reason in summary.get("quarantined", []):
             outcome.quarantined[(str(scenario), int(index))] = str(reason)
         metrics = MetricsRegistry.from_dict(summary.get("metrics", {}))
-        # Chunks the worker's final launch replayed from its own journal
-        # beyond what predates this run = chunks recovered across
-        # crash/relaunch boundaries *within* this run.
-        replayed_chunks = int(
-            metrics.counters.get("engine.trials_replayed", 0)
-        ) // max(1, request.config.trials_per_graph)
-        pre_owned = len(pre_by_journal.get(slot.journal, ()))
-        outcome.supervision.chunks_replayed += max(
-            0, replayed_chunks - pre_owned
-        )
         inst = request.instrumentation
         telemetry = summary.get("telemetry")
         if telemetry is not None and inst.telemetry is not None:
@@ -884,4 +823,3 @@ class SubprocessBackend(ExecutionBackend):
                 ],
             )
         inst.absorb(metrics, failures=failures)
-        return {(str(s), int(i)) for s, i in summary.get("completed", [])}

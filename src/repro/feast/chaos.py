@@ -20,15 +20,16 @@ stops exercising a path fails the campaign even if the records stay
 correct.
 
 Plans are backend-aware. Worker-killing kinds need worker processes:
-the worker fleet (``subprocess`` and its alias ``pool``) gets the full
-menu (stall → escalation, journal truncation, a chunk that kills its
-worker on every attempt); ``serial`` gets only in-process kinds
-(``error``/``slow-io``/``spin``).
+every backend but ``serial`` — the worker fleet, ``subprocess`` or its
+alias ``pool`` — gets the full menu (stall → escalation, journal
+truncation, a chunk that kills its worker on every attempt); ``serial``
+gets only in-process kinds (``error``/``slow-io``/``spin``).
 Everything is derived from the seed — the same ``(seed, backend,
-shards)`` triple always injects the same faults at the same chunks.
+jobs)`` triple always injects the same faults at the same chunks.
 
-CLI: ``repro chaos --seed N --backend subprocess --faults K [--out DIR]``
-(see :func:`repro.cli.cmd_chaos`); CI runs one campaign per backend.
+CLI: ``repro chaos --seed N --jobs 3 --faults K [--out DIR]`` (see
+:func:`repro.cli.cmd_chaos`); CI runs one campaign on ``serial`` and
+one on the fleet.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ from repro.obs import runtime as obs
 
 #: In-process-safe fault kinds, usable on every backend.
 _SOFT_KINDS = ("error", "slow-io", "spin")
-
-#: Backend names that run the multi-process worker fleet.
-_FLEET = ("pool", "subprocess")
 
 
 def chaos_config(
@@ -98,7 +96,7 @@ def chaos_policy(backend: str) -> RetryPolicy:
         backoff_base=0.05,
         backoff_factor=2.0,
         backoff_max=0.25,
-        stall_timeout=2.0 if backend in _FLEET else None,
+        stall_timeout=2.0 if backend != "serial" else None,
         stall_grace=1.0,
     )
 
@@ -107,14 +105,14 @@ def build_fault_plan(
     seed: int,
     config: ExperimentConfig,
     backend: str,
-    shards: int,
+    jobs: int,
     extra_faults: int = 3,
 ) -> FaultPlan:
     """The seeded fault schedule for one campaign.
 
-    For the worker fleet the plan *guarantees* the coverage
-    the acceptance campaign requires, pinned to chunk ordinals so the
-    victims span at least two shards:
+    For the worker fleet of ``jobs`` workers the plan *guarantees* the
+    coverage the acceptance campaign requires, pinned to chunk ordinals
+    so the victims span at least two shards:
 
     * a fire-once ``hang`` on shard 0's first chunk — no journal
       progress, so the supervisor must stall-detect and SIGTERM it;
@@ -139,16 +137,17 @@ def build_fault_plan(
         faults.append(FaultSpec(scenario=scenario, index=index, **kwargs))
         taken.add((scenario, index))
 
-    if backend in _FLEET:
-        if shards < 2:
+    if backend != "serial":
+        if jobs < 2:
             raise ExperimentError(
-                f"a {backend} chaos campaign needs >= 2 shards, got {shards}"
+                f"a {backend} chaos campaign needs jobs >= 2 (its faults "
+                f"span >= 2 shards), got {jobs}"
             )
         pin(0, kind="hang", once=True, seconds=30.0,
             message="chaos: wedge shard 0")
-        pin(2 * shards, kind="truncate-journal", once=True, amount=25,
+        pin(2 * jobs, kind="truncate-journal", once=True, amount=25,
             message="chaos: tear shard 0's journal")
-        pin(1 + shards, kind="exit", attempts=None,
+        pin(1 + jobs, kind="exit", attempts=None,
             message="chaos: poison shard 1")
     rng = random.Random(seed)
     open_keys = [k for k in keys if k not in taken]
@@ -198,7 +197,7 @@ def poisoned_chunks(plan: FaultPlan) -> List[Tuple[str, int]]:
 
 def plan_expectations(plan: FaultPlan, backend: str) -> List[Expectation]:
     """The supervision outcomes ``plan`` must provoke on ``backend``."""
-    if backend not in _FLEET:
+    if backend == "serial":
         return []
     kinds = [spec.kind for spec in plan.faults]
     expectations: List[Expectation] = []
@@ -224,7 +223,7 @@ class ChaosReport:
 
     backend: str
     seed: int
-    shards: int
+    jobs: int
     n_faults: int
     n_records: int
     identical: bool
@@ -246,7 +245,7 @@ class ChaosReport:
         return {
             "backend": self.backend,
             "seed": self.seed,
-            "shards": self.shards,
+            "jobs": self.jobs,
             "n_faults": self.n_faults,
             "n_records": self.n_records,
             "identical": self.identical,
@@ -262,7 +261,7 @@ class ChaosReport:
 def run_chaos(
     seed: int,
     backend: str = "subprocess",
-    shards: int = 3,
+    jobs: int = 3,
     extra_faults: int = 3,
     out: Optional[str] = None,
     config: Optional[ExperimentConfig] = None,
@@ -272,19 +271,20 @@ def run_chaos(
     """Run one chaos campaign and return its report.
 
     Clean serial reference first, then the same sweep on ``backend``
-    under the seeded fault plan; the plan's poisoned chunks must be
-    quarantined, every other chunk's records must be byte-identical
-    (compared as dicts), and the plan's expectations must hold on the
-    run's supervision stats. ``out`` (a directory) persists
-    the artifacts: the fault schedule, the campaign report, the chaotic
-    run's telemetry event log, and its checkpoint journals.
+    (``jobs`` workers on the fleet) under the seeded fault plan; the
+    plan's poisoned chunks must be quarantined, every other chunk's
+    records must be byte-identical (compared as dicts), and the plan's
+    expectations must hold on the run's supervision stats. ``out`` (a
+    directory) persists the artifacts: the fault schedule, the campaign
+    report, the chaotic run's telemetry event log, and its checkpoint
+    journals.
     """
     from repro.feast.runner import run_experiment
     from repro.feast.sweep import write_run_events
 
     config = config if config is not None else chaos_config(seed)
     plan = plan if plan is not None else build_fault_plan(
-        seed, config, backend, shards, extra_faults
+        seed, config, backend, jobs, extra_faults
     )
     policy = policy if policy is not None else chaos_policy(backend)
 
@@ -300,8 +300,7 @@ def run_chaos(
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "fault-plan.json"), "w") as fp:
             fp.write(plan.to_json() + "\n")
-        if backend in _FLEET:
-            checkpoint = os.path.join(out, "journals")
+        checkpoint = os.path.join(out, "journals")
 
     inst = Instrumentation(telemetry=obs.Telemetry())
     with warnings.catch_warnings(record=True) as caught:
@@ -310,10 +309,7 @@ def run_chaos(
             result = run_experiment(
                 config,
                 backend=backend,
-                # ``pool`` sizes the fleet by ``jobs``, ``subprocess``
-                # by ``shards``; the plan assumes ``shards`` workers.
-                jobs=shards if backend in _FLEET else 1,
-                shards=shards,
+                jobs=jobs,
                 retry=policy,
                 checkpoint=checkpoint,
                 instrumentation=inst,
@@ -328,7 +324,7 @@ def run_chaos(
     report = ChaosReport(
         backend=backend,
         seed=seed,
-        shards=shards,
+        jobs=jobs,
         n_faults=len(plan.faults),
         n_records=len(actual),
         identical=actual == expected,
@@ -357,7 +353,7 @@ def render_chaos_report(report: ChaosReport) -> str:
     scope = " outside the poisoned chunks" if report.expected_quarantine else ""
     lines = [
         f"chaos campaign: backend={report.backend} seed={report.seed} "
-        f"shards={report.shards} faults={report.n_faults}",
+        f"jobs={report.jobs} faults={report.n_faults}",
         f"  records: {report.n_records} ({verdict} clean serial{scope})",
     ]
     if report.quarantined or report.expected_quarantine:

@@ -54,7 +54,8 @@ re-fire on every relaunch and never let the chunk pass. Specs with
 process to reach the coordinates atomically creates a marker file in
 the plan's ``state_dir`` (``O_CREAT | O_EXCL`` — race-free across
 shards) and later arrivals skip the fault. :func:`install` provisions a
-state directory automatically when a plan needs one.
+state directory automatically when a plan needs one, and a named
+``state_dir`` that does not exist yet is created at the first claim.
 
 Process-killing kinds (``crash``, ``exit``, ``truncate-journal``) and
 ``stubborn-hang`` act on whatever process runs the chunk, like a real
@@ -85,9 +86,10 @@ from repro.errors import ExperimentError
 #: Environment variable carrying the active plan (JSON).
 ENV_VAR = "REPRO_FAULT_PLAN"
 
-#: Optional module imported before plan parsing, so a CLI-driven run
-#: (``repro run`` with a plan in its environment) can register custom
-#: fault kinds (see docs/EXTENDING.md).
+#: Optional module a run imports before its first fork
+#: (:func:`load_plugin`), so a CLI-driven run (``repro run`` with a plan
+#: in its environment) can register custom fault kinds (see
+#: docs/EXTENDING.md).
 PLUGIN_ENV_VAR = "REPRO_FAULT_PLUGIN"
 
 
@@ -292,12 +294,12 @@ def _claim_once(plan: FaultPlan, spec: FaultSpec) -> bool:
     marker = os.path.join(
         plan.state_dir, f"{spec.kind}-{safe}-{spec.index}.fired"
     )
+    # A plan set from the shell may name a directory nothing created.
+    os.makedirs(plan.state_dir, exist_ok=True)
     try:
         fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
     except FileExistsError:
         return False
-    except OSError:
-        return True  # unusable state dir: fail open, keep injecting
     os.close(fd)
     return True
 
@@ -389,7 +391,13 @@ def register_fault_kind(
     FAULT_KINDS[name] = handler
 
 
-def _load_plugin() -> None:
+def load_plugin() -> None:
+    """Import the ``REPRO_FAULT_PLUGIN`` module, if one is named.
+
+    :func:`repro.feast.backends.make_backend` calls this, so a run's
+    process imports the plugin before its first fork and a forked
+    worker never imports it.
+    """
     module = os.environ.get(PLUGIN_ENV_VAR)
     if module:
         importlib.import_module(module)
@@ -404,7 +412,6 @@ def maybe_inject(scenario: str, index: int, attempt: int) -> None:
     raw = os.environ.get(ENV_VAR)
     if not raw:
         return
-    _load_plugin()
     plan = FaultPlan.from_json(raw)
     spec = plan.find(scenario, index, attempt)
     if spec is None:

@@ -15,13 +15,14 @@ Two crash-safety layers live here as well:
   fsynced, and ``os.replace``d into place, so an interrupt can never
   leave a truncated or half-written JSON behind;
 * :class:`CheckpointJournal` is the append-only journal behind
-  ``run_experiment(..., checkpoint=path)``: the engine appends one line
-  per completed trial chunk (an :mod:`repro.applog` log, fsynced), and
-  a resumed run replays the journal and re-runs only the missing
-  chunks. The header pins a fingerprint of the record-determining
-  config fields, so resuming with a changed experiment raises
-  :class:`CheckpointError` instead of silently mixing incompatible
-  records.
+  ``run_experiment(..., checkpoint=directory)``: the engine appends one
+  line per completed trial chunk (an :mod:`repro.applog` log, fsynced)
+  to a ``*.ckpt`` file in the checkpoint directory, and a resumed run
+  replays every journal there (:func:`read_journals`) and re-runs only
+  the missing chunks, under any worker count. The header pins a
+  fingerprint of the record-determining config fields, so resuming
+  with a changed experiment raises :class:`CheckpointError` instead of
+  silently mixing incompatible records.
 """
 
 from __future__ import annotations
@@ -262,6 +263,21 @@ def _decode_chunk_line(
         ) from exc
 
 
+def _chunk_data(chunk) -> Dict[str, Any]:
+    """One completed chunk as its journal line's JSON value."""
+    return {
+        "kind": "chunk",
+        "scenario": chunk.scenario,
+        "index": chunk.index,
+        "records": [
+            {"size": size, "method": method, "record": record.as_dict()}
+            for (size, method), record in chunk.records.items()
+        ],
+        "timings": _JOURNAL_TIMINGS,
+        "failures": [f.as_dict() for f in chunk.failures],
+    }
+
+
 def _journal_lines(path: str) -> Iterator[Tuple[int, Any]]:
     """A journal's complete lines, with read errors worded as
     :class:`CheckpointError`."""
@@ -332,9 +348,6 @@ class CheckpointJournal:
         self.path = os.path.abspath(path)
         self.fingerprint = config_fingerprint(config)
         self.experiment = config.name
-        #: Chunks recovered from an existing journal, keyed by
-        #: (scenario, graph index).
-        self.replayed: Dict[Tuple[str, int], ReplayedChunk] = {}
         self._fd: Optional[int] = None
         directory = os.path.dirname(self.path)
         if not os.path.isdir(directory):
@@ -342,7 +355,7 @@ class CheckpointJournal:
                 f"checkpoint directory does not exist: {directory!r}"
             )
         try:
-            has_header = os.path.exists(self.path) and self._replay()
+            has_header = os.path.exists(self.path) and self._check()
             self._fd = applog.open_append(self.path)
             if not has_header:
                 applog.append_line(self._fd, {
@@ -363,16 +376,16 @@ class CheckpointJournal:
                 f"cannot open checkpoint {self.path!r}: {exc}"
             ) from exc
 
-    def _replay(self) -> bool:
-        """Load an existing journal's chunks and cut its torn tail.
+    def _check(self) -> bool:
+        """Validate an existing journal's lines and cut its torn tail
+        (its chunks are read back by :func:`read_journals`).
 
         Returns whether the journal has a header; one without is empty
         and gets a fresh header.
         """
         header, lines = _open_journal(self.path, self.fingerprint)
         for lineno, data in lines:
-            chunk = _decode_chunk_line(data, self.path, lineno)
-            self.replayed[(chunk.scenario, chunk.index)] = chunk
+            _decode_chunk_line(data, self.path, lineno)
         if applog.repair(self.path):
             warnings.warn(
                 f"checkpoint {self.path!r} ends in a partial line "
@@ -389,17 +402,7 @@ class CheckpointJournal:
             raise CheckpointError(
                 f"checkpoint {self.path!r} is closed"
             )
-        applog.append_line(self._fd, {
-            "kind": "chunk",
-            "scenario": chunk.scenario,
-            "index": chunk.index,
-            "records": [
-                {"size": size, "method": method, "record": record.as_dict()}
-                for (size, method), record in chunk.records.items()
-            ],
-            "timings": _JOURNAL_TIMINGS,
-            "failures": [f.as_dict() for f in chunk.failures],
-        })
+        applog.append_line(self._fd, _chunk_data(chunk))
         os.fsync(self._fd)
 
     def close(self) -> None:
@@ -505,6 +508,67 @@ def journal_paths(directory: str) -> List[str]:
     ]
 
 
+#: The journal a serial run appends to in its checkpoint directory: the
+#: name a one-worker fleet uses and :func:`compact_journals` writes.
+SERIAL_JOURNAL = "shard-0-of-1.ckpt"
+
+
+def checkpoint_directory(path: str) -> str:
+    """Create the checkpoint directory ``path`` if it is new; return it.
+    A file there (an older version's single-file journal) is refused."""
+    if os.path.isfile(path):
+        raise CheckpointError(
+            f"checkpoint {path!r} is a file, but a checkpoint is a "
+            f"directory of journals; move an older single-file journal "
+            f"into one with `mkdir D && mv {path} D/{SERIAL_JOURNAL}` "
+            f"and pass D"
+        )
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
+def _chunk_digest(chunk) -> str:
+    """Content hash of a chunk's records, for duplicate arbitration."""
+    blob = json.dumps(
+        sorted(
+            [size, method, record.as_dict()]
+            for (size, method), record in chunk.records.items()
+        ),
+        sort_keys=True,
+    )
+    return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def read_journals(
+    directory: str, fingerprint: str
+) -> Iterator[Tuple[Tuple[str, int], ReplayedChunk]]:
+    """Every distinct chunk the journals in ``directory`` hold, each
+    written by the config of ``fingerprint``.
+
+    Reads each ``*.ckpt`` file in name order, one line at a time, and
+    yields each chunk key once, at its first occurrence. A key journaled
+    again with identical records (a chunk re-executed after a fault)
+    collapses; one with different records raises
+    :class:`CheckpointError`: the merge never guesses which side is
+    right. Only one digest per key is kept, so memory stays bounded by
+    chunk size.
+    """
+    seen: Dict[Tuple[str, int], str] = {}
+    for path in journal_paths(directory):
+        for key, chunk in iter_journal(path, fingerprint):
+            digest = _chunk_digest(chunk)
+            if key in seen:
+                if seen[key] != digest:
+                    raise CheckpointError(
+                        f"conflicting duplicate chunk (scenario={key[0]}, "
+                        f"graph={key[1]}) across journals in "
+                        f"{directory!r}: records differ; refusing to merge"
+                    )
+                continue
+            seen[key] = digest
+            yield key, chunk
+
+
 #: A fleet worker's journal, and the files the fleet keeps beside it.
 _SHARD_JOURNAL = re.compile(r"shard-\d+-of-\d+\.ckpt")
 _SHARD_SIDECARS = (
@@ -516,48 +580,34 @@ def compact_journals(directory: str) -> str:
     """Merge every journal in ``directory`` into one deduplicated file.
 
     The merged journal is written atomically as ``shard-0-of-1.ckpt``
-    (so both a ``--shards 1`` resume and a serial resume pointed at the
-    file pick it up), chunks in canonical first-seen order, then the
-    source journals are removed. So are the sidecars a fleet run leaves
-    next to a ``shard-i-of-N.ckpt`` (``.log``, ``.summary.json``,
-    ``.ckpt.inflight``): they describe the old partitioning. Identical duplicate chunks collapse;
-    conflicting duplicates (same key, different records) raise
-    :class:`CheckpointError` — compaction never guesses which side is
-    right. Returns the merged journal's path.
+    (:data:`SERIAL_JOURNAL`, which a resume under any worker count
+    reads like any other journal), with the chunks
+    :func:`read_journals` yields, in its order; then the source journals
+    are removed. So are the sidecars a fleet run leaves next to a
+    ``shard-i-of-N.ckpt`` (``.log``, ``.summary.json``,
+    ``.ckpt.inflight``): they describe the old partitioning. Conflicting
+    duplicates raise :class:`CheckpointError`. Returns the merged
+    journal's path.
     """
     paths = journal_paths(directory)
     if not paths:
         raise CheckpointError(
             f"no checkpoint journals (*.ckpt) in {directory!r}"
         )
-    fingerprint: Optional[str] = None
-    lines: List[str] = []
-    seen: Dict[Tuple[str, int], str] = {}
+    header = None
     for path in paths:
-        header, chunk_lines = _open_journal(path, fingerprint)
-        if header is None:
-            continue  # no complete header: an empty journal
-        if fingerprint is None:
-            fingerprint = header.get("fingerprint")
-            lines.append(applog.line(header))
-        for _, data in chunk_lines:
-            key = (str(data.get("scenario")), int(data.get("index", -1)))
-            canon = applog.line(data)
-            if key in seen:
-                if seen[key] != canon:
-                    raise CheckpointError(
-                        f"conflicting duplicate chunk (scenario="
-                        f"{key[0]}, graph={key[1]}) across journals in "
-                        f"{directory!r}; refusing to compact"
-                    )
-                continue
-            seen[key] = canon
-            lines.append(canon)
-    if not lines:
+        header, _ = _open_journal(path)
+        if header is not None:
+            break
+    else:
         raise CheckpointError(
             f"no checkpoint journal in {directory!r} has a header"
         )
-    merged = os.path.join(directory, "shard-0-of-1.ckpt")
+    lines = [applog.line(header)] + [
+        applog.line(_chunk_data(chunk))
+        for _, chunk in read_journals(directory, header.get("fingerprint"))
+    ]
+    merged = os.path.join(directory, SERIAL_JOURNAL)
     applog.atomic_write_text(merged, "".join(lines))
     for path in paths:
         stem = path[:-len(".ckpt")]

@@ -430,33 +430,31 @@ def run_experiment(
     checkpoint: Optional[str] = None,
     retry=None,
     backend: Optional[str] = None,
-    shards: int = 2,
+    shards: Optional[int] = None,
     record_sink: Optional[RecordSink] = None,
 ) -> ExperimentResult:
     """Execute every trial of ``config``, one chunk (all size × method
     trials of one (scenario, graph) pair) at a time per worker.
 
-    ``jobs`` selects the backend: ``1`` (default) runs the chunks in
+    ``jobs`` is the one worker count: ``1`` (default) runs the chunks in
     this process (``"serial"``); ``> 1`` fans them out over that many
-    forked worker processes, at most one per chunk (``"pool"``, the
-    worker fleet of the ``"subprocess"`` backend); ``0`` or ``None``
-    uses all CPU cores. Each worker is forked with its shard in memory,
-    so every config runs on the fleet, a closure ``graph_factory``
-    included.
+    forked worker processes, at most one per chunk (the worker fleet,
+    ``"subprocess"``); ``0`` or ``None`` uses all CPU cores. Each worker
+    is forked with its shard in memory, so every config runs on the
+    fleet, a closure ``graph_factory`` included. ``shards`` is an older
+    name of ``jobs``.
 
     ``backend`` selects an execution backend by registry name
-    (:mod:`repro.feast.backends`: ``"serial"``, ``"pool"``,
-    ``"subprocess"``, or anything registered) instead of deriving it
-    from ``jobs``; ``shards`` sets the worker count of
-    ``"subprocess"`` (``jobs`` that of ``"pool"``). Every backend
-    produces byte-identical canonical records.
+    (:mod:`repro.feast.backends`: ``"serial"``, ``"subprocess"`` or its
+    alias ``"pool"``, or anything registered) instead of deriving it
+    from ``jobs``, which still sizes the fleet. Every backend produces
+    byte-identical canonical records.
 
-    ``checkpoint`` names a journal file for a serial run and a journal
-    *directory* for a multi-process one (a new path is created as a
-    directory; an existing journal file raises
-    :class:`~repro.errors.CheckpointError`): completed chunks are
-    appended as they finish, and a rerun with the same config and path
-    resumes where the previous run stopped — the resumed result is
+    ``checkpoint`` names a journal *directory*, created if new (a file
+    there raises :class:`~repro.errors.CheckpointError`): completed
+    chunks are appended as they finish, and a rerun with the same config
+    and directory, under any worker count, replays every chunk a journal
+    there holds and runs only the rest — the resumed result is
     byte-identical to an uninterrupted run. ``retry`` overrides the
     :class:`~repro.feast.backends.RetryPolicy` derived from the config;
     on a multi-process run ``config.trial_timeout`` also bounds a
@@ -487,6 +485,8 @@ def run_experiment(
     :class:`Instrumentation` (extra callbacks, telemetry). Both may be
     given.
     """
+    if shards is not None:
+        jobs = shards
     from repro.feast.backends import (
         ExecutionRequest,
         RetryPolicy,
@@ -508,10 +508,10 @@ def run_experiment(
         or backend is not None
         or record_sink is not None
     )
-    backend_name = backend if backend is not None else (
-        "serial" if n_jobs == 1 else "pool"
+    engine = make_backend(
+        backend if backend is not None
+        else "serial" if n_jobs == 1 else "subprocess"
     )
-    engine = make_backend(backend_name)
 
     on_chunk = None
     if record_sink is not None:
@@ -526,10 +526,7 @@ def run_experiment(
         instrumentation=inst,
         policy=retry if retry is not None else RetryPolicy.from_config(config),
         checkpoint=checkpoint,
-        workers=(
-            shards if backend_name == "subprocess"
-            else min(n_jobs, len(config.chunk_keys()))
-        ),
+        workers=min(n_jobs, len(config.chunk_keys())),
         supervised=supervised,
         on_chunk=on_chunk,
         keep_records=record_sink is None,

@@ -90,16 +90,6 @@ def sweep_grid(
     return out
 
 
-def _checkpoint_path(
-    checkpoint_dir: str, config: ExperimentConfig, backend: Optional[str]
-) -> str:
-    # The subprocess backend journals one file per shard under a
-    # directory; everything else journals a single file.
-    if backend == "subprocess":
-        return os.path.join(checkpoint_dir, f"{config.name}.shards")
-    return os.path.join(checkpoint_dir, f"{config.name}.ckpt")
-
-
 def trace_path(trace_dir: str, config: ExperimentConfig) -> str:
     """The event-log path of one config under ``trace_dir``."""
     return os.path.join(trace_dir, f"{config.name}.events.jsonl")
@@ -114,7 +104,6 @@ def registry_record(
     run_id: str,
     result: ExperimentResult,
     inst: Instrumentation,
-    shards: int = 0,
     started: float = 0.0,
     trace: str = "",
 ):
@@ -135,7 +124,6 @@ def registry_record(
         fingerprint=config_fingerprint(config),
         backend=result.engine,
         jobs=result.jobs,
-        shards=shards,
         started=started,
         wall_seconds=inst.wall_elapsed,
         n_trials=inst.trials_completed,
@@ -201,7 +189,6 @@ def run_experiments(
     checkpoint_dir: Optional[str] = None,
     trace_dir: Optional[str] = None,
     backend: Optional[str] = None,
-    shards: int = 2,
 ) -> List[ExperimentResult]:
     """Run many experiments, one after another, in input order.
 
@@ -209,7 +196,8 @@ def run_experiments(
     see :func:`repro.feast.runner.run_experiment`.
 
     ``checkpoint_dir`` makes the batch resumable: each config journals
-    its completed chunks to ``<dir>/<config name>.ckpt``, so re-running
+    its completed chunks into the checkpoint directory
+    ``<dir>/<config name>.ckpt``, so re-running
     the same call after an interruption re-runs only the missing work
     (config names must therefore be unique, which
     :func:`sweep_field`/:func:`sweep_grid` guarantee).
@@ -220,7 +208,7 @@ def run_experiments(
     trace``).
 
     ``backend`` routes every config through a named execution backend
-    (:mod:`repro.feast.backends`; e.g. ``"subprocess"`` with ``shards``
+    (:mod:`repro.feast.backends`; e.g. ``"subprocess"``, with ``jobs``
     worker processes per config).
 
     ``progress`` is called with (completed configs, total) — per-chunk
@@ -245,7 +233,7 @@ def run_experiments(
     results: List[ExperimentResult] = []
     for index, config in enumerate(configs):
         checkpoint = (
-            _checkpoint_path(checkpoint_dir, config, backend)
+            os.path.join(checkpoint_dir, f"{config.name}.ckpt")
             if checkpoint_dir is not None else None
         )
         inst = (
@@ -254,7 +242,7 @@ def run_experiments(
         )
         result = run_experiment(
             config, jobs=jobs, checkpoint=checkpoint, instrumentation=inst,
-            backend=backend, shards=shards,
+            backend=backend,
         )
         if trace_dir is not None:
             write_run_events(trace_path(trace_dir, config), result, inst)

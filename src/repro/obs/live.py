@@ -267,7 +267,6 @@ class StatusSampler:
         metrics_out: Optional[str] = None,
         backend: Optional[str] = None,
         jobs: Optional[int] = None,
-        shards: Optional[int] = None,
     ) -> None:
         if interval <= 0:
             raise SerializationError(
@@ -279,7 +278,6 @@ class StatusSampler:
         self.metrics_out = metrics_out
         self.backend = backend
         self.jobs = jobs
-        self.shards = shards
         self.samples_taken = 0
         self._started = time.monotonic()
         self._last: Optional[Dict[str, float]] = None  # previous tick
@@ -335,7 +333,6 @@ class StatusSampler:
             snap["engine"] = {
                 "backend": self.backend,
                 "jobs": self.jobs,
-                "shards": self.shards,
             }
         if self.stream is not None:
             probes = self.stream.probe_snapshot()

@@ -1,7 +1,7 @@
 """Persistent run registry: the project's perf trajectory on disk.
 
 Every traced run appends one JSON line describing itself — run id,
-experiment, config fingerprint, backend/jobs/shards, wall-clock,
+experiment, config fingerprint, backend/jobs, wall-clock,
 per-phase timings, throughput, supervision counters, and a digest of
 the records it produced — to ``runs.jsonl`` under the registry
 directory (default :data:`DEFAULT_REGISTRY_DIR`). The file is an
@@ -67,7 +67,6 @@ class RunRecord:
     fingerprint: str = ""
     backend: str = ""
     jobs: int = 1
-    shards: int = 0
     started: float = 0.0
     wall_seconds: float = 0.0
     n_trials: int = 0
@@ -102,7 +101,6 @@ class RunRecord:
             "fingerprint": self.fingerprint,
             "backend": self.backend,
             "jobs": self.jobs,
-            "shards": self.shards,
             "started": self.started,
             "wall_seconds": self.wall_seconds,
             "n_trials": self.n_trials,
@@ -127,7 +125,6 @@ class RunRecord:
                 fingerprint=str(data.get("fingerprint", "")),
                 backend=str(data.get("backend", "")),
                 jobs=int(data.get("jobs", 1)),
-                shards=int(data.get("shards", 0)),
                 started=float(data.get("started", 0.0)),
                 wall_seconds=float(data.get("wall_seconds", 0.0)),
                 n_trials=int(data.get("n_trials", 0)),
@@ -378,7 +375,7 @@ def render_run_show(r: RunRecord) -> str:
         f"run {r.run_id} ({r.experiment})",
         f"  fingerprint      {r.fingerprint or '(unrecorded)'}",
         f"  backend          {r.backend or '?'} "
-        f"(jobs={r.jobs}, shards={r.shards})",
+        f"(jobs={r.jobs})",
         f"  wall-clock       {r.wall_seconds:.3f}s",
         f"  trials           {r.n_trials} "
         f"({r.replayed_trials} replayed, {r.streamed_trials} streamed)",

@@ -85,7 +85,8 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; the bound port is announced on stderr
     workers: int = 2
     backend: str = "serial"
-    shards: int = 2
+    #: Worker processes per job on a multi-process backend.
+    jobs: int = 2
     queue_size: int = 64
     data_dir: str = "repro-serve-data"
     max_body: int = 2 * 1024 * 1024
@@ -146,7 +147,7 @@ class ReproService:
             workers=config.workers,
             queue_size=config.queue_size,
             backend=config.backend,
-            shards=config.shards,
+            run_jobs=config.jobs,
         )
         self.run_id = f"{int(time.time() * 1000):x}-{os.getpid():x}"
         self.port: Optional[int] = None

@@ -3,10 +3,11 @@
 A job's status stream, ``<data-dir>/jobs/<id>.status.jsonl``, is its
 only durable record: :class:`JobLog` appends each transition to it as
 one ``fsync``ed line and answers every read from an in-memory index
-folded from the same lines. The job's checkpoint journal holds its
-trial results. The queue is scheduling state only: dropping it loses
-nothing, because boot re-enqueues every job whose stream has no
-``final`` line, and journal replay turns re-execution into resumption.
+folded from the same lines. The job's checkpoint directory,
+``<data-dir>/jobs/<id>/``, holds the journals of its trial results.
+The queue is scheduling state only: dropping it loses nothing, because
+boot re-enqueues every job whose stream has no ``final`` line, and
+journal replay turns re-execution into resumption.
 
 Execution: each worker is an asyncio task that hands a job id to a
 thread, which claims it (the ``running`` append, made only while the
@@ -69,7 +70,8 @@ class JobPaths:
         os.makedirs(self.results_dir, exist_ok=True)
 
     def checkpoint(self, job_id: str) -> str:
-        return os.path.join(self.jobs_dir, f"{job_id}.ckpt")
+        """The job's checkpoint directory."""
+        return os.path.join(self.jobs_dir, job_id)
 
     def status(self, job_id: str) -> str:
         return os.path.join(self.jobs_dir, f"{job_id}{STATUS_SUFFIX}")
@@ -145,7 +147,8 @@ class JobLog:
         return queued
 
     def create(self, job_id: str, name: str, document: Dict[str, Any]) -> None:
-        """Write a new job's header, synced with its directory entry."""
+        """Write a new job's header and make its checkpoint directory,
+        both names synced by one sync of ``jobs/``."""
         entry = JobEntry(job_id, name, time.time())
         with self._lock:
             try:
@@ -154,10 +157,13 @@ class JobLog:
                     version=STATUS_VERSION, experiment=name, run_id=job_id,
                     created=entry.created, pid=os.getpid(), document=document,
                 )
+                os.mkdir(self.paths.checkpoint(job_id))
                 applog.fsync_directory(self.paths.jobs_dir)
             except BaseException:
                 with contextlib.suppress(OSError):
                     os.remove(self.paths.status(job_id))
+                with contextlib.suppress(OSError):
+                    os.rmdir(self.paths.checkpoint(job_id))
                 raise
             self._entries[job_id] = entry
 
@@ -260,14 +266,16 @@ class WorkerPool:
         workers: int = 2,
         queue_size: int = 64,
         backend: str = "serial",
-        shards: int = 2,
+        run_jobs: int = 2,
     ) -> None:
         self.jobs = jobs
         self.paths = jobs.paths
         self.metrics = metrics
         self.workers = max(1, workers)
         self.backend = backend
-        self.shards = shards
+        #: ``jobs`` of every job's run: its worker processes on a
+        #: multi-process backend.
+        self.run_jobs = run_jobs
         # Load the backend's modules at boot, not in the first job: jobs
         # run on executor threads, and a multi-process backend forks
         # right after its import (DESIGN.md §9). An unknown name fails
@@ -368,10 +376,9 @@ class WorkerPool:
             result = run_experiment(
                 config,
                 progress=on_progress,
-                jobs=1,
+                jobs=self.run_jobs,
                 checkpoint=self.paths.checkpoint(job_id),
                 backend=self.backend,
-                shards=self.shards,
             )
         except JobCancelled:
             self._finish(job_id, JobState.CANCELLED)

@@ -1,6 +1,7 @@
 """Execution backends: registry, cross-backend parity, shard merge,
 kill-and-resume fault tolerance, streaming aggregation, journal repair."""
 
+import json
 import os
 import signal
 import socket
@@ -23,6 +24,7 @@ from repro.feast.backends.shards import shard_keys
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.instrumentation import Instrumentation
 from repro.feast.persistence import (
+    SERIAL_JOURNAL,
     compact_journals,
     inspect_journal,
     iter_journal,
@@ -133,8 +135,8 @@ class TestCrossBackendParity:
         expected = dicts(serial)
         explicit_serial = run_experiment(cfg, backend="serial")
         pool = run_experiment(cfg, jobs=2, backend="pool")
-        two_shards = run_experiment(cfg, backend="subprocess", shards=2)
-        four_shards = run_experiment(cfg, backend="subprocess", shards=4)
+        two_shards = run_experiment(cfg, backend="subprocess", jobs=2)
+        four_shards = run_experiment(cfg, backend="subprocess", jobs=4)
         assert dicts(explicit_serial) == expected
         assert dicts(pool) == expected
         assert dicts(two_shards) == expected
@@ -148,7 +150,7 @@ class TestCrossBackendParity:
         inst = Instrumentation()
         calls = []
         result = run_experiment(
-            cfg, backend="subprocess", shards=2, instrumentation=inst,
+            cfg, backend="subprocess", jobs=2, instrumentation=inst,
             progress=lambda d, t: calls.append((d, t)),
         )
         assert inst.trials_completed == cfg.n_trials
@@ -193,7 +195,7 @@ class TestShardJournalAndResume:
     def test_journal_directory_layout(self, tmp_path):
         cfg = tiny_config(n_graphs=2)
         ck = tmp_path / "ck"
-        run_experiment(cfg, backend="subprocess", shards=2,
+        run_experiment(cfg, backend="subprocess", jobs=2,
                        checkpoint=str(ck))
         paths = journal_paths(str(ck))
         assert [os.path.basename(p) for p in paths] == [
@@ -210,10 +212,10 @@ class TestShardJournalAndResume:
     def test_resume_replays_everything(self, tmp_path):
         cfg = tiny_config(n_graphs=2)
         ck = str(tmp_path / "ck")
-        first = run_experiment(cfg, backend="subprocess", shards=2,
+        first = run_experiment(cfg, backend="subprocess", jobs=2,
                                checkpoint=ck)
         inst = Instrumentation()
-        second = run_experiment(cfg, backend="subprocess", shards=2,
+        second = run_experiment(cfg, backend="subprocess", jobs=2,
                                 checkpoint=ck, instrumentation=inst)
         assert dicts(second) == dicts(first)
         assert inst.replayed_trials == cfg.n_trials
@@ -224,7 +226,7 @@ class TestShardJournalAndResume:
         expected = dicts(run_experiment(cfg, jobs=1))
         ck = str(tmp_path / "ck")
         with pytest.warns(ExperimentWarning, match="code 3; relaunching"):
-            result = run_experiment(cfg, backend="subprocess", shards=2,
+            result = run_experiment(cfg, backend="subprocess", jobs=2,
                                     checkpoint=ck)
         # The shard died after journaling one chunk; the relaunch must
         # replay that chunk and still merge to the serial records.
@@ -234,7 +236,7 @@ class TestShardJournalAndResume:
         assert result.supervision.chunks_replayed == 1
         # ... and the journals it left resume byte-identical.
         inst = Instrumentation()
-        resumed = run_experiment(cfg, backend="subprocess", shards=2,
+        resumed = run_experiment(cfg, backend="subprocess", jobs=2,
                                  checkpoint=ck, instrumentation=inst)
         assert dicts(resumed) == expected
         assert inst.replayed_trials == cfg.n_trials
@@ -242,7 +244,7 @@ class TestShardJournalAndResume:
     def test_compacted_journal_resumes_at_any_shard_count(self, tmp_path):
         cfg = tiny_config(n_graphs=2)
         ck = str(tmp_path / "ck")
-        first = run_experiment(cfg, backend="subprocess", shards=3,
+        first = run_experiment(cfg, backend="subprocess", jobs=3,
                                checkpoint=ck)
         merged = compact_journals(ck)
         assert os.path.basename(merged) == "shard-0-of-1.ckpt"
@@ -250,14 +252,128 @@ class TestShardJournalAndResume:
             cfg.chunk_keys()
         )
         inst = Instrumentation()
-        resumed = run_experiment(cfg, backend="subprocess", shards=1,
+        resumed = run_experiment(cfg, backend="subprocess", jobs=1,
                                  checkpoint=ck, instrumentation=inst)
         assert dicts(resumed) == dicts(first)
         assert inst.replayed_trials == cfg.n_trials
-        # The merged single-file journal also resumes the serial engine.
-        serial = run_experiment(cfg, jobs=1, checkpoint=merged,
+        # The compacted directory also resumes the serial engine.
+        serial = run_experiment(cfg, jobs=1, checkpoint=ck,
                                 backend="serial")
         assert dicts(serial) == dicts(first)
+
+
+def shard_journals(directory):
+    return sorted(os.path.basename(p) for p in journal_paths(str(directory)))
+
+
+def record_executions(monkeypatch, log):
+    """Append every chunk any process executes to ``log``: forked
+    workers inherit the patch and append to the same file."""
+    from repro.feast.backends import base
+
+    real = base.execute_chunk
+
+    def execute_chunk(spec, *args, **kwargs):
+        with open(log, "a") as fp:
+            fp.write(f"{spec.scenario} {spec.index}\n")
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(base, "execute_chunk", execute_chunk)
+
+    def executed():
+        if not os.path.exists(log):
+            return []
+        with open(log) as fp:
+            return sorted(
+                (scenario, int(index))
+                for scenario, index in (line.split() for line in fp)
+            )
+
+    return executed
+
+
+class TestOneWorkerCount:
+    def test_every_fleet_name_runs_jobs_workers(self, tmp_path):
+        """``jobs`` sizes the fleet under either name, and ``shards``
+        is only an older name of ``jobs``."""
+        cfg = tiny_config(scenarios=("LDET", "MDET"), n_graphs=2)
+        expected = dicts(run_experiment(cfg, jobs=1))
+        four = [f"shard-{i}-of-4.ckpt" for i in range(4)]
+        for backend in ("pool", "subprocess"):
+            for kwargs in ({"jobs": 4}, {"jobs": 1, "shards": 4}):
+                ck = tmp_path / f"{backend}-{len(kwargs)}"
+                result = run_experiment(cfg, backend=backend,
+                                        checkpoint=str(ck), **kwargs)
+                assert shard_journals(ck) == four, (backend, kwargs)
+                assert result.jobs == 4
+                assert dicts(result) == expected
+
+    def test_fleet_is_capped_at_one_worker_per_chunk(self, tmp_path):
+        cfg = tiny_config(n_graphs=2)
+        ck = tmp_path / "ck"
+        run_experiment(cfg, backend="subprocess", jobs=8, checkpoint=str(ck))
+        assert shard_journals(ck) == ["shard-0-of-2.ckpt",
+                                      "shard-1-of-2.ckpt"]
+
+
+class TestCrossResume:
+    """Any checkpoint resumes under any worker count, byte-identical to
+    an uninterrupted run, and no chunk a journal holds runs again."""
+
+    def test_serial_checkpoint_resumes_on_the_fleet(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = tiny_config(scenarios=("LDET", "MDET"), n_graphs=3)
+        clean = dicts(run_experiment(cfg, jobs=1))
+        ck = str(tmp_path / "ck")
+        seen = []
+
+        def interrupt_after_two(done, total):
+            seen.append(done)
+            if len(seen) == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg, jobs=1, checkpoint=ck,
+                           progress=interrupt_after_two)
+        held = sorted(key for key, _ in iter_journal(
+            os.path.join(ck, SERIAL_JOURNAL)))
+        assert len(held) == 2
+
+        executed = record_executions(monkeypatch, str(tmp_path / "ran"))
+        inst = Instrumentation()
+        resumed = run_experiment(cfg, jobs=2, checkpoint=ck,
+                                 instrumentation=inst)
+        assert dicts(resumed) == clean
+        assert inst.replayed_trials == 2 * cfg.trials_per_graph
+        assert resumed.supervision.chunks_replayed == 2
+        missing = sorted(set(cfg.chunk_keys()) - set(held))
+        assert executed() == missing
+        assert shard_journals(ck) == [
+            "shard-0-of-1.ckpt", "shard-0-of-2.ckpt", "shard-1-of-2.ckpt",
+        ]
+
+    def test_fleet_checkpoint_resumes_serially(self, tmp_path, monkeypatch):
+        cfg = tiny_config(scenarios=("LDET", "MDET"), n_graphs=3)
+        clean = dicts(run_experiment(cfg, jobs=1))
+        ck = tmp_path / "ck"
+        run_experiment(cfg, jobs=2, checkpoint=str(ck))
+        # Interrupted before shard 1's last chunk landed.
+        journal = ck / "shard-1-of-2.ckpt"
+        lines = journal.read_text().splitlines(keepends=True)
+        lost = json.loads(lines[-1])
+        journal.write_text("".join(lines[:-1]))
+
+        executed = record_executions(monkeypatch, str(tmp_path / "ran"))
+        inst = Instrumentation()
+        resumed = run_experiment(cfg, jobs=1, checkpoint=str(ck),
+                                 instrumentation=inst)
+        assert dicts(resumed) == clean
+        assert inst.replayed_trials == cfg.n_trials - cfg.trials_per_graph
+        assert executed() == [(lost["scenario"], lost["index"])]
+        assert [key for key, _ in iter_journal(str(ck / SERIAL_JOURNAL))] == [
+            (lost["scenario"], lost["index"])
+        ]
 
 
 class TestStreaming:
@@ -280,7 +396,7 @@ class TestStreaming:
         for backend, kwargs in (
             ("serial", {}),
             ("pool", {"jobs": 2}),
-            ("subprocess", {"shards": 2}),
+            ("subprocess", {"jobs": 2}),
         ):
             agg = StreamingAggregator()
             run_experiment(cfg, backend=backend, record_sink=agg, **kwargs)
@@ -332,7 +448,7 @@ class TestStreaming:
         with faultinject.active(plan):
             with pytest.warns(ExperimentWarning, match="relaunching"):
                 result = run_experiment(
-                    cfg, backend="subprocess", shards=2,
+                    cfg, backend="subprocess", jobs=2,
                     checkpoint=str(ck), retry=policy,
                     record_sink=agg,
                 )
@@ -369,12 +485,12 @@ class TestForkedWorkerStartsClean:
             str(tmp_path / "bke.status.jsonl"), cfg.name, "run-1"
         )
         sampler = StatusSampler(
-            stream, inst, interval=0.05, backend="subprocess", shards=2
+            stream, inst, interval=0.05, backend="subprocess", jobs=2
         )
         with activate_status(stream):
             sampler.start()
             try:
-                run_experiment(cfg, backend="subprocess", shards=2,
+                run_experiment(cfg, backend="subprocess", jobs=2,
                                instrumentation=inst)
             finally:
                 sampler.stop()
@@ -411,7 +527,7 @@ class TestForkedWorkerStartsClean:
             with faultinject.active(plan):
                 with pytest.warns(ExperimentWarning, match="stalled"):
                     result = run_experiment(
-                        cfg, backend="subprocess", shards=2,
+                        cfg, backend="subprocess", jobs=2,
                         checkpoint=str(tmp_path / "ck"), retry=policy,
                     )
         finally:
@@ -430,7 +546,7 @@ class TestForkedWorkerStartsClean:
         expected = dicts(run_experiment(cfg, jobs=1))
         with ThreadPoolExecutor(max_workers=1) as executor:
             result = executor.submit(
-                run_experiment, cfg, backend="subprocess", shards=2
+                run_experiment, cfg, backend="subprocess", jobs=2
             ).result()
         assert result.supervision.relaunches == 0
         assert result.engine == "subprocess"
@@ -490,13 +606,14 @@ class TestJournalRepair:
         cfg = tiny_config(n_graphs=3)
         ck = str(tmp_path / "run.ckpt")
         complete = run_experiment(cfg, backend="serial", checkpoint=ck)
-        with open(ck, "rb") as fp:
+        journal = os.path.join(ck, SERIAL_JOURNAL)
+        with open(journal, "rb") as fp:
             data = fp.read()
         # Cut the final record in half, as a crash mid-write would.
         cut = data.rstrip(b"\n").rfind(b"\n") + 1 + 17
-        with open(ck, "wb") as fp:
+        with open(journal, "wb") as fp:
             fp.write(data[:cut])
-        info = inspect_journal(ck)
+        info = inspect_journal(journal)
         assert info.torn_tail and info.n_chunks == len(cfg.chunk_keys()) - 1
         inst = Instrumentation()
         with pytest.warns(ExperimentWarning, match="partial line"):
@@ -505,17 +622,18 @@ class TestJournalRepair:
         assert dicts(resumed) == dicts(complete)
         # Exactly the torn chunk re-ran; the intact ones replayed.
         assert inst.replayed_trials == cfg.n_trials - cfg.trials_per_graph
-        assert not inspect_journal(ck).torn_tail
+        assert not inspect_journal(journal).torn_tail
 
     def test_iter_journal_skips_torn_tail(self, tmp_path):
         cfg = tiny_config(n_graphs=2)
         ck = str(tmp_path / "run.ckpt")
         run_experiment(cfg, backend="serial", checkpoint=ck)
-        with open(ck, "rb") as fp:
+        journal = os.path.join(ck, SERIAL_JOURNAL)
+        with open(journal, "rb") as fp:
             data = fp.read()
-        with open(ck, "wb") as fp:
+        with open(journal, "wb") as fp:
             fp.write(data[:-10])
-        keys = [k for k, _ in iter_journal(ck)]
+        keys = [k for k, _ in iter_journal(journal)]
         assert len(keys) == len(cfg.chunk_keys()) - 1
         assert len(set(keys)) == len(keys)
 

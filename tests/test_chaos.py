@@ -152,7 +152,7 @@ class TestSupervision:
         with faultinject.active(plan):
             with pytest.warns(ExperimentWarning, match="stalled"):
                 result = run_experiment(
-                    cfg, backend="subprocess", shards=2,
+                    cfg, backend="subprocess", jobs=2,
                     checkpoint=str(tmp_path / "ck"), retry=SUPERVISED,
                 )
         assert dicts(result) == expected
@@ -171,7 +171,7 @@ class TestSupervision:
         with faultinject.active(plan):
             with pytest.warns(ExperimentWarning, match="SIGKILL"):
                 result = run_experiment(
-                    cfg, backend="subprocess", shards=2,
+                    cfg, backend="subprocess", jobs=2,
                     checkpoint=str(tmp_path / "ck"), retry=SUPERVISED,
                 )
         assert dicts(result) == expected
@@ -193,7 +193,7 @@ class TestSupervision:
         with faultinject.active(plan):
             with pytest.warns(ExperimentWarning, match="relaunching"):
                 result = run_experiment(
-                    cfg, backend="subprocess", shards=2,
+                    cfg, backend="subprocess", jobs=2,
                     checkpoint=str(tmp_path / "ck"), retry=SUPERVISED,
                 )
         assert dicts(result) == expected
@@ -219,7 +219,7 @@ class TestSupervision:
         with faultinject.active(plan):
             with pytest.warns(ExperimentWarning, match="relaunching"):
                 result = run_experiment(
-                    cfg, backend="subprocess", shards=2,
+                    cfg, backend="subprocess", jobs=2,
                     checkpoint=str(tmp_path / "ck"), retry=SUPERVISED,
                 )
         assert dicts(result) == expected
@@ -228,7 +228,7 @@ class TestSupervision:
 
     def test_supervision_stats_surface_on_clean_runs_too(self):
         cfg = chaos_test_config(n_graphs=2)
-        result = run_experiment(cfg, backend="subprocess", shards=2)
+        result = run_experiment(cfg, backend="subprocess", jobs=2)
         assert result.supervision is not None
         assert not result.supervision.any()
 
@@ -311,7 +311,7 @@ class TestChaosCampaign:
         shards, the poisoned chunk quarantined, every other record
         byte-identical, stall and relaunch exercised."""
         report = run_chaos(
-            seed=2, backend="subprocess", shards=3,
+            seed=2, backend="subprocess", jobs=3,
             out=str(tmp_path / "artifacts"),
             config=chaos_test_config(name="chaos", n_graphs=9),
             policy=SUPERVISED,

@@ -30,6 +30,7 @@ from repro.feast.faultinject import FaultPlan, FaultSpec, InjectedFaultError
 from repro.feast.instrumentation import Instrumentation
 from repro.feast.backends import RetryPolicy
 from repro.feast.persistence import (
+    SERIAL_JOURNAL,
     CheckpointJournal,
     config_fingerprint,
     iter_journal,
@@ -204,6 +205,54 @@ class TestTransientFaults:
         kinds = [f.kind for f in result.failures]
         assert kinds == ["timeout"] * 3 + ["quarantine"]
         assert inst.quarantined == 1 and inst.retries == 2
+
+
+class TestFaultPlanEnvironment:
+    """Plans set from the shell, as a CLI-driven run gets them."""
+
+    def test_once_fault_with_a_missing_state_dir_fires_once(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = ft_config(n_graphs=4)
+        clean = run_experiment(cfg)
+        state_dir = tmp_path / "not" / "made"
+        plan = FaultPlan(faults=(
+            FaultSpec(scenario="MDET", index=1, kind="exit", once=True),
+        ), state_dir=str(state_dir))
+        monkeypatch.setenv(faultinject.ENV_VAR, plan.to_json())
+        with pytest.warns(ExperimentWarning, match="relaunching"):
+            result = run_experiment(cfg, jobs=2, retry=FAST)
+        assert result.supervision.relaunches == 1
+        assert result.quarantined == []
+        assert record_dicts(result) == record_dicts(clean)
+        assert os.listdir(state_dir) == ["exit-MDET-1.fired"]
+
+    def test_fault_plugin_is_imported_by_the_parent_only(
+        self, tmp_path, monkeypatch
+    ):
+        """The plugin module loads once, in the process that forks the
+        workers, before the first fork: a worker never imports it."""
+        pids = tmp_path / "imported-by"
+        name = "fault_plugin_parent_only"
+        (tmp_path / f"{name}.py").write_text(
+            "import os\n"
+            f"with open({str(pids)!r}, 'a') as fp:\n"
+            "    fp.write(f'{os.getpid()}\\n')\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, name, raising=False)
+        monkeypatch.setenv(faultinject.PLUGIN_ENV_VAR, name)
+        plan = FaultPlan(faults=(
+            FaultSpec(scenario="MDET", index=1, kind="slow-io",
+                      seconds=0.0),
+        ))
+        monkeypatch.setenv(faultinject.ENV_VAR, plan.to_json())
+        try:
+            result = run_experiment(ft_config(n_graphs=4), jobs=2)
+        finally:
+            sys.modules.pop(name, None)
+        assert result.engine == "subprocess"
+        assert pids.read_text().split() == [str(os.getpid())]
 
 
 class TestQuarantine:
@@ -437,7 +486,7 @@ class TestWorkerDeaths:
         monkeypatch.setenv(faultinject.ENV_VAR, plan.to_json())
         with ServerProcess(
             str(tmp_path / "data"), "--backend", "subprocess",
-            "--shards", "2",
+            "--jobs", "2",
         ) as server:
             poisoned = submit(server.port, tiny_job(
                 name="poisoned", n_graphs=3, scenarios=("LDET",)
@@ -466,7 +515,8 @@ class TestCheckpoint:
         path = str(tmp_path / "sweep.ckpt")
         result = run_experiment(cfg, checkpoint=path)
         assert result.complete
-        lines = open(path).read().splitlines()
+        assert os.listdir(path) == [SERIAL_JOURNAL]
+        lines = open(os.path.join(path, SERIAL_JOURNAL)).read().splitlines()
         header = json.loads(lines[0])
         assert header["format"] == "repro-sweep-checkpoint"
         assert header["fingerprint"] == config_fingerprint(cfg)
@@ -488,7 +538,8 @@ class TestCheckpoint:
             run_experiment(cfg, checkpoint=path,
                            progress=interrupt_after_two)
         # The journal holds exactly the chunks that completed.
-        assert len(open(path).read().splitlines()) == 1 + 2
+        journal = os.path.join(path, SERIAL_JOURNAL)
+        assert len(open(journal).read().splitlines()) == 1 + 2
 
         inst = Instrumentation()
         resumed = run_experiment(cfg, checkpoint=path, instrumentation=inst)
@@ -561,10 +612,11 @@ class TestCheckpoint:
         path = str(tmp_path / "sweep.ckpt")
         run_experiment(cfg, checkpoint=path)
         # Simulate a crash mid-append: chop the last line in half.
-        text = open(path).read()
+        journal = os.path.join(path, SERIAL_JOURNAL)
+        text = open(journal).read()
         cut = text.rstrip("\n")
         cut = cut[: len(cut) - len(cut.splitlines()[-1]) // 2]
-        with open(path, "w") as fp:
+        with open(journal, "w") as fp:
             fp.write(cut)
         with pytest.warns(ExperimentWarning, match="partial line"):
             resumed = run_experiment(cfg, checkpoint=path)
@@ -574,16 +626,18 @@ class TestCheckpoint:
         cfg = ft_config()
         path = str(tmp_path / "sweep.ckpt")
         run_experiment(cfg, checkpoint=path)
-        lines = open(path).read().splitlines()
+        journal = os.path.join(path, SERIAL_JOURNAL)
+        lines = open(journal).read().splitlines()
         lines[1] = lines[1][:10]  # mangle a non-trailing chunk line
-        with open(path, "w") as fp:
+        with open(journal, "w") as fp:
             fp.write("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="corrupt"):
             run_experiment(cfg, checkpoint=path)
 
     def test_not_a_journal_raises(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
-        path.write_text("just some text\n")
+        path.mkdir()
+        (path / SERIAL_JOURNAL).write_text("just some text\n")
         with pytest.raises(CheckpointError, match="not a"):
             run_experiment(ft_config(), checkpoint=str(path))
 
@@ -603,11 +657,26 @@ class TestCheckpoint:
         assert inst.replayed_trials == cfg.n_trials
 
     def test_parallel_run_refuses_a_single_file_journal(self, tmp_path):
+        """An older version's single-file journal is refused by every
+        worker count, with the command that moves it into a checkpoint
+        directory; after that move it resumes like any other."""
         cfg = ft_config()
+        first = run_experiment(cfg, checkpoint=str(tmp_path / "ck"))
         path = str(tmp_path / "serial.ckpt")
-        run_experiment(cfg, checkpoint=path)
-        with pytest.raises(CheckpointError, match="is a file"):
-            run_experiment(cfg, jobs=2, checkpoint=path)
+        os.rename(os.path.join(tmp_path, "ck", SERIAL_JOURNAL), path)
+        fix = f"mkdir D && mv {path} D/{SERIAL_JOURNAL}"
+        for jobs in (1, 2):
+            with pytest.raises(CheckpointError, match="is a file") as info:
+                run_experiment(cfg, jobs=jobs, checkpoint=path)
+            assert fix in str(info.value)
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        os.rename(path, moved / SERIAL_JOURNAL)
+        inst = Instrumentation()
+        resumed = run_experiment(cfg, jobs=2, checkpoint=str(moved),
+                                 instrumentation=inst)
+        assert record_dicts(resumed) == record_dicts(first)
+        assert inst.replayed_trials == cfg.n_trials
 
 
 class TestRetryPolicy:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.feast.backends import RetryPolicy
 from repro.feast.instrumentation import PHASES, Instrumentation
-from repro.feast.persistence import inspect_journal
+from repro.feast.persistence import SERIAL_JOURNAL, inspect_journal
 from repro.feast.runner import run_experiment
 from repro.feast.sweep import registry_record
 from repro.obs import Telemetry
@@ -22,7 +22,7 @@ from tests.test_backends import dicts, tiny_config
 BACKENDS = {
     "serial": {},
     "pool": {"jobs": 2},
-    "subprocess": {"shards": 2},
+    "subprocess": {"jobs": 2},
 }
 
 
@@ -58,7 +58,7 @@ def test_every_number_recorded_once(backend, traced):
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_resumed_run_measures_nothing(backend, tmp_path):
     cfg = tiny_config(n_graphs=2)
-    checkpoint = str(tmp_path / ("ck" if backend == "subprocess" else "ck.ckpt"))
+    checkpoint = str(tmp_path / "ck")
     kwargs = dict(backend=backend, checkpoint=checkpoint, **BACKENDS[backend])
     first = run_experiment(cfg, **kwargs)
     inst = Instrumentation(telemetry=Telemetry())
@@ -81,8 +81,9 @@ def test_journal_lines_carry_records_not_measurements(tmp_path):
     but hold no measurements; a journal written with measured timings,
     as older versions wrote them, still resumes and adds none of them."""
     cfg = tiny_config(n_graphs=2)
-    path = tmp_path / "run.ckpt"
-    first = run_experiment(cfg, checkpoint=str(path))
+    ck = tmp_path / "run.ckpt"
+    first = run_experiment(cfg, checkpoint=str(ck))
+    path = ck / SERIAL_JOURNAL
     lines = path.read_text().splitlines()
     chunks = [json.loads(line) for line in lines[1:]]
     assert all(c["timings"] == dict.fromkeys(PHASES, 0.0) for c in chunks)
@@ -95,7 +96,7 @@ def test_journal_lines_carry_records_not_measurements(tmp_path):
     ) + "\n")
     assert inspect_journal(str(path)).n_chunks == len(chunks)
     inst = Instrumentation()
-    resumed = run_experiment(cfg, checkpoint=str(path), instrumentation=inst)
+    resumed = run_experiment(cfg, checkpoint=str(ck), instrumentation=inst)
     assert dicts(resumed) == dicts(first)
     assert inst.replayed_trials == cfg.n_trials
     assert resumed.timings.total == 0

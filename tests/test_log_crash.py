@@ -21,6 +21,7 @@ import pytest
 from repro.errors import CheckpointError, ExperimentWarning, SerializationError
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.persistence import (
+    SERIAL_JOURNAL,
     CheckpointJournal,
     compact_journals,
     inspect_journal,
@@ -80,8 +81,9 @@ def no_fsync(monkeypatch):
 def journal(tmp_path_factory):
     """A complete journal's bytes, its chunk keys and the clean records."""
     cfg = crash_config()
-    path = str(tmp_path_factory.mktemp("journal") / "run.ckpt")
-    clean = run_experiment(cfg, checkpoint=path)
+    ck = str(tmp_path_factory.mktemp("journal") / "run.ckpt")
+    clean = run_experiment(cfg, checkpoint=ck)
+    path = os.path.join(ck, SERIAL_JOURNAL)
     with open(path, "rb") as fp:
         data = fp.read()
     keys = [key for key, _ in iter_journal(path)]
@@ -117,7 +119,7 @@ class TestJournalEveryOffset:
                 ck = CheckpointJournal(path, cfg)
             partial = [w for w in caught if "partial line" in str(w.message)]
             assert bool(partial) == torn, f"cut at byte {cut}"
-            assert sorted(ck.replayed) == sorted(keys[:survivors])
+            assert [key for key, _ in iter_journal(path)] == keys[:survivors]
             for key in keys[survivors:]:
                 ck.append(chunks[key])
             ck.close()
@@ -127,12 +129,14 @@ class TestJournalEveryOffset:
     def test_resume_matches_an_uninterrupted_run(self, tmp_path, journal):
         data, _, clean = journal
         cfg = crash_config()
-        path = str(tmp_path / "cut.ckpt")
+        ck = tmp_path / "cut"
+        ck.mkdir()
+        path = str(ck / SERIAL_JOURNAL)
         for cut in range(len(data) + 1):
             write_cut(path, data, cut)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ExperimentWarning)
-                resumed = run_experiment(cfg, checkpoint=path)
+                resumed = run_experiment(cfg, checkpoint=str(ck))
             assert record_dicts(resumed) == clean, f"cut at byte {cut}"
 
     def test_compaction_keeps_the_complete_line_prefix(
@@ -169,15 +173,17 @@ def test_newline_only_cut_drops_the_chunk_everywhere(tmp_path, journal):
     info = inspect_journal(path)
     assert info.torn_tail and info.chunks == keys[:-1]
     assert [key for key, _ in iter_journal(path)] == keys[:-1]
-    shutil.copy(path, str(tmp_path / "resume.ckpt"))
+    (tmp_path / "resume").mkdir()
+    resume = str(tmp_path / "resume" / SERIAL_JOURNAL)
+    shutil.copy(path, resume)
     merged = compact_journals(str(directory))
     assert [key for key, _ in iter_journal(merged)] == keys[:-1]
 
     with pytest.warns(ExperimentWarning, match="partial line"):
-        ck = CheckpointJournal(str(tmp_path / "resume.ckpt"), cfg)
-    assert sorted(ck.replayed) == sorted(keys[:-1])
+        ck = CheckpointJournal(resume, cfg)
+    assert [key for key, _ in iter_journal(resume)] == keys[:-1]
     ck.close()
-    resumed = run_experiment(cfg, checkpoint=str(tmp_path / "resume.ckpt"))
+    resumed = run_experiment(cfg, checkpoint=str(tmp_path / "resume"))
     assert record_dicts(resumed) == clean
 
 

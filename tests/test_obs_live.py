@@ -186,14 +186,14 @@ class TestStatusSampler:
     def test_snapshot_shape(self, tmp_path):
         stream = make_stream(tmp_path)
         sampler = StatusSampler(
-            stream, self.make_inst(), backend="pool", jobs=4, shards=0
+            stream, self.make_inst(), backend="pool", jobs=4
         )
         snap = sampler.snapshot()
         assert snap["trials"] == {"done": 12, "total": 36, "replayed": 0}
         assert snap["throughput"]["overall"] > 0
         assert snap["eta_seconds"] is not None
         assert snap["phases"]["generate"] == 0.5
-        assert snap["engine"] == {"backend": "pool", "jobs": 4, "shards": 0}
+        assert snap["engine"] == {"backend": "pool", "jobs": 4}
         assert snap["parent"]["pid"] == os.getpid()
         stream.close()
 

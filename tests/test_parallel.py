@@ -137,8 +137,7 @@ class TestDispatch:
         for backend in ("pool", "subprocess"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                result = run_experiment(cfg, jobs=4, backend=backend,
-                                        shards=4)
+                result = run_experiment(cfg, jobs=4, backend=backend)
             assert result.engine == "subprocess", backend
             assert dicts(result) == expected, backend
 

@@ -234,7 +234,7 @@ class TestCompactJournals:
         ck = tmp_path / "ck"
 
         def fleet_run():
-            return run_experiment(cfg, backend="subprocess", shards=2,
+            return run_experiment(cfg, backend="subprocess", jobs=2,
                                   checkpoint=str(ck))
 
         with pytest.warns(ExperimentWarning, match="code 3"):

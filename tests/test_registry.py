@@ -25,7 +25,6 @@ def make_record(run_id="run-aaaa", **overrides):
         fingerprint="f" * 32,
         backend="pool",
         jobs=4,
-        shards=0,
         started=1000.0,
         wall_seconds=10.0,
         n_trials=100,

@@ -275,7 +275,9 @@ class TestRestartResume:
 
         with ServerProcess(data_dir) as first:
             job_id = submit(first.port, document)
-            checkpoint = os.path.join(data_dir, "jobs", f"{job_id}.ckpt")
+            checkpoint = os.path.join(
+                data_dir, "jobs", job_id, "shard-0-of-1.ckpt"
+            )
             # at least one chunk journaled (header line + chunk line),
             # so the restart genuinely resumes rather than restarts
             wait_for(
@@ -437,10 +439,11 @@ class TestDurableWrites:
         scenario, sizes 2 and 3) syncs exactly 10 times, in this order:
 
         1. the status stream's ``header`` line, before the 202;
-        2. ``jobs/``, so the new stream's name survives a crash;
+        2. ``jobs/``, so the names of the new stream and of the job's
+           checkpoint directory ``jobs/<id>/`` survive a crash;
         3. the ``running`` line, which claims the job;
         4. the checkpoint journal's header line;
-        5. ``jobs/`` again, for the new journal's name;
+        5. ``jobs/<id>/``, for the new journal's name;
         6-7. one journal line per chunk (two graphs, two chunks);
         8. the result file's temp file, before its rename;
         9. ``results/``, for the renamed result's name;
@@ -463,3 +466,34 @@ class TestDurableWrites:
             )
             assert wait_terminal(handle.port, job_id)["state"] == JobState.DONE
             assert len(synced) == 10
+
+
+class TestPerJobWorkers:
+    def test_pool_backend_runs_the_requested_worker_count(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro serve --backend pool --jobs 3`` runs every job on a
+        fleet of three workers: its checkpoint directory holds three
+        shard journals, and the records match a direct run."""
+        import repro.cli
+        from repro.serve import app
+
+        booted = []
+        monkeypatch.setattr(app, "run_service", booted.append)
+        data_dir = str(tmp_path / "data")
+        repro.cli.main(["serve", "--backend", "pool", "--jobs", "3",
+                        "--port", "0", "--data-dir", data_dir])
+        (config,) = booted
+        assert (config.backend, config.jobs) == ("pool", 3)
+
+        document = tiny_job(name="fleet", n_graphs=3)
+        with ServiceHandle(config) as handle:
+            job_id = submit(handle.port, document)
+            assert wait_terminal(handle.port, job_id)["state"] == JobState.DONE
+            records = fetch_records(handle.port, job_id)
+        assert sorted(os.listdir(os.path.join(data_dir, "jobs", job_id))) == [
+            f"shard-{i}-of-3.{ext}"
+            for i in range(3)
+            for ext in ("ckpt", "ckpt.inflight", "log", "summary.json")
+        ]
+        assert records == direct_records(document)

@@ -122,12 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the experiment's, normally 2)",
     )
     run.add_argument(
-        "--batch", action="store_true",
-        help="evaluate the distribute phase through the vectorized "
-        "batch kernel (bit-identical records; unsupported methods "
-        "fall back to the scalar path)",
-    )
-    run.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
         help="(multi-process runs) declare a worker stalled after this "
         "many seconds without journal progress and escalate "
@@ -388,11 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check gating as the live campaign)",
     )
     fuzz.add_argument(
-        "--batch", action="store_true",
-        help="also differential-check every distribution against the "
-        "vectorized batch kernel",
-    )
-    fuzz.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
     )
 
@@ -607,8 +596,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["trial_timeout"] = args.trial_timeout
     if args.retries is not None:
         overrides["max_retries"] = args.retries
-    if args.batch:
-        overrides["batch"] = True
     if overrides:
         configs = [dataclasses.replace(c, **overrides) for c in configs]
 
@@ -739,7 +726,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(summary, file=sys.stderr)
         if args.profile:
             print(
-                _phase_profile(config.name, instrumentation, jobs=jobs),
+                _phase_profile(config.name, instrumentation, jobs=result.jobs),
                 file=sys.stderr,
             )
         if args.trace:
@@ -928,9 +915,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.replay is not None:
         with open(args.replay, "r", encoding="utf-8") as fp:
             data = json.load(fp)
-        report = replay_reproducer(
-            data, config=FuzzConfig(use_batch=args.batch)
-        )
+        report = replay_reproducer(data)
         print(report.summary())
         return 0 if report.ok else 1
 
@@ -939,7 +924,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         trials=args.trials,
         time_budget=args.time_budget,
         output_dir=args.out,
-        use_batch=args.batch,
     )
 
     progress = None

@@ -139,6 +139,9 @@ class BackendOutcome:
     streamed_trials: int = 0
     #: Liveness accounting (see :class:`SupervisionStats`).
     supervision: SupervisionStats = field(default_factory=SupervisionStats)
+    #: Worker processes that ran the chunks: 1 in this process, else
+    #: the fleet's launched shards (1 when it only replayed journals).
+    workers: int = 1
 
 
 class ExecutionBackend(ABC):

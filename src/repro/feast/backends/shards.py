@@ -776,7 +776,7 @@ class SubprocessBackend(ExecutionBackend):
             fleet.add_slot(i, n_shards, held)
         fleet.drive()
 
-        outcome = BackendOutcome()
+        outcome = BackendOutcome(workers=max(1, n_shards))
         outcome.supervision.merge(fleet.stats)
         # Journals carry records only; measurements come from worker
         # summaries.

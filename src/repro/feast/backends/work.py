@@ -35,7 +35,6 @@ from repro.feast.runner import (
     distribute_for_trial,
     graph_for_trial,
     make_record,
-    prefetch_distributions,
     schedule_trial,
 )
 from repro.machine.system import System
@@ -252,12 +251,10 @@ def run_chunk(
     :func:`schedule_metrics` reruns, on the size-P' system. When the
     sweep moves on, only size-free distributions and their entries are
     kept: nothing else comes back at a later size.
-    ``min_laxity`` is computed once per dict. ``config.batch`` prefetches the
-    chunk's distributions through the batch kernel first (bit-identical
-    records either way). Each (size × method) trial runs under a
-    cooperative wall-clock budget of ``trial_timeout`` seconds (default:
-    the config's); a trial that completes past its budget is kept but
-    flagged with a ``slow-trial`` failure event.
+    ``min_laxity`` is computed once per dict. Each (size × method) trial
+    runs under a cooperative wall-clock budget of ``trial_timeout``
+    seconds (default: the config's); a trial that completes past its
+    budget is kept but flagged with a ``slow-trial`` failure event.
 
     The chunk always records its phase seconds and fault counters into
     its own registry and ships it on the :class:`ChunkResult`. With
@@ -289,12 +286,6 @@ def run_chunk(
                 method.label: method.build(memo) for method in config.methods
             }
             reusable: Dict[object, object] = {}
-            prefetched: Optional[Dict[object, object]] = None
-            if config.batch:
-                with inst.phase("distribute"):
-                    prefetched = prefetch_distributions(
-                        config, [graph], reusable, indices=[spec.index]
-                    )
             # Per distinct windows dict, by id: each entry holds its dict,
             # so no id is recycled while the chunk runs.
             seen: Dict[int, _Distinct] = {}
@@ -322,7 +313,6 @@ def run_chunk(
                                 total_capacity,
                                 reusable,
                                 (method.label, spec.index),
-                                prefetched,
                             )
                         with inst.phase("schedule"):
                             entry = seen.get(id(assignment.windows))

@@ -183,12 +183,10 @@ def load_result(path: str) -> ExperimentResult:
 def _config_identity(config: ExperimentConfig) -> Dict[str, Any]:
     """The record-determining fields of a config, as plain JSON data.
 
-    Deliberately excludes ``description`` (cosmetic), the
+    Deliberately excludes ``description`` (cosmetic) and the
     fault-tolerance knobs ``trial_timeout``/``max_retries`` (they bound
-    *how* trials run, never what a completed trial records), and
-    ``batch`` (the batch kernel is bit-identical to the scalar path),
-    so a sweep can be resumed with, say, a longer timeout or the other
-    distribute engine. A ``graph_factory`` is
+    *how* trials run, never what a completed trial records), so a sweep
+    can be resumed with, say, a longer timeout. A ``graph_factory`` is
     represented by its qualified name — the best identity available for
     an arbitrary callable.
     """

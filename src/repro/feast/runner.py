@@ -52,7 +52,7 @@ from repro.errors import (
     ExperimentError,
     QuarantinedTrialError,
 )
-from repro.feast.config import ExperimentConfig, MethodSpec, speeds_for
+from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.instrumentation import (
     Instrumentation,
     PhaseTimings,
@@ -190,7 +190,9 @@ class ExperimentResult:
     #: of the run's ``phase.<name>.seconds`` histograms. Replayed
     #: chunks add none.
     timings: Optional[PhaseTimings] = None
-    #: Worker processes the run used (1 = serial).
+    #: Worker processes that ran the chunks, not the requested
+    #: ``jobs``: 1 on the serial backend, else the fleet's launched
+    #: shards (1 when the journals already held every chunk).
     jobs: int = 1
     #: Name of the execution backend class that ran it (``"serial"``,
     #: ``"subprocess"``, ...); ``None`` on results loaded from disk.
@@ -291,18 +293,16 @@ def distribute_for_trial(
     total_capacity: float,
     cache: Dict[object, DeadlineAssignment],
     cache_key: object,
-    prefetched: Optional[Dict[object, DeadlineAssignment]] = None,
 ) -> DeadlineAssignment:
     """The deadline assignment of ``method`` on ``graph`` at one size.
 
-    Size-dependent methods (ADAPT) are distributed for every platform,
-    unless ``prefetched`` (the batch engine's per-chunk prefetch, see
-    :func:`prefetch_distributions`) already holds the result under
-    ``(cache_key, n_processors)``.
-    Size-independent methods are distributed once *without* platform
-    arguments and cached under ``cache_key``; reuses re-stamp the cached
-    windows with the current platform, so the recorded
-    ``DeadlineAssignment.n_processors`` always matches the trial's system.
+    This is the engine's only distribution path: every trial's windows
+    come from ``distributor`` here. Size-dependent methods (ADAPT) are
+    distributed for every platform. Size-independent methods are
+    distributed once *without* platform arguments and cached under
+    ``cache_key``; reuses re-stamp the cached windows with the current
+    platform, so the recorded ``DeadlineAssignment.n_processors`` always
+    matches the trial's system.
 
     Three reuse layers compose here. This cache skips a method's repeat
     calls across the size sweep. Below it, a distributor built with the
@@ -315,10 +315,6 @@ def distribute_for_trial(
     across *all* methods of the trial.
     """
     if method.needs_system_size:
-        if prefetched is not None:
-            assignment = prefetched.get((cache_key, n_processors))
-            if assignment is not None:
-                return assignment
         return distributor.distribute(
             graph,
             n_processors=n_processors,
@@ -329,64 +325,6 @@ def distribute_for_trial(
         assignment = distributor.distribute(graph)
         cache[cache_key] = assignment
     return replace(assignment, n_processors=n_processors)
-
-
-def prefetch_distributions(
-    config: ExperimentConfig,
-    graphs: List[TaskGraph],
-    reusable: Dict[object, DeadlineAssignment],
-    indices: List[int],
-) -> Dict[object, DeadlineAssignment]:
-    """Batch-evaluate one chunk's distributions (the ``--batch`` path).
-
-    Packs every (method, graph) — and, for size-dependent methods, every
-    (method, size, graph) — distribution the trial loop is about to need
-    into one :func:`repro.core.batch.distribute_many` call, which routes
-    kernel-supported requests through the vectorized batch kernel and
-    everything else through the scalar path. Because the kernel is
-    bit-identical to the scalar pipeline, the trial loop then produces
-    exactly the records it would have computed lazily.
-
-    Size-independent methods are requested with *no* platform arguments
-    (mirroring the lazy path) and their results seed ``reusable``, so
-    :func:`distribute_for_trial` finds them under ``(label, index)`` and
-    re-stamps per size as usual. Size-dependent methods (ADAPT) get one
-    request per system size; those results are returned keyed
-    ``((label, index), n_processors)`` for the ``prefetched`` lookup.
-
-    ``indices`` supplies the graphs' trial indices, so the cache keys
-    are the ones the trial loop looks up.
-    """
-    from repro.core.batch import DistributeRequest, distribute_many
-
-    requests: List[DistributeRequest] = []
-    targets: List[Tuple[Dict[object, DeadlineAssignment], object]] = []
-    prefetched: Dict[object, DeadlineAssignment] = {}
-    for method in config.methods:
-        distributor = method.build()
-        if method.needs_system_size:
-            for n_processors in config.system_sizes:
-                speeds = speeds_for(config.speed_profile, n_processors)
-                total_capacity = float(sum(speeds))
-                for index, graph in zip(indices, graphs):
-                    requests.append(DistributeRequest(
-                        graph=graph,
-                        distributor=distributor,
-                        n_processors=n_processors,
-                        total_capacity=total_capacity,
-                    ))
-                    targets.append(
-                        (prefetched, ((method.label, index), n_processors))
-                    )
-        else:
-            for index, graph in zip(indices, graphs):
-                requests.append(
-                    DistributeRequest(graph=graph, distributor=distributor)
-                )
-                targets.append((reusable, (method.label, index)))
-    for (target, key), assignment in zip(targets, distribute_many(requests)):
-        target[key] = assignment
-    return prefetched
 
 
 def make_record(
@@ -539,10 +477,11 @@ def run_experiment(
     )
     with obs.activate(inst.telemetry):
         with obs.toplevel_span(
-            "run", experiment=config.name, jobs=n_jobs,
-            engine=engine.name,
-        ):
+            "run", experiment=config.name, engine=engine.name,
+        ) as run_span:
             outcome = engine.run(request)
+            if run_span is not None:
+                run_span.annotate(jobs=outcome.workers)
         # Supervision outcomes become counters exactly once, here in
         # the parent (never inside drivers/workers, whose metrics are
         # adopted into this session and would double-count).
@@ -587,7 +526,7 @@ def run_experiment(
         records=records,
         elapsed_seconds=time.perf_counter() - started,
         timings=inst.timings,
-        jobs=n_jobs,
+        jobs=outcome.workers,
         engine=engine.name,
         failures=list(outcome.failures),
         quarantined=quarantined,

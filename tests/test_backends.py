@@ -316,6 +316,40 @@ class TestOneWorkerCount:
                                       "shard-1-of-2.ckpt"]
 
 
+class TestReportedWorkers:
+    """``ExperimentResult.jobs`` counts the workers that ran, not the
+    ``jobs`` requested; the run summary, registry record and saved
+    result follow it."""
+
+    def test_fleet_reports_the_workers_it_launched(self, tmp_path):
+        from repro.feast.persistence import load_result, save_result
+        from repro.feast.sweep import registry_record, run_summary
+
+        cfg = tiny_config(n_graphs=2)
+        inst = Instrumentation()
+        result = run_experiment(cfg, jobs=8, instrumentation=inst)
+        assert (result.engine, result.jobs) == ("subprocess", 2)
+        assert run_summary(result, inst)["jobs"] == 2
+        assert registry_record("r", result, inst).jobs == 2
+        path = str(tmp_path / "result.json")
+        save_result(result, path)
+        assert load_result(path).jobs == 2
+
+    def test_serial_backend_reports_one_worker(self):
+        result = run_experiment(tiny_config(), backend="serial", jobs=3)
+        assert (result.engine, result.jobs) == ("serial", 1)
+
+    def test_fleet_that_only_replays_reports_one_worker(self, tmp_path):
+        cfg = tiny_config()
+        ck = str(tmp_path / "ck")
+        first = run_experiment(cfg, jobs=3, checkpoint=ck)
+        assert first.jobs == 3
+        resumed = run_experiment(cfg, jobs=3, checkpoint=ck)
+        assert resumed.supervision.chunks_replayed == 3
+        assert (resumed.engine, resumed.jobs) == ("subprocess", 1)
+        assert dicts(resumed) == dicts(first)
+
+
 class TestCrossResume:
     """Any checkpoint resumes under any worker count, byte-identical to
     an uninterrupted run, and no chunk a journal holds runs again."""

@@ -5,9 +5,11 @@ the scalar pipeline for every supported request and transparent scalar
 fallback for the rest. These tests pin the contract on crafted edge
 cases — exact ratio ties, near-tie floats, degenerate graphs,
 over-constrained anchors — on structural/attribute mutation between
-calls (stale-cache regressions), and on the ``--batch`` engine wiring;
+calls (stale-cache regressions) and on pack splitting;
 ``test_golden_corpus`` freezes it against the recorded corpus and the
-hypothesis property here sweeps random mixed-size batches.
+hypothesis property here sweeps random mixed-size batches. The engine
+never calls the kernel: it serves the performance ledger's side
+measurement and ``benchmarks/distribute_timing.py``.
 """
 
 import random
@@ -283,7 +285,7 @@ class TestMutationRecompute:
 
 
 # ----------------------------------------------------------------------
-# Packing and engine wiring
+# Packing
 # ----------------------------------------------------------------------
 class TestPackingAndEngine:
     def test_forced_pack_splitting_is_identical(self):
@@ -293,44 +295,6 @@ class TestPackingAndEngine:
         whole = [snap(r) for r in distribute_many(requests)]
         split = [snap(r) for r in distribute_many(requests, max_cells=500)]
         assert whole == split
-
-    def test_batch_experiment_records_identical(self):
-        from dataclasses import replace
-
-        from repro.feast.config import ExperimentConfig, MethodSpec
-        from repro.feast.runner import run_experiment
-
-        config = ExperimentConfig(
-            name="batch-wiring",
-            description="batch engine parity",
-            methods=(
-                MethodSpec(label="PURE", metric="PURE"),
-                MethodSpec(label="NORM", metric="NORM", comm="CCAA"),
-                MethodSpec(label="ADAPT", metric="ADAPT"),
-                MethodSpec(label="UD", metric="PURE", baseline="UD"),
-            ),
-            n_graphs=3,
-            seed=9091,
-            system_sizes=(2, 4),
-        )
-        base = run_experiment(config)
-        batched = run_experiment(replace(config, batch=True))
-        assert [r.as_dict() for r in base.records] == [
-            r.as_dict() for r in batched.records
-        ]
-
-    def test_batch_is_excluded_from_config_identity(self):
-        from dataclasses import replace
-
-        from repro.feast.config import ExperimentConfig, MethodSpec
-        from repro.feast.persistence import config_fingerprint
-
-        config = ExperimentConfig(
-            name="fp", description="", methods=(MethodSpec(label="P", metric="PURE"),)
-        )
-        assert config_fingerprint(config) == config_fingerprint(
-            replace(config, batch=True)
-        )
 
 
 # ----------------------------------------------------------------------

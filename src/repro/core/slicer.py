@@ -313,6 +313,7 @@ class DeadlineDistributor:
             clock += d
         # The metric's telescoping property lands the last deadline on the
         # path's end-to-end deadline (up to float error).
+        # Relative: the summed deadlines' rounding error grows with them.
         if not math.isclose(
             clock, path.deadline, rel_tol=1e-9, abs_tol=TIME_EPS
         ):

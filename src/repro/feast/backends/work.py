@@ -39,8 +39,7 @@ from repro.feast.runner import (
 )
 from repro.machine.system import System
 from repro.machine.topology import make_interconnect
-from repro.sched.analysis import schedule_metrics
-from repro.sched.schedule import Placements, Schedule
+from repro.sched.analysis import schedule_metrics, utilization_sum
 
 #: Chunk coordinates: (scenario, graph index).
 ChunkKey = Tuple[str, int]
@@ -215,10 +214,10 @@ class _Distinct:
         #: Held so the dict's id, the entry's key, is not recycled.
         self.windows = assignment.windows
         self.min_laxity = assignment.min_laxity()
-        #: (size, speeds, placements) of the sweep's first saturated
-        #: schedule of these windows.
+        #: (size, speeds, record, utilization sum) of the sweep's first
+        #: saturated schedule of these windows.
         self.saturated: Optional[
-            Tuple[int, Tuple[float, ...], Placements]
+            Tuple[int, Tuple[float, ...], TrialRecord, float]
         ] = None
         #: The latest record measured from these windows.
         self.record: Optional[TrialRecord] = None
@@ -247,8 +246,10 @@ def run_chunk(
     at size P is *saturated* — on a route-uniform interconnect, no extra
     empty processor would have won any of its placements
     (:attr:`Placements.saturated`; a processor left idle is one way) —
-    every size P' whose first P speeds are the same reuses it: only
-    :func:`schedule_metrics` reruns, on the size-P' system. When the
+    every size P' whose first P speeds are the same reuses it. Only the
+    record's ``mean_utilization`` can differ there: it is the kept sum
+    of the size-P utilizations (:func:`utilization_sum`) over P', since
+    each added processor holds nothing and adds exactly 0.0. When the
     sweep moves on, only size-free distributions and their entries are
     kept: nothing else comes back at a later size.
     ``min_laxity`` is computed once per dict. Each (size × method) trial
@@ -327,8 +328,12 @@ def run_chunk(
                                 reused += 1
                             elif (hit is not None and hit[0] < n_processors
                                     and speeds[:hit[0]] == hit[1]):
-                                schedule = Schedule(graph, system, hit[2])
-                                record = None
+                                record = entry.record = replace(
+                                    hit[2],
+                                    n_processors=n_processors,
+                                    method=method.label,
+                                    mean_utilization=hit[3] / n_processors,
+                                )
                                 reused += 1
                             else:
                                 schedule = schedule_trial(
@@ -340,19 +345,21 @@ def run_chunk(
                                         config.respect_release_times
                                     ),
                                 )
-                                placements = schedule.dense()
-                                if hit is None and placements.saturated:
-                                    entry.saturated = (
-                                        n_processors, speeds, placements
-                                    )
-                                record = None
-                            if record is None:
                                 record = entry.record = make_record(
                                     config, spec.scenario, n_processors,
                                     method, spec.index, assignment,
                                     schedule_metrics(schedule, assignment),
                                     entry.min_laxity,
                                 )
+                                placements = schedule.dense()
+                                if hit is None and placements.saturated:
+                                    entry.saturated = (
+                                        n_processors, speeds, record,
+                                        utilization_sum(
+                                            placements, n_processors,
+                                            record.makespan,
+                                        ),
+                                    )
                         if budget.expired():
                             inst.record_failure(TrialFailure(
                                 scenario=spec.scenario,

@@ -198,6 +198,8 @@ class ExhaustiveResult:
     max_lateness: Time
     n_complete_schedules: int
     n_decisions: int
+    #: The least makespan over every enumerated schedule.
+    min_makespan: Time
 
 
 class ExhaustiveScheduler:
@@ -245,6 +247,7 @@ class ExhaustiveScheduler:
         hop_cost = self.system.interconnect.hop_cost
         state = {
             "best": float("inf"),
+            "makespan": float("inf"),
             "complete": 0,
             "decisions": 0,
         }
@@ -255,7 +258,7 @@ class ExhaustiveScheduler:
         }
         pending = {n: graph.in_degree(n) for n in node_ids}
 
-        def explore(ready: List[NodeId], worst: Time) -> None:
+        def explore(ready: List[NodeId], worst: Time, horizon: Time) -> None:
             if state["decisions"] >= self.decision_limit:
                 raise SchedulingError(
                     f"exhaustive enumeration exceeded "
@@ -264,6 +267,7 @@ class ExhaustiveScheduler:
             if not ready:
                 state["complete"] += 1
                 state["best"] = min(state["best"], worst)
+                state["makespan"] = min(state["makespan"], horizon)
                 return
             for node_id in list(ready):
                 node = graph.node(node_id)
@@ -293,7 +297,8 @@ class ExhaustiveScheduler:
                         if pending[succ] == 0:
                             next_ready.append(succ)
 
-                    explore(next_ready, max(worst, end - deadline[node_id]))
+                    explore(next_ready, max(worst, end - deadline[node_id]),
+                            max(horizon, end))
 
                     for succ in graph.successors(node_id):
                         pending[succ] += 1
@@ -301,11 +306,12 @@ class ExhaustiveScheduler:
                     del placement[node_id]
                     del finish[node_id]
 
-        explore([n for n in node_ids if pending[n] == 0], float("-inf"))
+        explore([n for n in node_ids if pending[n] == 0], float("-inf"), 0.0)
         return ExhaustiveResult(
             max_lateness=state["best"],
             n_complete_schedules=state["complete"],
             n_decisions=state["decisions"],
+            min_makespan=state["makespan"],
         )
 
 

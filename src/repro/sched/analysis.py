@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.core.annotations import DeadlineAssignment
 from repro.errors import ValidationError
-from repro.sched.schedule import Schedule
+from repro.sched.schedule import Placements, Schedule
 from repro.types import TIME_EPS, NodeId, Time
 
 
@@ -104,6 +104,26 @@ def end_to_end_lateness(schedule: Schedule) -> Dict[NodeId, Time]:
     return out
 
 
+def utilization_sum(
+    state: Placements, n_processors: int, horizon: Time
+) -> float:
+    """The per-processor utilizations (busy time / ``horizon``, 0.0 for
+    a zero horizon) of ``n_processors`` processors, summed in the float
+    operations :func:`schedule_metrics` makes before it divides by
+    ``n_processors`` for :attr:`ScheduleMetrics.mean_utilization`.
+
+    A processor that holds nothing adds exactly 0.0, so placements on
+    the first P processors have one sum at every size from P up
+    (DESIGN.md §3.4).
+    """
+    finish_of, start_of = state.finish_of, state.start_of
+    return sum(
+        sum(finish_of[j] - start_of[j] for j in group) / horizon
+        if horizon > 0 else 0.0
+        for group in state.by_processor(n_processors)
+    )
+
+
 def schedule_metrics(
     schedule: Schedule, assignment: DeadlineAssignment
 ) -> ScheduleMetrics:
@@ -120,7 +140,7 @@ def schedule_metrics(
     state.require_complete()
     index = state.index
     ids = index.ids
-    finish_of, start_of = state.finish_of, state.start_of
+    finish_of = state.finish_of
     # A re-stamped assignment (``replace(..., n_processors=P)``) shares
     # the scheduler's ``windows`` dict, so its deadlines are reusable too.
     deadline = (
@@ -140,11 +160,7 @@ def schedule_metrics(
             msg_lateness.append(arrival - window.absolute_deadline)
 
     horizon = max(finish_of[j] for j in state.order)
-    utilization = [
-        sum(finish_of[j] - start_of[j] for j in group) / horizon
-        if horizon > 0 else 0.0
-        for group in state.by_processor(schedule.system.n_processors)
-    ]
+    n_processors = schedule.system.n_processors
 
     succ = index.succ_indptr
     e2e = [
@@ -158,7 +174,9 @@ def schedule_metrics(
         n_late=sum(1 for v in values if v > TIME_EPS),
         n_subtasks=len(values),
         makespan=horizon,
-        mean_utilization=sum(utilization) / len(utilization),
+        mean_utilization=(
+            utilization_sum(state, n_processors, horizon) / n_processors
+        ),
         total_communication_volume=sum(state.msg_size),
         max_message_lateness=max(msg_lateness) if msg_lateness else None,
         max_end_to_end_lateness=max(e2e) if e2e else 0.0,

@@ -120,6 +120,28 @@ class LinkTimelines:
             route = self._routes[src_proc, dst_proc] = (links, timelines)
         return route
 
+    def shared_link(self) -> Optional[Tuple[LinkId, LinkTimeline]]:
+        """The one contended link every remote route crosses, and its
+        timeline; ``None`` on any other interconnect.
+
+        That is a route-uniform, contended interconnect of at least two
+        processors whose remote route is a single link with the default
+        :meth:`~Interconnect.hop_cost` (``size * cost_per_item``): the
+        paper's bus. A transfer there is one slot search on one timeline,
+        which the list scheduler makes itself (DESIGN.md §3.4).
+        """
+        interconnect = self.interconnect
+        if not (
+            interconnect.route_uniform and interconnect.contended
+            and interconnect.n_processors > 1
+            and type(interconnect).hop_cost is Interconnect.hop_cost
+        ):
+            return None
+        links = interconnect.path(0, 1)
+        if len(links) != 1:
+            return None
+        return links[0], self._timeline(links[0])
+
     def probe_transfer(
         self, src_proc: int, dst_proc: int, size: Time, ready: Time
     ) -> Time:

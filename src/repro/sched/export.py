@@ -20,7 +20,7 @@ from repro.core.annotations import DeadlineAssignment
 from repro.errors import ValidationError
 from repro.sched.schedule import Schedule
 from repro.sched.simulator import ExecutionTrace
-from repro.types import Time
+from repro.types import TIME_EPS, Time
 
 #: Layout constants (pixels).
 ROW_HEIGHT = 28
@@ -114,8 +114,9 @@ def schedule_to_svg(
         fill = _color(index)
         if assignment is not None:
             deadline = assignment.windows.get(node_id)
-            if deadline is not None and entry.finish > (
-                deadline.absolute_deadline + 1e-9
+            # Late as ``schedule_metrics`` counts ``n_late``.
+            if deadline is not None and (
+                entry.finish - deadline.absolute_deadline > TIME_EPS
             ):
                 fill = LATE_FILL
         parts.append(

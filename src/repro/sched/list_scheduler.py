@@ -38,7 +38,7 @@ from repro.errors import SchedulingError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
 from repro.obs import runtime as obs
-from repro.sched.bus import LinkTimelines
+from repro.sched.bus import LinkTimeline, LinkTimelines
 from repro.sched.policies import EarliestDeadlineFirst, SelectionPolicy
 from repro.sched.schedule import Placements, Schedule
 from repro.types import ProcessorId, Time
@@ -105,6 +105,15 @@ class ListScheduler:
         )
         links = LinkTimelines(system.interconnect)
         commit = links.commit_transfer
+        # On the paper's bus every transfer is one slot on one timeline:
+        # probed, reserved and recorded here, not routed (DESIGN.md §3.4).
+        shared = links.shared_link()
+        timeline = None
+        if shared is not None:
+            bus_link, timeline = shared
+            slot, reserve = timeline.earliest_slot, timeline.reserve
+            cost = system.interconnect.cost_per_item
+            hop_start, hop_finish = state.hop_start, state.hop_finish
         route_uniform = system.interconnect.route_uniform
         closed_form = route_uniform and system.n_processors > 1
         saturated = route_uniform
@@ -139,11 +148,13 @@ class ListScheduler:
             # empty processor would win an unpinned one iff its start,
             # ``idle``, is strictly below the best (DESIGN.md §3.4).
             proc = subtasks[j].pinned_to
+            probed = None
             if proc is None:
                 if closed_form:
-                    proc, best, n_probes, idle = _choose_uniform(
-                        links, available, lower, arcs
+                    proc, best, probed, idle = _choose_uniform(
+                        links, timeline, available, lower, arcs
                     )
+                    n_probes = len(probed)
                     if idle < best:
                         saturated = False
                 else:
@@ -155,7 +166,9 @@ class ListScheduler:
 
             # The start is the latest of the lower bound, the processor's
             # availability and every arrival. Transfers are committed in
-            # (producer finish, producer id) order.
+            # (producer finish, producer id) order. On the shared link the
+            # first one takes its probe's slot, as nothing was reserved
+            # since; every later one searches again.
             start = lower
             if available[proc] > start:
                 start = available[proc]
@@ -168,7 +181,20 @@ class ListScheduler:
             if len(remote) > 1:
                 remote.sort(key=lambda arc: (arc[2], ids[arc[3]]))
             for src, size, ready_at, p in remote:
-                arrival = commit(src, proc, size, ready_at, state)
+                if timeline is None:
+                    arrival = commit(src, proc, size, ready_at, state)
+                else:
+                    hop = size * cost
+                    if probed is None:
+                        at = slot(ready_at, hop)
+                    else:
+                        at = probed[size, ready_at]
+                        probed = None
+                    reserve(at, hop)
+                    arrival = at + hop
+                    hop_link.append(bus_link)
+                    hop_start.append(at)
+                    hop_finish.append(arrival)
                 msg_src.append(p)
                 msg_dst.append(j)
                 msg_size.append(size)
@@ -226,7 +252,11 @@ def choose_processor(
     """
     n_processors = len(available)
     if pinned_to is None and n_processors > 1 and links.interconnect.route_uniform:
-        return _choose_uniform(links, available, lower, arcs)[:3]
+        shared = links.shared_link()
+        proc, start, probed, _ = _choose_uniform(
+            links, None if shared is None else shared[1], available, lower, arcs
+        )
+        return proc, start, len(probed)
     candidates = range(n_processors) if pinned_to is None else (pinned_to,)
     paths_from = links.interconnect.paths_from
     memos: Dict[Tuple[Time, Time], Dict[Tuple[str, ...], Time]] = {}
@@ -261,32 +291,47 @@ def choose_processor(
 
 def _choose_uniform(
     links: LinkTimelines,
+    timeline: Optional[LinkTimeline],
     available: Sequence[Time],
     lower: Time,
     arcs: Sequence[Arc],
-) -> Tuple[ProcessorId, Time, int, Time]:
+) -> Tuple[ProcessorId, Time, Dict[Tuple[Time, Time], Time], Time]:
     """:func:`choose_processor` over all of at least two processors of a
-    route-uniform interconnect, in O(P + arcs), plus the start an empty
-    processor would get.
+    route-uniform interconnect, in O(P + arcs): the processor, its start,
+    the probes by (size, ready) and the start an empty processor would
+    get.
 
-    Each (size, ready) has one remote arrival, probed once. A local arc
-    never raises a start: its producer finished by its processor's
-    availability. So a candidate's start is the latest of its
-    availability, ``lower`` and the remote arrivals of every producer
-    processor but its own: the latest arrival overall (``first``, from
-    ``first_src``), or on ``first_src`` the latest from elsewhere
-    (``second``). An empty processor holds no producer, so it would
-    start at ``max(0, first)``.
+    Each (size, ready) has one remote arrival, probed once. With the
+    interconnect's shared link ``timeline`` (:meth:`LinkTimelines.
+    shared_link`) a probe is one slot search there and is kept as the
+    slot's start; otherwise it goes through :meth:`LinkTimelines.
+    probe_transfer` and is kept as the arrival. A local arc never raises
+    a start: its producer finished by its processor's availability. So a
+    candidate's start is the latest of its availability, ``lower`` and
+    the remote arrivals of every producer processor but its own: the
+    latest arrival overall (``first``, from ``first_src``), or on
+    ``first_src`` the latest from elsewhere (``second``). An empty
+    processor holds no producer, so it would start at ``max(0, first)``.
     """
     probed: Dict[Tuple[Time, Time], Time] = {}
+    if timeline is not None:
+        slot = timeline.earliest_slot
+        cost = links.interconnect.cost_per_item
     first = second = lower
     first_src = -1
     for src, size, ready, _ in arcs:
-        arrival = probed.get((size, ready))
-        if arrival is None:
-            arrival = probed[size, ready] = links.probe_transfer(
-                src, 1 if src == 0 else 0, size, ready
-            )
+        if timeline is None:
+            arrival = probed.get((size, ready))
+            if arrival is None:
+                arrival = probed[size, ready] = links.probe_transfer(
+                    src, 1 if src == 0 else 0, size, ready
+                )
+        else:
+            hop = size * cost
+            at = probed.get((size, ready))
+            if at is None:
+                at = probed[size, ready] = slot(ready, hop)
+            arrival = at + hop
         if src == first_src:
             if arrival > first:
                 first = arrival
@@ -302,4 +347,4 @@ def _choose_uniform(
             start = bound
         if best_proc < 0 or start < best_start:
             best_proc, best_start = proc, start
-    return best_proc, best_start, len(probed), first if first > 0.0 else 0.0
+    return best_proc, best_start, probed, first if first > 0.0 else 0.0

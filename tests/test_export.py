@@ -5,10 +5,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from repro.core.annotations import DeadlineAssignment, Window
 from repro.core.slicer import bst
 from repro.errors import ValidationError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
+from repro.sched.analysis import schedule_metrics
 from repro.sched.export import schedule_to_json, schedule_to_svg, trace_to_svg
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.schedule import Schedule
@@ -47,6 +49,22 @@ class TestScheduleSvg:
         schedule = ListScheduler(System(1)).schedule(g, assignment)
         svg = schedule_to_svg(schedule, assignment)
         assert "#C44E52" in svg
+
+    @pytest.mark.parametrize("overrun, late", [(1e-7, False), (1e-5, True)])
+    def test_late_colouring_matches_n_late(self, overrun, late):
+        """A finish within ``TIME_EPS`` of its deadline is on time, in
+        the drawing as in ``schedule_metrics``."""
+        g = TaskGraph()
+        g.add_subtask("x", wcet=10.0, release=0.0, end_to_end_deadline=20.0)
+        assignment = DeadlineAssignment(
+            graph=g, metric_name="TEST", comm_strategy_name="TEST",
+            windows={"x": Window(0.0, 10.0 - overrun, 10.0)},
+            message_windows={},
+        )
+        schedule = ListScheduler(System(1)).schedule(g, assignment)
+        assert schedule.finish_time("x") == 10.0
+        assert schedule_metrics(schedule, assignment).n_late == int(late)
+        assert ("#C44E52" in schedule_to_svg(schedule, assignment)) is late
 
     def test_windows_drawn_when_assignment_given(self, scheduled):
         _, assignment, schedule = scheduled

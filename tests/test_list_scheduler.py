@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.machine.system import System
 from repro.machine.topology import IdealNetwork, make_interconnect
 from repro.obs import runtime as obs
 from repro.sched import list_scheduler
-from repro.sched.bus import LinkTimelines
+from repro.sched.bus import LinkTimeline
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.policies import make_policy
 
@@ -204,14 +205,18 @@ class TestProbeCounters:
     def test_probes_counted_once_per_distinct_remote_arc(
         self, diamond_graph, monkeypatch
     ):
+        # On the shared bus the closed-form chooser probes with one slot
+        # search on the bus timeline; the placement loop's commits search
+        # the same timeline, so count only the chooser's searches.
         calls = []
-        probe = LinkTimelines.probe_transfer
+        search = LinkTimeline.earliest_slot
 
         def counting(self, *args):
-            calls.append(args)
-            return probe(self, *args)
+            if sys._getframe(1).f_code is list_scheduler._choose_uniform.__code__:
+                calls.append(args)
+            return search(self, *args)
 
-        monkeypatch.setattr(LinkTimelines, "probe_transfer", counting)
+        monkeypatch.setattr(LinkTimeline, "earliest_slot", counting)
         session = obs.Telemetry()
         with obs.activate(session):
             schedule = ListScheduler(System(4)).schedule(
@@ -220,18 +225,19 @@ class TestProbeCounters:
         assert session.metrics.counters["bus.probes"] == len(calls) > 0
         # On the shared bus every remote candidate sees one arrival per
         # (size, ready), so a placement probes each distinct (size,
-        # producer finish) of its arcs with data once, between two
-        # different processors.
-        expected = sum(
-            len({
+        # producer finish) of its arcs with data once: a search for the
+        # message's hop (one time unit per data item) from that finish.
+        expected = [
+            (ready, size)
+            for n in diamond_graph.node_ids()
+            for size, ready in {
                 (diamond_graph.message(p, n).size, schedule.finish_time(p))
                 for p in diamond_graph.predecessors(n)
                 if diamond_graph.message(p, n).size > 0
-            })
-            for n in diamond_graph.node_ids()
-        )
-        assert len(calls) == expected
-        assert all(src != dst for src, dst, _, _ in calls)
+            }
+        ]
+        assert len(calls) == len(expected)
+        assert sorted(calls) == sorted(expected)
 
 
 def _fully_pinned_schedules():

@@ -6,17 +6,23 @@ processor in closed form, from per-processor scalars (DESIGN.md §3.4).
 Turning the ``route_uniform`` attribute off sends every placement
 through the memoized loop that probes each candidate instead. Both must
 produce the same schedules and traces, bit for bit, and on the bus the
-same number of probes.
+same number of probes. On the bus the closed form probes and commits on
+the one shared link timeline itself, reusing a placement's probed slot
+for its first remote commit; the loop routes every probe and commit.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.annotations import DeadlineAssignment, Window
+from repro.core.pinning import pin_subtasks
+from repro.core.slicer import bst
+from repro.graph.generator import RandomGraphConfig, generate_task_graph
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
 from repro.machine.topology import IdealNetwork, SharedBus
@@ -226,3 +232,67 @@ def test_closed_form_start_matches_memoized_loop(
     assert (proc, start) == (ref_proc, ref_start)
     if topology == "bus":
         assert probes == ref_probes
+
+
+def _paper_graph(seed, pin_every):
+    """A paper-size generated graph (40-60 subtasks) with every
+    ``pin_every``-th subtask pinned (none for 0), and its distribution."""
+    graph = generate_task_graph(RandomGraphConfig(), rng=random.Random(seed))
+    if pin_every:
+        graph = pin_subtasks(graph, {
+            node_id: i % 2
+            for i, node_id in enumerate(graph.node_ids()) if i % pin_every == 0
+        })
+    return graph, bst("PURE", "CCNE").distribute(graph)
+
+
+def _most_remote_commits(graph, system, assignment):
+    """The most remote transfers any unpinned subtask's placement
+    commits on ``system``."""
+    schedule = ListScheduler(system).schedule(graph, assignment)
+    counts = {}
+    for message in schedule.messages.values():
+        if message.hops and graph.node(message.dst).pinned_to is None:
+            counts[message.dst] = counts.get(message.dst, 0) + 1
+    return max(counts.values(), default=0)
+
+
+#: A bus placement that commits several remote transfers: the first takes
+#: its probe's slot, the later ones search the bus again.
+_SEVERAL_REMOTE = dict(seed=3, n_processors=8, pin_every=0, respect=False)
+
+
+@default_settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**16),
+    n_processors=st.integers(2, 16),
+    pin_every=st.sampled_from([0, 0, 3]),
+    respect=st.booleans(),
+)
+@example(**_SEVERAL_REMOTE)
+# Pinned and unpinned placements mixed: a pinned one probes nothing, so
+# its first commit searches too.
+@example(seed=5, n_processors=3, pin_every=3, respect=True)
+def test_paper_size_bus_matches_memoized_loop(
+    seed, n_processors, pin_every, respect
+):
+    """Generated 40-60-subtask graphs on the bus at sizes 2-16: the
+    shared-link path and the memoized loop give the same placements,
+    hops and ``bus.probes``."""
+    graph, assignment = _paper_graph(seed, pin_every)
+    closed, looped = (
+        System(n_processors, cls(n_processors)) for cls in TOPOLOGIES["bus"]
+    )
+    assert LinkTimelines(closed.interconnect).shared_link() is not None
+    assert LinkTimelines(looped.interconnect).shared_link() is None
+    schedule, probes = _schedule(graph, assignment, closed, respect)
+    assert (schedule, probes) == _schedule(graph, assignment, looped, respect)
+    assert probes > 0
+
+
+def test_pinned_example_commits_several_remote_transfers():
+    example = dict(_SEVERAL_REMOTE)
+    n_processors = example["n_processors"]
+    graph, assignment = _paper_graph(example["seed"], example["pin_every"])
+    system = System(n_processors, SharedBus(n_processors))
+    assert _most_remote_commits(graph, system, assignment) >= 2

@@ -6,8 +6,9 @@ whose expansion, slicing family, clamp setting and virtual costs match
 get one ``windows`` dict. At the same size, a dict's record is reused
 relabelled. Once a dict's schedule at size P is saturated — on a
 route-uniform interconnect, no extra empty processor would have won any
-of its placements — its placements are reused at every larger size whose
-first P speeds match, and only ``schedule_metrics`` reruns. Here every
+of its placements — its record is reused at every larger size whose
+first P speeds match, with ``mean_utilization`` derived from the kept sum
+of its per-processor utilizations. Here every
 record of a chunk must equal, byte for byte, the record of a reuse-free
 reference that distributes and schedules each (size, method) trial from
 scratch through ``run_trial``. The ring is a control on which nothing is
